@@ -25,7 +25,7 @@ from affmon.intlin import IDENTITY
 from affmon.monoids import CanonicalMonoid3, validate_minimal_generation
 from affmon.oracle import enumerate_factorizations
 from affmon.rationals import ExtRat, Vec2
-from affmon.solve3 import elasticity3, extreme_factorizations, member3_star
+from affmon.solve3 import elasticity3, extreme_factorizations, member3
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,13 @@ def check_monoid(m: CanonicalMonoid3, coord_bound: int) -> tuple[int, int]:
     """Cross-check one monoid; returns (members, mismatches)."""
     members = 0
     mismatches = 0
-    step = m.c - m.a - 1
+    # Length change per step of the factorization line; c - a - 1 here.
+    step = (m.c - m.a - (m.b * m.c - m.a * m.d)) // gcd(m.a, m.c)
     for x in range(coord_bound + 1):
         for y in range(coord_bound + 1):
             s = Vec2(x, y)
             truth = enumerate_factorizations(m.gens, s)
-            if member3_star(m, s).member != truth.member:
+            if member3(m, s).member != truth.member:
                 mismatches += 1
                 continue
             if not truth.member:
@@ -111,7 +112,7 @@ def _rho_max(m: CanonicalMonoid3, coord_bound: int) -> ExtRat:
     for x in range(coord_bound + 1):
         for y in range(coord_bound + 1):
             s = Vec2(x, y)
-            if s.is_zero or not member3_star(m, s).member:
+            if s.is_zero or not member3(m, s).member:
                 continue
             rho = elasticity3(m, s)
             if rho > best:

@@ -10,8 +10,6 @@ from .errors import (
     AffmonError,
     BothZeroError,
     DuplicateGeneratorError,
-    DuplicatePhiError,
-    GcdNotOneError,
     MonoidParseError,
     NegativeResultError,
     NormalizationEscapesConeError,
@@ -19,7 +17,6 @@ from .errors import (
     NotMinimallyGeneratedError,
     NotPhiMinimalError,
     PeriodicityViolatedError,
-    RepMismatchError,
     StarRequiredError,
     WrongBranchError,
     ZeroElementError,
@@ -52,11 +49,10 @@ from .solve3 import (
     CanonicalRep,
     ExtremeFactorizations,
     canonical_rep,
-    delta,
     elasticity3,
     extreme_factorizations,
+    member3,
     member3_general,
-    member3_star,
 )
 from .asymptotics import (
     SCAN_CSV_HEADER,
@@ -85,11 +81,9 @@ __all__ = [
     "canonical_rep",
     "canonicalize",
     "d2_test",
-    "delta",
     "det_divisors",
     "DIVISIBILITY_FAILS",
     "DuplicateGeneratorError",
-    "DuplicatePhiError",
     "elasticity2",
     "elasticity3",
     "elasticity_oracle",
@@ -100,7 +94,6 @@ __all__ = [
     "extreme_factorizations",
     "Factorization",
     "FactorizationSet",
-    "GcdNotOneError",
     "INF",
     "is_phi_minimal",
     "apply_mults",
@@ -109,8 +102,8 @@ __all__ = [
     "Mat2xP",
     "mediant",
     "member2",
+    "member3",
     "member3_general",
-    "member3_star",
     "Membership",
     "Monoid",
     "MonoidParseError",
@@ -127,7 +120,6 @@ __all__ = [
     "PHI_OUT_OF_RANGE",
     "Query",
     "Report",
-    "RepMismatchError",
     "rho_limit",
     "rho_special_ac",
     "rho_special_c",

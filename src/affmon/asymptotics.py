@@ -27,7 +27,7 @@ from .errors import (
 )
 from .monoids import CanonicalMonoid3
 from .rationals import ExtRat, Vec2
-from .solve3 import elasticity3, member3_star
+from .solve3 import elasticity3, member3
 
 __all__ = [
     "LimitLFT",
@@ -106,7 +106,7 @@ def _check_multiple_args(m: CanonicalMonoid3, s: Vec2, k: int, period: int, name
         raise ValueError("k must be a positive integer")
     if k % period:
         raise PeriodicityViolatedError(f"{name} requires {period} | k, got k={k}")
-    if not member3_star(m, s).member:
+    if not member3(m, s).member:
         raise NotMemberError(f"{s} is not in the monoid")
 
 
@@ -136,21 +136,21 @@ def rho_limit(m: CanonicalMonoid3, s: Vec2) -> tuple[LimitLFT, ExtRat]:
     """Limit of the elasticity of k*s as k grows, with its LFT form.
 
     The branch follows the slope comparison with a/b; on the boundary both
-    formulas are computed and asserted equal (the low-slope form is
+    formulas are computed and checked equal (the low-slope form is
     returned).
     """
     if not m.star:
         raise StarRequiredError("the limit formula needs b*c - a*d = 1")
     if s.is_zero:
         raise ZeroElementError("elasticity of the zero element is undefined")
-    if not member3_star(m, s).member:
+    if not member3(m, s).member:
         raise NotMemberError(f"{s} is not in the monoid")
     low, high = s.x * m.b, s.y * m.a
     if low <= high:
         lft = _lft_low(m)
         value = lft.evaluate(s)
-        if low == high:
-            assert _lft_high(m).evaluate(s) == value, "limit branches disagree on the boundary"
+        if low == high and _lft_high(m).evaluate(s) != value:
+            raise RuntimeError("limit branches disagree on the boundary")
     else:
         lft = _lft_high(m)
         value = lft.evaluate(s)

@@ -2,8 +2,10 @@
 
 Monoids are written as semicolon-separated generator pairs ("0,1;1,2;3,5"),
 vectors as a single pair ("6,13"); whitespace is ignored.  Each subcommand
-parses, canonicalizes (except ``oracle``, which works on the raw generators),
-routes to the matching solver, and prints a human-readable report, a JSON
+parses, canonicalizes, and routes two generators to ``solve2`` and three to
+``solve3`` (``limit`` and ``scan`` to ``asymptotics``, for star monoids
+only); ``oracle`` alone runs the brute-force enumeration, on the raw
+generators.  The answer is printed as a human-readable report, a JSON
 report (--json), or CSV for ``scan``.
 
 Exit codes: 0 when the query succeeded (member / value computed), 1 when the
@@ -16,7 +18,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import (
     AffmonError,
@@ -37,16 +39,16 @@ from .monoids import (
     validate_minimal_generation,
 )
 from .asymptotics import SCAN_CSV_HEADER, rho_limit, scan_multiples
-from .oracle import elasticity_oracle, enumerate_factorizations
+from .oracle import enumerate_factorizations
 from .rationals import ExtRat, Vec2
 from .solve2 import elasticity2, member2
-from .solve3 import elasticity3, extreme_factorizations, member3_general, member3_star
+from .solve3 import elasticity3, extreme_factorizations, member3, member3_general
 
 __all__ = ["Query", "Report", "parse_monoid", "parse_vector", "run", "main"]
 
 SOLVER_DIM2 = "dim2-theorem"
-SOLVER_DIM3_STAR = "dim3-star-theorem"
-SOLVER_DIM3_GENERAL = "dim3-general"
+SOLVER_DIM3 = "dim3-line"
+SOLVER_DIM3_STAR = "dim3-star-theorem"  # limit and scan
 SOLVER_ORACLE = "oracle"
 
 
@@ -141,54 +143,30 @@ def _fact_payload(fact: Factorization) -> dict:
     return {"mults": list(fact.mults), "length": fact.length}
 
 
-def _membership(m: Monoid, cs: Optional[Vec2]) -> tuple[Membership, str]:
-    """Route membership to the right solver; cs is None when the transform
-    already put the vector outside the monoid's cone."""
+def _membership(m: Monoid, cs: Optional[Vec2], full: bool) -> tuple[Membership, str]:
+    """Route membership to the monoid's solver; ``full`` asks for every
+    factorization.  cs is None when the transform already put the vector
+    outside the monoid's cone."""
     if isinstance(m, CanonicalMonoid2):
-        solver = SOLVER_DIM2
-        query = member2
-    elif m.star:
-        solver = SOLVER_DIM3_STAR
-        query = member3_star
+        solver, query = SOLVER_DIM2, member2
     else:
-        solver = SOLVER_DIM3_GENERAL
-        query = member3_general
+        solver, query = SOLVER_DIM3, member3_general if full else member3
     if cs is None:
         return Membership(member=False, reason=PHI_OUT_OF_RANGE), solver
     return query(m, cs), solver
 
 
-def _run_check(m: Monoid, cs: Optional[Vec2]) -> tuple[dict, str, int]:
-    mem, solver = _membership(m, cs)
-    if mem.member:
-        assert mem.factorization is not None
-        return (
-            {"member": True, "factorization": _fact_payload(mem.factorization)},
-            solver,
-            0,
-        )
-    return {"member": False, "reason": mem.reason}, solver, 1
-
-
-def _full_list(m: Monoid, cs: Vec2) -> tuple[tuple[Factorization, ...], str]:
-    if isinstance(m, CanonicalMonoid2):
-        mem = member2(m, cs)
-        return (mem.factorizations or ()), SOLVER_DIM2
-    mem = member3_general(m, cs)
-    return (mem.factorizations or ()), SOLVER_DIM3_GENERAL
-
-
 def _run_factorize(m: Monoid, cs: Optional[Vec2], mode: str) -> tuple[dict, str, int]:
+    """Factorize in one of three modes; ``check`` is mode "one"."""
+    if mode not in ("one", "all", "extremes"):
+        raise ValueError(f"unknown factorize mode {mode!r}")
+    mem, solver = _membership(m, cs, full=mode == "all")
+    if not mem.member:
+        return {"member": False, "reason": mem.reason}, solver, 1
     if mode == "one":
-        return _run_check(m, cs)
-    if cs is None:
-        solver = _membership(m, cs)[1]
-        return {"member": False, "reason": PHI_OUT_OF_RANGE}, solver, 1
+        return {"member": True, "factorization": _fact_payload(mem.factorization)}, solver, 0
     if mode == "all":
-        facts, solver = _full_list(m, cs)
-        if not facts:
-            mem, _ = _membership(m, cs)
-            return {"member": False, "reason": mem.reason}, solver, 1
+        facts = mem.factorizations
         return (
             {
                 "member": True,
@@ -199,34 +177,19 @@ def _run_factorize(m: Monoid, cs: Optional[Vec2], mode: str) -> tuple[dict, str,
             solver,
             0,
         )
-    assert mode == "extremes"
-    if isinstance(m, CanonicalMonoid3) and m.star:
-        mem = member3_star(m, cs)
-        if not mem.member:
-            return {"member": False, "reason": mem.reason}, SOLVER_DIM3_STAR, 1
-        ext = extreme_factorizations(m, cs)
-        short, long_ = sorted((ext.fact_t0, ext.fact_tmax), key=lambda f: f.length)
-        return (
-            {
-                "member": True,
-                "branch": ext.branch,
-                "t_max": ext.t_max,
-                "shortest": _fact_payload(short),
-                "longest": _fact_payload(long_),
-            },
-            SOLVER_DIM3_STAR,
-            0,
-        )
-    facts, solver = _full_list(m, cs)
-    if not facts:
-        mem, _ = _membership(m, cs)
-        return {"member": False, "reason": mem.reason}, solver, 1
-    by_length = sorted(facts, key=lambda f: f.length)
+    if isinstance(m, CanonicalMonoid2):
+        # Two generators: the factorization is unique.
+        fact = _fact_payload(mem.factorization)
+        return {"member": True, "shortest": fact, "longest": fact}, solver, 0
+    ext = extreme_factorizations(m, cs)
+    short, long_ = sorted((ext.fact_t0, ext.fact_tmax), key=lambda f: f.length)
     return (
         {
             "member": True,
-            "shortest": _fact_payload(by_length[0]),
-            "longest": _fact_payload(by_length[-1]),
+            "branch": ext.branch,
+            "t_max": ext.t_max,
+            "shortest": _fact_payload(short),
+            "longest": _fact_payload(long_),
         },
         solver,
         0,
@@ -245,9 +208,7 @@ def _run_elasticity(m: Monoid, cs: Optional[Vec2], approx: bool) -> tuple[dict, 
         raise NotMemberError("vector is outside the monoid's cone")
     if isinstance(m, CanonicalMonoid2):
         return _rho_payload(elasticity2(m, cs), approx), SOLVER_DIM2, 0
-    if m.star:
-        return _rho_payload(elasticity3(m, cs), approx), SOLVER_DIM3_STAR, 0
-    return _rho_payload(elasticity_oracle(m.gens, cs), approx), SOLVER_ORACLE, 0
+    return _rho_payload(elasticity3(m, cs), approx), SOLVER_DIM3, 0
 
 
 def _require_dim3(m: Monoid, what: str) -> CanonicalMonoid3:
@@ -334,7 +295,7 @@ def run(query: Query) -> Report:
         )
     cs = canonical_coords(m, vec)
     if query.command == "check":
-        result, solver, code = _run_check(m, cs)
+        result, solver, code = _run_factorize(m, cs, "one")
     elif query.command == "factorize":
         result, solver, code = _run_factorize(m, cs, query.mode)
     elif query.command == "elasticity":

@@ -13,10 +13,7 @@ __all__ = [
     "BothZeroError",
     "NotPhiMinimalError",
     "NegativeResultError",
-    "DuplicatePhiError",
     "NormalizationEscapesConeError",
-    "GcdNotOneError",
-    "RepMismatchError",
     "StarRequiredError",
     "NotMemberError",
     "ZeroElementError",
@@ -59,28 +56,10 @@ class NegativeResultError(AffmonError):
     code = "NegativeResult"
 
 
-class DuplicatePhiError(AffmonError):
-    """Two generators have the same slope."""
-
-    code = "DuplicatePhi"
-
-
 class NormalizationEscapesConeError(AffmonError):
     """Canonicalization produced a generator outside N0^2."""
 
     code = "NormalizationEscapesCone"
-
-
-class GcdNotOneError(AffmonError):
-    """The two step sizes are not coprime, so no canonical representation exists."""
-
-    code = "GcdNotOne"
-
-
-class RepMismatchError(AffmonError):
-    """The supplied multiplicities do not reproduce the first coordinate."""
-
-    code = "RepMismatch"
 
 
 class StarRequiredError(AffmonError):

@@ -18,14 +18,12 @@ from typing import Optional, Sequence, Union
 
 from .errors import (
     DuplicateGeneratorError,
-    DuplicatePhiError,
     NegativeResultError,
     NormalizationEscapesConeError,
     NotPhiMinimalError,
     ZeroGeneratorError,
 )
 from .intlin import Mat2xP, UniMat2, row_swapped_hnf
-from .oracle import enumerate_factorizations
 from .rationals import Vec2, is_phi_minimal, slope_compare
 
 __all__ = [
@@ -91,7 +89,7 @@ class CanonicalMonoid3:
 
     @property
     def star(self) -> bool:
-        """Whether b*c - a*d = 1, the hypothesis behind all closed forms."""
+        """Whether b*c - a*d = 1, the hypothesis behind the limit formulas."""
         return self.b * self.c - self.a * self.d == 1
 
     @property
@@ -127,12 +125,8 @@ def canonicalize(gens: Sequence[Vec2]) -> Monoid:
     unchanged with the identity transform.
     """
     raw = _validate_raw(gens)
+    # Distinct phi-minimal vectors never share a slope, so the order is strict.
     ordered = sorted(raw, key=functools.cmp_to_key(slope_compare))
-    for u, v in zip(ordered, ordered[1:]):
-        # Unreachable for phi-minimal distinct vectors (equal slope would
-        # force equal vectors), kept as a guard.
-        if slope_compare(u, v) == 0:
-            raise DuplicatePhiError(f"{u} and {v} have the same slope")
     try:
         transform, canon = row_swapped_hnf(Mat2xP.from_vecs(ordered))
     except NegativeResultError as exc:
@@ -166,12 +160,10 @@ def canonical_coords(m: Monoid, s: Vec2) -> Optional[Vec2]:
 def validate_minimal_generation(m: Monoid) -> bool:
     """True when no generator is a combination of the remaining generators.
 
-    Decided by brute-force enumeration, which is cheap here: the targets are
-    single generators.
+    Decided in closed form.  (0, 1) and (c, d) have the least and the greatest
+    slope, so no combination of the others reaches them, and two canonical
+    generators are therefore never redundant.  (a, b) = i*(0, 1) + k*(c, d)
+    needs k*c = a, and then i = b - k*d > 0 because a*d < b*c; so (a, b) is
+    redundant exactly when c divides a.
     """
-    gens = m.gens
-    for i, g in enumerate(gens):
-        rest = gens[:i] + gens[i + 1 :]
-        if enumerate_factorizations(rest, g).member:
-            return False
-    return True
+    return isinstance(m, CanonicalMonoid2) or m.a % m.c != 0

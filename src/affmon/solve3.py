@@ -1,43 +1,37 @@
 """Membership, factorizations, and elasticity for three canonical generators.
 
 Write S = <u, v, w> with u = (0,1), v = (a,b), w = (c,d) in increasing slope
-order.  Only v and w contribute to the first coordinate, so any factorization
-of s = (x, y) starts from a representation x = alpha*a + beta*c with
-alpha, beta >= 0; the multiplicity of u is then forced to
-delta = y - alpha*b - beta*d, and the representation lifts exactly when
-delta >= 0.
+order, g = gcd(a, c) and D = b*c - a*d >= 1.  Only v and w contribute to the
+first coordinate, so a factorization (delta, alpha, beta) of s = (x, y) needs
+a representation x = alpha*a + beta*c; the multiplicity of u is then forced
+to delta = y - alpha*b - beta*d.
 
-Under the determinant condition b*c - a*d = 1 ("star"), gcd(a, c) = 1 and
-the representation with 0 <= alpha < c is unique and optimal: s is a member
-iff x is representable and x*d <= y*c, and then the whole factorization set
-is the line (delta - t, alpha + c*t, beta - a*t).  Its length varies as
-t*(c - a - 1), which yields closed-form extreme lengths and elasticity.
+The representations of x are (alpha0 + j*c/g, beta0 - j*a/g) for j >= 0,
+where 0 <= alpha0 < c/g (``canonical_rep``), and each step lowers delta by
+D/g.  So s is a member iff x*d <= y*c, x is representable and delta0 >= 0,
+and then its factorizations are exactly the line
 
-Without the star condition only the exhaustive walk over representations is
-valid (``member3_general``); the closed-form entry points refuse such
-monoids instead of silently guessing.
+    (delta0 - j*D/g, alpha0 + j*c/g, beta0 - j*a/g),  0 <= j <= J,
+    J = min(beta0 div (a/g), delta0 div (D/g)),
+
+along which the length changes by (c - a - D)/g per step.  This yields
+closed-form membership, extreme lengths and elasticity for every monoid; the
+paper's star theorem (b*c - a*d = 1) is the case g = D = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import Optional, Union
 
-from .errors import (
-    GcdNotOneError,
-    NotMemberError,
-    RepMismatchError,
-    StarRequiredError,
-    ZeroElementError,
-)
+from .errors import NotMemberError, ZeroElementError
 from .factorization import (
     PHI_OUT_OF_RANGE,
     X_NOT_REPRESENTABLE,
     Factorization,
     Membership,
 )
-from .intlin import ext_gcd
 from .monoids import CanonicalMonoid3
 from .rationals import ExtRat, Vec2
 
@@ -47,21 +41,20 @@ __all__ = [
     "CanonicalRep",
     "ExtremeFactorizations",
     "canonical_rep",
-    "delta",
-    "member3_star",
+    "member3",
     "member3_general",
     "extreme_factorizations",
     "elasticity3",
 ]
 
-# Which side of slope a/b the element lies on; decides the t-range bound.
-BRANCH_LOW = "low-slope"  # x*b <= y*a
-BRANCH_HIGH = "high-slope"  # x*b >= y*a
+# Which side of slope a/b the element lies on; decides which bound fixes J.
+BRANCH_LOW = "low-slope"  # x*b <= y*a: J = beta0 div (a/g)
+BRANCH_HIGH = "high-slope"  # x*b >= y*a: J = delta0 div (D/g)
 
 
 @dataclass(frozen=True)
 class CanonicalRep:
-    """The representation x = alpha*a + beta*c with 0 <= alpha < c."""
+    """The representation x = alpha*a + beta*c with 0 <= alpha < c/gcd(a, c)."""
 
     alpha: int
     beta: int
@@ -72,99 +65,86 @@ class CanonicalRep:
 
 
 def canonical_rep(a: int, c: int, x: int) -> Optional[CanonicalRep]:
-    """Solve x = alpha*a + beta*c with 0 <= alpha < c, or None if beta < 0.
+    """Solve x = alpha*a + beta*c with 0 <= alpha < c/g for g = gcd(a, c).
 
-    Requires gcd(a, c) = 1, which makes alpha unique; returning None decides
-    that x is not a nonnegative combination of a and c at all.
+    alpha is unique, and it is the least alpha of any representation, so
+    None (g does not divide x, or beta < 0) decides that x is not a
+    nonnegative combination of a and c at all.
     """
     if a < 1 or c < 1:
         raise ValueError("a and c must be positive")
     if x < 0:
         raise ValueError("x must be nonnegative")
-    if gcd(a, c) != 1:
-        raise GcdNotOneError(f"gcd({a}, {c}) != 1")
-    alpha = (x * pow(a, -1, c)) % c
-    beta, rem = divmod(x - alpha * a, c)
-    assert rem == 0
+    g = gcd(a, c)
+    if x % g:
+        return None
+    step = c // g
+    alpha = (x // g) * pow(a // g, -1, step) % step
+    beta = (x - alpha * a) // c
     return None if beta < 0 else CanonicalRep(alpha=alpha, beta=beta)
 
 
-def delta(m: CanonicalMonoid3, s: Vec2, alpha: int, beta: int) -> int:
-    """Forced multiplicity of (0, 1) for one representation of s.x.
-
-    May be negative; the representation lifts to a factorization of s
-    exactly when the result is >= 0.
-    """
-    if alpha < 0 or beta < 0:
-        raise ValueError("representation entries must be nonnegative")
-    if alpha * m.a + beta * m.c != s.x:
-        raise RepMismatchError(f"{alpha}*{m.a} + {beta}*{m.c} != {s.x}")
-    return s.y - alpha * m.b - beta * m.d
+# (delta0, alpha0, beta0, J, steps): the factorization at j is the j = 0 one
+# plus j times steps = (-D/g, c/g, -a/g).
+_Line = tuple[int, int, int, int, tuple[int, int, int]]
 
 
-def member3_star(m: CanonicalMonoid3, s: Vec2) -> Membership:
-    """Decide s in S via the closed form; star monoids only.
-
-    On membership the returned factorization is the canonical one
-    (delta, alpha, beta).  The full set is available through
-    ``member3_general`` or ``extreme_factorizations``.
-    """
-    if not m.star:
-        raise StarRequiredError("closed-form membership needs b*c - a*d = 1")
+def _line(m: CanonicalMonoid3, s: Vec2) -> Union[Membership, _Line]:
+    """The factorization line of s, or the non-member verdict with its reason."""
     if s.x * m.d > s.y * m.c:
-        return Membership(member=False, reason=PHI_OUT_OF_RANGE)
+        return Membership(member=False, factorizations=(), reason=PHI_OUT_OF_RANGE)
     rep = canonical_rep(m.a, m.c, s.x)
     if rep is None:
-        return Membership(member=False, reason=X_NOT_REPRESENTABLE)
+        return Membership(member=False, factorizations=(), reason=X_NOT_REPRESENTABLE)
     dlt = s.y - rep.alpha * m.b - rep.beta * m.d
-    # Guaranteed under the star condition once both membership conditions
-    # hold; a failure here would mean the implementation is wrong.
-    assert dlt >= 0, f"canonical representation of {s} does not lift"
-    fact = Factorization.checked((dlt, rep.alpha, rep.beta), m.gens, s)
-    return Membership(member=True, factorization=fact)
+    if dlt < 0:
+        # x is representable, but even the canonical representation, which
+        # has the largest delta, leaves no room for (0, 1).
+        return Membership(member=False, factorizations=())
+    g = gcd(m.a, m.c)
+    d_step, a_step = (m.b * m.c - m.a * m.d) // g, m.a // g
+    j_max = min(rep.beta // a_step, dlt // d_step)
+    return dlt, rep.alpha, rep.beta, j_max, (-d_step, m.c // g, -a_step)
+
+
+def _fact(gens: tuple[Vec2, ...], s: Vec2, line: _Line, j: int) -> Factorization:
+    dlt, alpha, beta, _, (dd, da, db) = line
+    return Factorization.checked((dlt + j * dd, alpha + j * da, beta + j * db), gens, s)
+
+
+def member3(m: CanonicalMonoid3, s: Vec2) -> Membership:
+    """Decide s in S; a member comes with its canonical factorization (j = 0).
+
+    The full set is available through ``member3_general`` and its two ends
+    through ``extreme_factorizations``.
+    """
+    line = _line(m, s)
+    if isinstance(line, Membership):
+        return line
+    return Membership(member=True, factorization=_fact(m.gens, s, line, 0))
 
 
 def member3_general(m: CanonicalMonoid3, s: Vec2) -> Membership:
-    """Decide s in S by walking every representation of s.x; no star needed.
+    """Decide s in S and list every factorization, sorted by multiplicities.
 
-    Representations step by c/g in alpha and a/g in beta for g = gcd(a, c),
-    so there are at most x/(a*c/g) + 1 of them; each is kept iff its delta
-    is nonnegative.  Returns the complete factorization list, sorted by
-    multiplicities.
+    Sorted order is j = J down to 0, because delta falls as j grows; the
+    witness is the first of them.
     """
-    if s.x * m.d > s.y * m.c:
-        return Membership(member=False, factorizations=(), reason=PHI_OUT_OF_RANGE)
-    g = gcd(m.a, m.c)
-    if s.x % g:
-        return Membership(member=False, factorizations=(), reason=X_NOT_REPRESENTABLE)
-    _, s0, _ = ext_gcd(m.a, m.c)
-    step = m.c // g
-    alpha = (s0 * (s.x // g)) % step
-    mults = []
-    representable = False
-    while alpha * m.a <= s.x:
-        beta, rem = divmod(s.x - alpha * m.a, m.c)
-        assert rem == 0
-        representable = True
-        dlt = s.y - alpha * m.b - beta * m.d
-        if dlt >= 0:
-            mults.append((dlt, alpha, beta))
-        alpha += step
-    if not mults:
-        reason = None if representable else X_NOT_REPRESENTABLE
-        return Membership(member=False, factorizations=(), reason=reason)
-    mults.sort()
-    facts = tuple(Factorization.checked(t, m.gens, s) for t in mults)
+    line = _line(m, s)
+    if isinstance(line, Membership):
+        return line
+    gens = m.gens
+    facts = tuple(_fact(gens, s, line, j) for j in range(line[3], -1, -1))
     return Membership(member=True, factorization=facts[0], factorizations=facts)
 
 
 @dataclass(frozen=True)
 class ExtremeFactorizations:
-    """Both ends of the factorization line of a star-monoid member.
+    """Both ends of the factorization line of a member.
 
     ``fact_t0`` is the canonical factorization (t = 0) and ``fact_tmax`` the
-    one at the last valid t.  Lengths differ by t_max*(c - a - 1), so which
-    end is the short one depends on the sign of c - a - 1.
+    one at t = J.  Lengths differ by t_max*(c - a - D)/g, so which end is
+    the short one depends on the sign of c - a - D.
     """
 
     branch: str
@@ -182,43 +162,25 @@ class ExtremeFactorizations:
 
 
 def extreme_factorizations(m: CanonicalMonoid3, s: Vec2) -> ExtremeFactorizations:
-    """Closed-form extreme factorizations of a member of a star monoid.
+    """Closed-form extreme factorizations of a member.
 
-    The branch is picked by comparing the slope of s with a/b: below it the
-    t-range is bounded by beta, above it by delta.  At equality both bounds
-    agree (then beta = delta*a exactly), which is asserted rather than
-    silently picking a side.
+    The branch is the slope of s against a/b: below it the t-range is bounded
+    by beta, above it by delta, and on it both bounds are equal.
     """
-    if not m.star:
-        raise StarRequiredError("closed-form extremes need b*c - a*d = 1")
-    mem = member3_star(m, s)
-    if not mem.member:
-        raise NotMemberError(f"{s} is not in the monoid ({mem.reason})")
-    assert mem.factorization is not None
-    dlt, alpha, beta = mem.factorization.mults
-    low, high = s.x * m.b, s.y * m.a
-    if low <= high:
-        branch = BRANCH_LOW
-        t_max = beta // m.a
-        if low == high:
-            assert beta == dlt * m.a, "branch formulas disagree on the boundary"
-    else:
-        branch = BRANCH_HIGH
-        t_max = dlt
-    fact_tmax = Factorization.checked(
-        (dlt - t_max, alpha + m.c * t_max, beta - m.a * t_max), m.gens, s
+    line = _line(m, s)
+    if isinstance(line, Membership):
+        raise NotMemberError(f"{s} is not in the monoid ({line.reason})")
+    gens, t_max = m.gens, line[3]
+    return ExtremeFactorizations(
+        branch=BRANCH_LOW if s.x * m.b <= s.y * m.a else BRANCH_HIGH,
+        t_max=t_max,
+        fact_t0=_fact(gens, s, line, 0),
+        fact_tmax=_fact(gens, s, line, t_max),
     )
-    ext = ExtremeFactorizations(
-        branch=branch, t_max=t_max, fact_t0=mem.factorization, fact_tmax=fact_tmax
-    )
-    assert ext.len_tmax == ext.len_t0 + t_max * (m.c - m.a - 1)
-    return ext
 
 
 def elasticity3(m: CanonicalMonoid3, s: Vec2) -> ExtRat:
-    """Elasticity (max length / min length) of a nonzero star-monoid member."""
-    if not m.star:
-        raise StarRequiredError("closed-form elasticity needs b*c - a*d = 1")
+    """Elasticity (max length / min length) of a nonzero member."""
     if s.is_zero:
         raise ZeroElementError("elasticity of the zero element is undefined")
     ext = extreme_factorizations(m, s)

@@ -48,9 +48,33 @@ def star_monoids(draw, max_a: int = 8, max_b: int = 8, max_extra: int = 3) -> Ca
     return CanonicalMonoid3(a=a, b=b, c=c, d=d, transform=IDENTITY)
 
 
+def canonical_triples(max_entry: int) -> list[tuple[int, int, int, int]]:
+    """Every canonical (a, b, c, d) with entries <= max_entry.
+
+    Phi-minimal generators in strictly increasing slope order, so
+    D = b*c - a*d >= 1; star and non-star alike, any g = gcd(a, c), and
+    including the non-minimal ones (c | a).
+    """
+    return [
+        (a, b, c, d)
+        for a in range(1, max_entry + 1)
+        for b in range(max_entry + 1)
+        for c in range(1, max_entry + 1)
+        for d in range(max_entry + 1)
+        if gcd(a, b) == 1 and gcd(c, d) == 1 and a * d < b * c
+    ]
+
+
+def canonical_monoids3(max_entry: int = 6) -> st.SearchStrategy[CanonicalMonoid3]:
+    """Minimally generated canonical three-generator monoids, star or not,
+    including g = gcd(a, c) > 1."""
+    minimal = [t for t in canonical_triples(max_entry) if t[0] % t[2]]
+    return st.sampled_from(minimal).map(lambda t: CanonicalMonoid3(*t, transform=IDENTITY))
+
+
 @st.composite
-def star_members(draw, monoid: CanonicalMonoid3, max_mult: int = 12) -> Vec2:
-    """Nonzero members of a star monoid, built as explicit combinations."""
+def members3(draw, monoid: CanonicalMonoid3, max_mult: int = 12) -> Vec2:
+    """Nonzero members of a three-generator monoid, built as explicit combinations."""
     i = draw(st.integers(0, max_mult))
     j = draw(st.integers(0, max_mult))
     k = draw(st.integers(0, max_mult))

@@ -36,7 +36,7 @@ from affmon.solve3 import (
     canonical_rep,
     elasticity3,
     extreme_factorizations,
-    member3_star,
+    member3,
 )
 from affmon.asymptotics import rho_limit, rho_special_ac, rho_special_c
 
@@ -123,7 +123,7 @@ def test_c03_star_membership_matches_oracle(star_sweep):
     assert len(star_sweep) == 83
     for m, table in star_sweep:
         for (x, y), lengths in table.items():
-            assert member3_star(m, Vec2(x, y)).member == bool(lengths), (m, (x, y))
+            assert member3(m, Vec2(x, y)).member == bool(lengths), (m, (x, y))
 
 
 def test_c04_extreme_factorizations_and_elasticity(star_sweep):
@@ -170,7 +170,7 @@ def test_c06_small_beta_forces_unit_elasticity():
             y_start = -(-m.b * x // m.a)  # smallest y with y*a >= b*x
             for y in range(y_start, 201):
                 s = Vec2(x, y)
-                assert member3_star(m, s).member, (m, s)
+                assert member3(m, s).member, (m, s)
                 assert elasticity3(m, s) == ONE, (m, s)
 
 

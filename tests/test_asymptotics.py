@@ -25,7 +25,7 @@ from affmon.monoids import CanonicalMonoid3
 from affmon.rationals import ONE, ExtRat, Vec2
 from affmon.solve3 import elasticity3
 
-from conftest import star_members, star_monoids
+from conftest import members3, star_monoids
 
 
 STAR = CanonicalMonoid3(a=1, b=2, c=3, d=5, transform=IDENTITY)
@@ -184,7 +184,7 @@ class TestAgainstEachOther:
     @given(data=st.data())
     def test_special_values_equal_exact_and_limit(self, data):
         m = data.draw(star_monoids(max_a=5, max_b=5, max_extra=2))
-        s = data.draw(star_members(m, max_mult=5))
+        s = data.draw(members3(m, max_mult=5))
         _, limit = rho_limit(m, s)
         if s.x * m.b <= s.y * m.a:
             k = m.a * m.c
@@ -198,7 +198,7 @@ class TestAgainstEachOther:
     @given(data=st.data(), kprime=st.integers(1, 4))
     def test_specials_are_constant_along_the_residue_class(self, data, kprime):
         m = data.draw(star_monoids(max_a=4, max_b=4, max_extra=1))
-        s = data.draw(star_members(m, max_mult=4))
+        s = data.draw(members3(m, max_mult=4))
         if s.x * m.b <= s.y * m.a:
             period = m.a * m.c
             assert rho_special_ac(m, s, kprime * period) == rho_special_ac(m, s, period)
@@ -209,6 +209,6 @@ class TestAgainstEachOther:
     @given(data=st.data())
     def test_limit_is_at_least_one(self, data):
         m = data.draw(star_monoids(max_a=6, max_b=6, max_extra=2))
-        s = data.draw(star_members(m, max_mult=6))
+        s = data.draw(members3(m, max_mult=6))
         _, limit = rho_limit(m, s)
         assert limit >= ONE

@@ -1,15 +1,17 @@
 """Tests for the command-line interface, from parsing to exit codes."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import affmon
 from affmon.cli import (
     SOLVER_DIM2,
-    SOLVER_DIM3_GENERAL,
-    SOLVER_DIM3_STAR,
+    SOLVER_DIM3,
     SOLVER_ORACLE,
     Query,
     main,
@@ -76,7 +78,8 @@ class TestRunCheck:
         report = run(q("check", WORKED_TEXT, "199,119"))
         assert report.exit_code == 1
         assert report.result["member"] is False
-        assert report.solver_used == SOLVER_DIM3_GENERAL
+        assert report.result["reason"] is None
+        assert report.solver_used == SOLVER_DIM3
 
     def test_member_exits_zero(self):
         report = run(q("check", WORKED_TEXT, "199,120"))
@@ -86,9 +89,15 @@ class TestRunCheck:
 
     def test_star_monoid_uses_the_closed_form(self):
         report = run(q("check", STAR_TEXT, "6,13"))
-        assert report.solver_used == SOLVER_DIM3_STAR
+        assert report.solver_used == SOLVER_DIM3
         assert report.result["factorization"]["mults"] == [3, 0, 2]
         assert report.star is True
+
+    def test_non_star_witness_is_the_canonical_factorization(self):
+        # D = 5: (4,12) = (10,0,2) = (5,2,1) = (0,4,0); the witness is j = 0.
+        report = run(q("check", "0,1;1,3;2,1", "4,12"))
+        assert report.result["factorization"]["mults"] == [10, 0, 2]
+        assert report.solver_used == SOLVER_DIM3
 
     def test_dim2_uses_the_divisibility_theorem(self):
         report = run(q("check", DIM2_TEXT, "6,5"))
@@ -116,7 +125,7 @@ class TestRunFactorize:
             [2, 3, 1],
             [3, 0, 2],
         ]
-        assert report.solver_used == SOLVER_DIM3_GENERAL
+        assert report.solver_used == SOLVER_DIM3
 
     def test_extremes_on_a_star_monoid(self):
         report = run(q("factorize", STAR_TEXT, "6,13", mode="extremes"))
@@ -124,34 +133,43 @@ class TestRunFactorize:
         assert report.result["t_max"] == 2
         assert report.result["shortest"]["mults"] == [3, 0, 2]
         assert report.result["longest"]["mults"] == [1, 6, 0]
-        assert report.solver_used == SOLVER_DIM3_STAR
+        assert report.solver_used == SOLVER_DIM3
 
-    def test_extremes_fall_back_to_the_general_walk(self):
+    def test_extremes_on_a_non_star_monoid(self):
         report = run(q("factorize", WORKED_TEXT, "199,120", mode="extremes"))
+        assert report.result["branch"] == "high-slope"
+        assert report.result["t_max"] == 0
         assert report.result["shortest"] == report.result["longest"]
-        assert report.solver_used == SOLVER_DIM3_GENERAL
+        assert report.solver_used == SOLVER_DIM3
 
     def test_non_member_factorize_all(self):
         report = run(q("factorize", STAR_TEXT, "6,9", mode="all"))
         assert report.exit_code == 1
         assert report.result["member"] is False
 
+    def test_non_member_extremes_carry_the_reason(self):
+        report = run(q("factorize", WORKED_TEXT, "199,119", mode="extremes"))
+        assert report.exit_code == 1
+        assert report.result == {"member": False, "reason": None}
+        report = run(q("factorize", DIM2_TEXT, "5,5", mode="extremes"))
+        assert report.result == {"member": False, "reason": "DivisibilityFails"}
+
 
 class TestRunElasticity:
     def test_star_monoid(self):
         report = run(q("elasticity", STAR_TEXT, "6,13"))
         assert report.result["rho"] == "7/5"
-        assert report.solver_used == SOLVER_DIM3_STAR
+        assert report.solver_used == SOLVER_DIM3
 
     def test_dim2_is_always_one(self):
         report = run(q("elasticity", DIM2_TEXT, "6,5"))
         assert report.result["rho"] == "1"
         assert report.solver_used == SOLVER_DIM2
 
-    def test_non_star_falls_back_to_enumeration(self):
+    def test_non_star_monoid_uses_the_line(self):
         report = run(q("elasticity", WORKED_TEXT, "199,120"))
         assert report.result["rho"] == "1"
-        assert report.solver_used == SOLVER_ORACLE
+        assert report.solver_used == SOLVER_DIM3
 
     def test_approx_included_on_request(self):
         report = run(q("elasticity", STAR_TEXT, "6,13", approx=True))
@@ -245,14 +263,14 @@ class TestRendering:
         assert payload["monoid"]["transform"] == [[1, 0], [0, 1]]
         assert payload["input"] == [6, 13]
         assert ExtRat.parse(payload["result"]["rho"]) == ExtRat(7, 5)
-        assert payload["solver_used"] == "dim3-star-theorem"
+        assert payload["solver_used"] == "dim3-line"
 
     def test_human_check_output(self):
         report = run(q("check", STAR_TEXT, "6,13"))
         text = render_human(report)
         assert "member: yes" in text
         assert "(3, 0, 2)  length=5" in text
-        assert "solver: dim3-star-theorem" in text
+        assert "solver: dim3-line" in text
 
     def test_human_non_member_output(self):
         report = run(q("check", STAR_TEXT, "6,9"))
@@ -346,3 +364,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "member: yes" in proc.stdout
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert; invariants must be explicit checks.
+    sources = sorted(Path(affmon.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    found = [
+        f"{src.name}:{node.lineno}"
+        for src in sources
+        for node in ast.walk(ast.parse(src.read_text(), filename=str(src)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

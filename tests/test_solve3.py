@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from affmon.errors import (
-    GcdNotOneError,
-    NotMemberError,
-    RepMismatchError,
-    StarRequiredError,
-    ZeroElementError,
-)
+from affmon.errors import NotMemberError, ZeroElementError
 from affmon.factorization import PHI_OUT_OF_RANGE, X_NOT_REPRESENTABLE
 from affmon.intlin import D2_INCONCLUSIVE, IDENTITY, Mat2xP, d2_test
 from affmon.monoids import CanonicalMonoid3
@@ -23,19 +17,18 @@ from affmon.solve3 import (
     BRANCH_LOW,
     CanonicalRep,
     canonical_rep,
-    delta,
     elasticity3,
     extreme_factorizations,
+    member3,
     member3_general,
-    member3_star,
 )
 
-from conftest import star_members, star_monoids, vecs
+from conftest import canonical_monoids3, members3, star_monoids, vecs
 
 
 # Star monoid (b*c - a*d = 1) used throughout; lengths grow with t.
 STAR = CanonicalMonoid3(a=1, b=2, c=3, d=5, transform=IDENTITY)
-# Not a star monoid (b*c - a*d = 67); only the general walk applies.
+# The paper's worked example; not a star monoid (b*c - a*d = 67).
 WORKED = CanonicalMonoid3(a=11, b=10, c=10, d=3, transform=IDENTITY)
 # Star monoid with c < a + 1, so lengths shrink as t grows.
 TAU_NEG = CanonicalMonoid3(a=3, b=5, c=2, d=3, transform=IDENTITY)
@@ -52,9 +45,12 @@ class TestCanonicalRep:
         assert canonical_rep(11, 10, 9) is None
         assert canonical_rep(7, 4, 0) == CanonicalRep(alpha=0, beta=0)
 
-    def test_requires_coprimality(self):
-        with pytest.raises(GcdNotOneError):
-            canonical_rep(2, 4, 6)
+    def test_non_coprime_steps(self):
+        # g = gcd(2, 4) = 2: alpha stays below c/g = 2 and odd x is out of reach.
+        assert canonical_rep(2, 4, 6) == CanonicalRep(alpha=1, beta=1)
+        assert canonical_rep(2, 4, 8) == CanonicalRep(alpha=0, beta=2)
+        assert canonical_rep(2, 4, 5) is None
+        assert canonical_rep(6, 4, 2) is None  # g divides x, but beta < 0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -72,67 +68,66 @@ class TestCanonicalRep:
         x=st.integers(0, 400),
     )
     def test_solves_the_equation_when_possible(self, a, c, x):
-        if gcd(a, c) != 1:
-            return
         rep = canonical_rep(a, c, x)
-        solvable = any(
-            (x - alpha * a) % c == 0 and x - alpha * a >= 0
-            for alpha in range(0, min(c, x // a + 1 if a else 1))
-        ) or x == 0
+        solvable = any((x - alpha * a) % c == 0 for alpha in range(x // a + 1))
         if rep is None:
             assert not solvable
         else:
-            assert 0 <= rep.alpha < c
+            assert 0 <= rep.alpha < c // gcd(a, c)
             assert rep.beta >= 0
             assert rep.alpha * a + rep.beta * c == x
 
 
 class TestDelta:
+    """delta, the forced multiplicity of (0, 1), along the factorization line."""
+
     def test_worked_example_fails_to_lift(self):
-        assert delta(WORKED, Vec2(199, 119), alpha=9, beta=10) == -1
-        assert delta(WORKED, Vec2(199, 120), alpha=9, beta=10) == 0
+        # 199 = 9*11 + 10*10 is the only representation of x; it leaves
+        # delta = -1 at y = 119 and delta = 0 at y = 120.
+        res = member3(WORKED, Vec2(199, 119))
+        assert not res.member
+        assert res.reason is None
+        assert member3(WORKED, Vec2(199, 120)).factorization.mults == (0, 9, 10)
 
     def test_star_fixture_values(self):
-        assert delta(STAR, Vec2(6, 13), alpha=0, beta=2) == 3
-        assert delta(STAR, Vec2(6, 13), alpha=3, beta=1) == 2
-        assert delta(STAR, Vec2(6, 13), alpha=6, beta=0) == 1
-
-    def test_rejects_non_representations(self):
-        with pytest.raises(RepMismatchError):
-            delta(STAR, Vec2(6, 13), alpha=1, beta=1)
-        with pytest.raises(ValueError):
-            delta(STAR, Vec2(6, 13), alpha=-3, beta=3)
+        # alpha = 0, 3, 6 leave delta = 3, 2, 1: one less per step (D/g = 1).
+        res = member3_general(STAR, Vec2(6, 13))
+        assert [f.mults[:2] for f in res.factorizations] == [(1, 6), (2, 3), (3, 0)]
 
 
 class TestMember3Star:
+    """``member3`` on the star fixtures, and on the non-star worked example."""
+
     def test_member_gets_canonical_factorization(self):
-        res = member3_star(STAR, Vec2(6, 13))
+        res = member3(STAR, Vec2(6, 13))
         assert res.member
         assert res.factorization.mults == (3, 0, 2)
 
     def test_phi_out_of_range(self):
-        res = member3_star(STAR, Vec2(6, 9))
+        res = member3(STAR, Vec2(6, 9))
         assert not res.member
         assert res.reason == PHI_OUT_OF_RANGE
 
     def test_member_on_the_middle_slope(self):
-        res = member3_star(STAR, Vec2(5, 9))
+        res = member3(STAR, Vec2(5, 9))
         assert res.member
         assert res.factorization.mults == (0, 2, 1)
 
     def test_zero_is_a_member(self):
-        res = member3_star(STAR, Vec2(0, 0))
+        res = member3(STAR, Vec2(0, 0))
         assert res.member
         assert res.factorization.mults == (0, 0, 0)
 
     def test_unrepresentable_first_coordinate(self):
-        res = member3_star(GAPPY, Vec2(1, 2))
+        res = member3(GAPPY, Vec2(1, 2))
         assert not res.member
         assert res.reason == X_NOT_REPRESENTABLE
 
-    def test_requires_star(self):
-        with pytest.raises(StarRequiredError):
-            member3_star(WORKED, Vec2(199, 120))
+    def test_non_star_monoid_gets_the_oracle_answer(self):
+        res = member3(WORKED, Vec2(199, 120))
+        assert res.member
+        assert res.factorization.mults == (0, 9, 10)
+        assert enumerate_factorizations(WORKED.gens, Vec2(199, 120)).facts == (res.factorization,)
 
 
 class TestMember3General:
@@ -194,7 +189,7 @@ class TestMember3General:
 
     @given(m=star_monoids(max_a=5, max_b=5, max_extra=2), s=vecs(max_coord=35))
     def test_star_and_general_verdicts_agree(self, m, s):
-        quick = member3_star(m, s)
+        quick = member3(m, s)
         full = member3_general(m, s)
         assert quick.member == full.member
         if quick.member:
@@ -235,14 +230,17 @@ class TestExtremeFactorizations:
         with pytest.raises(NotMemberError):
             extreme_factorizations(STAR, Vec2(6, 9))
 
-    def test_requires_star(self):
-        with pytest.raises(StarRequiredError):
-            extreme_factorizations(WORKED, Vec2(199, 120))
+    def test_non_star_monoid_gets_the_oracle_answer(self):
+        ext = extreme_factorizations(WORKED, Vec2(199, 120))
+        assert ext.branch == BRANCH_HIGH
+        assert ext.t_max == 0
+        assert ext.fact_t0 == ext.fact_tmax
+        assert enumerate_factorizations(WORKED.gens, Vec2(199, 120)).facts == (ext.fact_t0,)
 
     @given(data=st.data())
     def test_lengths_form_an_arithmetic_progression(self, data):
         m = data.draw(star_monoids(max_a=5, max_b=5, max_extra=2))
-        s = data.draw(star_members(m, max_mult=6))
+        s = data.draw(members3(m, max_mult=6))
         ext = extreme_factorizations(m, s)
         step = m.c - m.a - 1
         expected = sorted(ext.len_t0 + t * step for t in range(ext.t_max + 1))
@@ -275,26 +273,30 @@ class TestElasticity3:
         with pytest.raises(NotMemberError):
             elasticity3(STAR, Vec2(6, 9))
 
-    def test_requires_star(self):
-        with pytest.raises(StarRequiredError):
-            elasticity3(WORKED, Vec2(199, 120))
+    def test_non_star_monoid_gets_the_oracle_answer(self):
+        # The paper's worked example: (199,120) has the single factorization
+        # (0,9,10), and (199,119) is representable but not a member.
+        assert elasticity3(WORKED, Vec2(199, 120)) == ONE
+        assert elasticity_oracle(WORKED.gens, Vec2(199, 120)) == ONE
+        with pytest.raises(NotMemberError):
+            elasticity3(WORKED, Vec2(199, 119))
 
     @given(data=st.data())
     def test_matches_exhaustive_search(self, data):
         m = data.draw(star_monoids(max_a=5, max_b=5, max_extra=2))
-        s = data.draw(star_members(m, max_mult=6))
+        s = data.draw(members3(m, max_mult=6))
         assert elasticity3(m, s) == elasticity_oracle(m.gens, s)
 
     @given(data=st.data())
     def test_at_least_one(self, data):
         m = data.draw(star_monoids(max_a=6, max_b=6, max_extra=2))
-        s = data.draw(star_members(m, max_mult=8))
+        s = data.draw(members3(m, max_mult=8))
         assert elasticity3(m, s) >= ONE
 
     @given(data=st.data())
     def test_small_beta_forces_unique_length_on_the_low_branch(self, data):
         m = data.draw(star_monoids(max_a=6, max_b=6, max_extra=2))
-        s = data.draw(star_members(m, max_mult=8))
+        s = data.draw(members3(m, max_mult=8))
         ext = extreme_factorizations(m, s)
         beta = ext.fact_t0.mults[2]
         if ext.branch == BRANCH_LOW and beta < m.a:
@@ -304,6 +306,37 @@ class TestElasticity3:
     @given(data=st.data())
     def test_members_closed_under_addition(self, data):
         m = data.draw(star_monoids(max_a=6, max_b=6, max_extra=2))
-        s = data.draw(star_members(m, max_mult=6))
-        t = data.draw(star_members(m, max_mult=6))
-        assert member3_star(m, s + t).member
+        s = data.draw(members3(m, max_mult=6))
+        t = data.draw(members3(m, max_mult=6))
+        assert member3(m, s + t).member
+
+
+class TestEveryMonoidAgainstTheOracle:
+    """The line solver on star and non-star monoids alike, g > 1 included."""
+
+    @given(m=canonical_monoids3(), s=vecs(max_coord=30))
+    def test_member3_verdict_and_witness(self, m, s):
+        res = member3(m, s)
+        facts = enumerate_factorizations(m.gens, s)
+        assert res.member == facts.member
+        if res.member:
+            # The witness is the j = 0 end: the fewest copies of (a, b).
+            assert res.factorization in facts.facts
+            assert res.factorization.mults[1] == min(f.mults[1] for f in facts.facts)
+
+    @given(m=canonical_monoids3(), s=vecs(max_coord=30))
+    def test_member3_general_lists_every_factorization_in_order(self, m, s):
+        res = member3_general(m, s)
+        facts = enumerate_factorizations(m.gens, s)
+        assert res.member == facts.member
+        assert res.factorizations == facts.facts
+
+    @given(data=st.data())
+    def test_extremes_and_elasticity(self, data):
+        m = data.draw(canonical_monoids3())
+        s = data.draw(members3(m, max_mult=6))
+        facts = enumerate_factorizations(m.gens, s)
+        ext = extreme_factorizations(m, s)
+        assert ext.t_max == len(facts.facts) - 1
+        assert sorted((ext.len_t0, ext.len_tmax)) == [facts.lengths[0], facts.lengths[-1]]
+        assert elasticity3(m, s) == elasticity_oracle(m.gens, s)
