@@ -13,7 +13,6 @@ __all__ = [
     "BothZeroError",
     "NotPhiMinimalError",
     "NegativeResultError",
-    "NormalizationEscapesConeError",
     "StarRequiredError",
     "NotMemberError",
     "ZeroElementError",
@@ -54,12 +53,6 @@ class NegativeResultError(AffmonError):
     """A normalized column left the nonnegative quadrant."""
 
     code = "NegativeResult"
-
-
-class NormalizationEscapesConeError(AffmonError):
-    """Canonicalization produced a generator outside N0^2."""
-
-    code = "NormalizationEscapesCone"
 
 
 class StarRequiredError(AffmonError):

@@ -71,10 +71,6 @@ class UniMat2:
     def det(self) -> int:
         return self.m00 * self.m11 - self.m01 * self.m10
 
-    @classmethod
-    def identity(cls) -> "UniMat2":
-        return cls(1, 0, 0, 1)
-
     def apply(self, x: int, y: int) -> tuple[int, int]:
         return (self.m00 * x + self.m01 * y, self.m10 * x + self.m11 * y)
 
@@ -85,7 +81,7 @@ class UniMat2:
         return ((self.m00, self.m01), (self.m10, self.m11))
 
 
-IDENTITY = UniMat2.identity()
+IDENTITY = UniMat2(1, 0, 0, 1)
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:

@@ -1,12 +1,13 @@
 """Canonical form for affine submonoids of N0^2 with 2 or 3 generators.
 
-A monoid is described by a list of generators.  Canonicalization applies a
-determinant-one change of coordinates (computed by ``row_swapped_hnf``) so
-that the generator of least slope becomes (0, 1) and the rest follow in
-strictly increasing slope order.  Because the transform is unimodular, all
-membership and factorization questions can be answered in the canonical
-coordinates: multiplicity vectors are untouched, only the query vector is
-mapped through the transform.
+A monoid is described by a list of generators.  Canonicalization sorts them
+by slope once and applies a determinant-one change of coordinates (computed
+by ``row_swapped_hnf``) that sends the generator of least slope to (0, 1).
+A determinant of +1 keeps every cross product x1*y2 - x2*y1, so the images
+stay in strictly increasing slope order and need no second sort.  Because
+the transform is unimodular, all membership and factorization questions can
+be answered in the canonical coordinates: multiplicity vectors are
+untouched, only the query vector is mapped through the transform.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence, Union
 
-from .errors import (
-    DuplicateGeneratorError,
-    NegativeResultError,
-    NormalizationEscapesConeError,
-    NotPhiMinimalError,
-    ZeroGeneratorError,
-)
+from .errors import DuplicateGeneratorError, NotPhiMinimalError, ZeroGeneratorError
 from .intlin import Mat2xP, UniMat2, row_swapped_hnf
 from .rationals import Vec2, is_phi_minimal, slope_compare
 
@@ -49,10 +44,6 @@ class CanonicalMonoid2:
             raise ValueError("canonical second generator needs a >= 1, b >= 0")
         if gcd(self.a, self.b) != 1:
             raise NotPhiMinimalError(f"({self.a}, {self.b}) has coordinate gcd > 1")
-
-    @property
-    def dim(self) -> int:
-        return 2
 
     @property
     def gens(self) -> tuple[Vec2, Vec2]:
@@ -82,10 +73,6 @@ class CanonicalMonoid3:
             raise NotPhiMinimalError(f"({self.c}, {self.d}) has coordinate gcd > 1")
         if self.a * self.d >= self.b * self.c:
             raise ValueError("generators must come in strictly increasing slope order")
-
-    @property
-    def dim(self) -> int:
-        return 3
 
     @property
     def star(self) -> bool:
@@ -119,29 +106,20 @@ def _validate_raw(gens: Sequence[Vec2]) -> tuple[Vec2, ...]:
 def canonicalize(gens: Sequence[Vec2]) -> Monoid:
     """Sort the generators by slope and change coordinates to canonical form.
 
-    The returned monoid records the unimodular transform that was applied,
-    so callers can map query vectors into canonical coordinates with
-    ``canonical_coords``.  Generators that already are canonical come back
-    unchanged with the identity transform.
+    The one sort is enough: ``row_swapped_hnf`` sends the first generator to
+    (0, 1) by a transform of determinant +1, which keeps the slope order of
+    the rest.  The returned monoid records that transform, so callers can
+    map query vectors into canonical coordinates with ``canonical_coords``.
+    Generators that already are canonical come back unchanged with the
+    identity transform.
     """
-    raw = _validate_raw(gens)
     # Distinct phi-minimal vectors never share a slope, so the order is strict.
-    ordered = sorted(raw, key=functools.cmp_to_key(slope_compare))
-    try:
-        transform, canon = row_swapped_hnf(Mat2xP.from_vecs(ordered))
-    except NegativeResultError as exc:
-        raise NormalizationEscapesConeError(str(exc)) from exc
-    vecs = sorted(
-        (Vec2(x, y) for x, y in canon.cols),
-        key=functools.cmp_to_key(slope_compare),
-    )
-    if (vecs[0].x, vecs[0].y) != (0, 1):
-        raise NormalizationEscapesConeError(f"first canonical generator is {vecs[0]}, not (0, 1)")
-    if len(vecs) == 2:
-        return CanonicalMonoid2(a=vecs[1].x, b=vecs[1].y, transform=transform)
-    return CanonicalMonoid3(
-        a=vecs[1].x, b=vecs[1].y, c=vecs[2].x, d=vecs[2].y, transform=transform
-    )
+    ordered = sorted(_validate_raw(gens), key=functools.cmp_to_key(slope_compare))
+    transform, canon = row_swapped_hnf(Mat2xP.from_vecs(ordered))
+    cols = canon.cols
+    if len(cols) == 2:
+        return CanonicalMonoid2(*cols[1], transform=transform)
+    return CanonicalMonoid3(*cols[1], *cols[2], transform=transform)
 
 
 def canonical_coords(m: Monoid, s: Vec2) -> Optional[Vec2]:

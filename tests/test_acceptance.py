@@ -27,7 +27,6 @@ from affmon.monoids import (
     CanonicalMonoid3,
     canonical_coords,
     canonicalize,
-    validate_minimal_generation,
 )
 from affmon.oracle import elasticity_oracle, enumerate_factorizations
 from affmon.rationals import ONE, ExtRat, Vec2, slope_compare
@@ -39,6 +38,7 @@ from affmon.solve3 import (
     member3,
 )
 from affmon.asymptotics import rho_limit, rho_special_ac, rho_special_c
+from conftest import canonical_triples
 
 DIM2_COORD_MAX = 40
 STAR_COORD_MAX = 50
@@ -56,19 +56,13 @@ def _dim2_monoids():
 
 def _star_monoids():
     """All minimally generated canonical star monoids with entries <= 10."""
-    for a in range(1, 11):
-        for b in range(1, 11):
-            if gcd(a, b) != 1:
-                continue
-            for c in range(1, 11):
-                for d in range(0, 11):
-                    if gcd(c, d) != 1 or b * c - a * d != 1:
-                        continue
-                    if a * d >= b * c:
-                        continue
-                    m = CanonicalMonoid3(a=a, b=b, c=c, d=d, transform=IDENTITY)
-                    if validate_minimal_generation(m):
-                        yield m
+    star = [
+        CanonicalMonoid3(a, b, c, d, transform=IDENTITY)
+        for a, b, c, d in canonical_triples(10)
+        if b * c - a * d == 1 and a % c
+    ]
+    assert len(star) == 83
+    return star
 
 
 def _length_table(gens, coord_max):

@@ -1,6 +1,7 @@
 """Tests for the command-line interface, from parsing to exit codes."""
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -377,3 +378,21 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_exports_each_module_all_once():
+    # The package re-exports every module's __all__ and declares no name itself.
+    modules = [
+        importlib.import_module(f"affmon.{src.stem}")
+        for src in sorted(Path(affmon.__file__).parent.glob("*.py"))
+        if not src.stem.startswith("__")
+    ]
+    joined = [name for module in modules for name in module.__all__]
+    assert len(set(affmon.__all__)) == len(affmon.__all__)
+    assert sorted(affmon.__all__) == sorted(joined)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(affmon, name) is getattr(module, name), name
+    from affmon import D2_INCONCLUSIVE, D2_NOT_MEMBER
+
+    assert (D2_NOT_MEMBER, D2_INCONCLUSIVE) == ("not_member", "inconclusive")

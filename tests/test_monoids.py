@@ -1,5 +1,8 @@
 """Canonicalization, the star condition, and minimal generation."""
 
+import itertools
+from math import gcd
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +17,7 @@ from affmon import (
     canonicalize,
     det_divisors,
     enumerate_factorizations,
+    slope_compare,
     validate_minimal_generation,
 )
 from affmon.intlin import IDENTITY, Mat2xP
@@ -50,9 +54,21 @@ class TestCanonicalize:
         assert canonicalize(vecs((0, 1), (1, 1), (2, 1))).star  # 2 - 1 = 1
 
     def test_input_order_is_irrelevant(self):
-        reference = canonicalize(vecs((0, 1), (1, 2), (3, 5)))
-        shuffled = canonicalize(vecs((3, 5), (0, 1), (1, 2)))
-        assert shuffled == reference
+        # Every set of 2 or 3 distinct phi-minimal generators with entries <= 6,
+        # in every order: one canonical monoid, (0, 1) first, slopes strictly
+        # increasing, and a determinant +1 transform onto its generators.
+        pool = [(x, y) for x in range(7) for y in range(7) if gcd(x, y) == 1]
+        sets = [gens for k in (2, 3) for gens in itertools.combinations(pool, k)]
+        assert (len(pool), len(sets)) == (25, 2600)
+        for gens in sets:
+            m = canonicalize(vecs(*gens))
+            for order in itertools.permutations(gens):
+                assert canonicalize(vecs(*order)) == m, order
+            canon = m.gens
+            assert canon[0] == Vec2(0, 1)
+            assert all(slope_compare(u, v) < 0 for u, v in zip(canon, canon[1:])), m
+            assert m.transform.det == 1
+            assert sorted(m.transform.apply(*g) for g in gens) == sorted((v.x, v.y) for v in canon)
 
     def test_rejects_non_phi_minimal(self):
         with pytest.raises(NotPhiMinimalError):
