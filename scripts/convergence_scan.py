@@ -16,9 +16,10 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from affmon.asymptotics import SCAN_CSV_HEADER, rho_limit, scan_multiples
-from affmon.cli import parse_monoid, parse_vector
-from affmon.monoids import canonical_coords, canonicalize
+from affmon.asymptotics import SCAN_CSV_HEADER, ScanRow, scan_multiples
+from affmon.cli import _positive_int, parse_monoid, parse_vector
+from affmon.errors import AffmonError, NotMemberError, StarRequiredError
+from affmon.monoids import CanonicalMonoid3, canonical_coords, canonicalize
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ def parse_args(argv: list[str] | None = None) -> ScanConfig:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--monoid", required=True, help="generators, e.g. '0,1;1,2;3,5'")
     parser.add_argument("--vector", required=True, help="member to scale, e.g. '7,13'")
-    parser.add_argument("--k-max", type=int, default=100, help="scan k = 1..N")
+    parser.add_argument("--k-max", type=_positive_int, default=100, help="scan k = 1..N")
     parser.add_argument("--out", default="-", help="CSV path, or - for stdout")
     args = parser.parse_args(argv)
     return ScanConfig(
@@ -44,24 +45,33 @@ def parse_args(argv: list[str] | None = None) -> ScanConfig:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    config = parse_args(argv)
+def _scan(config: ScanConfig) -> list[ScanRow]:
     m = canonicalize(parse_monoid(config.monoid_text))
+    if not isinstance(m, CanonicalMonoid3):
+        raise StarRequiredError("scanning multiples needs three generators with b*c - a*d = 1")
     cs = canonical_coords(m, parse_vector(config.vector_text))
     if cs is None:
-        print("vector lies outside the monoid's cone", file=sys.stderr)
-        return 1
-    rows = scan_multiples(m, cs, config.k_max)
+        raise NotMemberError("vector is outside the monoid's cone")
+    return scan_multiples(m, cs, config.k_max)
+
+
+def main(argv: list[str] | None = None) -> int:
+    config = parse_args(argv)
+    try:
+        rows = _scan(config)
+    except AffmonError as exc:
+        # The same report and exit status as the affmon CLI.
+        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc, NotMemberError) else 2
     lines = [SCAN_CSV_HEADER] + [row.to_csv_row() for row in rows]
     if config.out == "-":
         print("\n".join(lines))
     else:
         with open(config.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-    _, limit = rho_limit(m, cs)
     settled = next((row.k for row in rows if row.gap.num == 0), None)
     print(
-        f"scanned k=1..{config.k_max}: limit {limit}, "
+        f"scanned k=1..{config.k_max}: limit {rows[0].rho_limit}, "
         f"first exact hit at k={settled}, final gap {rows[-1].gap}",
         file=sys.stderr,
     )

@@ -11,7 +11,10 @@ where tau = sign(c - a - 1) and the exponent -1 means the reciprocal, which
 keeps every value >= 1.  The k -> infinity limit of the elasticity equals the
 same expressions, so it is a linear fractional transformation of (x, y),
 exposed here as ``LimitLFT``.  ``scan_multiples`` tabulates exact values
-against the limit for empirical convergence studies.
+against the limit for empirical convergence studies.  It computes the limit
+once and each exact value from the factorization line of k*s in plain ints
+(``solve3._extreme_lengths``, multiply-back checked at both ends), so a row
+costs two ``ExtRat``s and no other value object.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
 )
 from .monoids import CanonicalMonoid3
 from .rationals import ExtRat, Vec2
-from .solve3 import elasticity3, member3
+from .solve3 import _extreme_lengths, member3
 
 __all__ = [
     "LimitLFT",
@@ -175,8 +178,10 @@ def scan_multiples(m: CanonicalMonoid3, s: Vec2, k_max: int) -> list[ScanRow]:
     if k_max < 1:
         raise ValueError("k_max must be a positive integer")
     _, limit = rho_limit(m, s)
+    x, y = s.x, s.y
     rows = []
     for k in range(1, k_max + 1):
-        exact = elasticity3(m, k * s)
+        lo, hi = _extreme_lengths(m, k * x, k * y)
+        exact = ExtRat(hi, lo)
         rows.append(ScanRow(k=k, rho_exact=exact, rho_limit=limit, gap=limit.abs_diff(exact)))
     return rows

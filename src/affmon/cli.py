@@ -239,15 +239,11 @@ def _run_scan(m: Monoid, cs: Optional[Vec2], k_max: Optional[int]) -> tuple[dict
     if k_max is None or k_max < 1:
         raise ValueError("scan needs --k-max >= 1")
     rows = scan_multiples(m3, cs, k_max)
+    limit = str(rows[0].rho_limit)
     return (
         {
             "rows": [
-                {
-                    "k": r.k,
-                    "rho_exact": str(r.rho_exact),
-                    "rho_limit": str(r.rho_limit),
-                    "gap": str(r.gap),
-                }
+                {"k": r.k, "rho_exact": str(r.rho_exact), "rho_limit": limit, "gap": str(r.gap)}
                 for r in rows
             ]
         },

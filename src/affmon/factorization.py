@@ -22,14 +22,17 @@ DIVISIBILITY_FAILS = "DivisibilityFails"
 X_NOT_REPRESENTABLE = "XNotRepresentable"
 
 
-def apply_mults(gens: Sequence[Vec2], mults: Sequence[int]) -> Vec2:
-    """Evaluate the factorization homomorphism: sum of mults[i] * gens[i]."""
-    x = 0
-    y = 0
+def _combine(gens: Sequence[Vec2], mults: Sequence[int]) -> tuple[int, int]:
+    x = y = 0
     for g, m in zip(gens, mults):
         x += m * g.x
         y += m * g.y
-    return Vec2(x, y)
+    return x, y
+
+
+def apply_mults(gens: Sequence[Vec2], mults: Sequence[int]) -> Vec2:
+    """Evaluate the factorization homomorphism: sum of mults[i] * gens[i]."""
+    return Vec2(*_combine(gens, mults))
 
 
 @dataclass(frozen=True)
@@ -50,12 +53,16 @@ class Factorization:
 
     @classmethod
     def checked(cls, mults: Sequence[int], gens: Sequence[Vec2], target: Vec2) -> "Factorization":
-        """Construct and verify that the multiplicities really hit the target."""
+        """Construct and verify that the multiplicities really hit the target.
+
+        The multiply-back runs on plain ints; the constructor then rejects
+        negative multiplicities.
+        """
         if len(mults) != len(gens):
             raise ValueError("one multiplicity per generator required")
-        got = apply_mults(gens, mults)
-        if got != target:
-            raise ValueError(f"multiplicities {tuple(mults)} map to {got}, not {target}")
+        x, y = _combine(gens, mults)
+        if x != target.x or y != target.y:
+            raise ValueError(f"multiplicities {tuple(mults)} map to ({x}, {y}), not {target}")
         return cls(tuple(mults))
 
 

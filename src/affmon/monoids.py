@@ -45,8 +45,9 @@ class CanonicalMonoid2:
         if gcd(self.a, self.b) != 1:
             raise NotPhiMinimalError(f"({self.a}, {self.b}) has coordinate gcd > 1")
 
-    @property
+    @functools.cached_property
     def gens(self) -> tuple[Vec2, Vec2]:
+        """Built once per monoid; not a field, so equality and hashing ignore it."""
         return (Vec2(0, 1), Vec2(self.a, self.b))
 
 
@@ -79,8 +80,9 @@ class CanonicalMonoid3:
         """Whether b*c - a*d = 1, the hypothesis behind the limit formulas."""
         return self.b * self.c - self.a * self.d == 1
 
-    @property
+    @functools.cached_property
     def gens(self) -> tuple[Vec2, Vec2, Vec2]:
+        """Built once per monoid; not a field, so equality and hashing ignore it."""
         return (Vec2(0, 1), Vec2(self.a, self.b), Vec2(self.c, self.d))
 
 

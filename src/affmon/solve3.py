@@ -17,6 +17,11 @@ and then its factorizations are exactly the line
 along which the length changes by (c - a - D)/g per step.  This yields
 closed-form membership, extreme lengths and elasticity for every monoid; the
 paper's star theorem (b*c - a*d = 1) is the case g = D = 1.
+
+The line is computed on plain ints.  Every factorization handed out is
+multiplied back by ``Factorization.checked``; ``_extreme_lengths``, which
+serves scans over many multiples, runs the same check on ints at both ends
+j = 0 and j = J and returns only the two lengths.
 """
 
 from __future__ import annotations
@@ -64,6 +69,17 @@ class CanonicalRep:
             raise ValueError("canonical representation entries must be nonnegative")
 
 
+def _rep(a: int, c: int, x: int) -> Optional[tuple[int, int]]:
+    """(alpha, beta) of ``canonical_rep`` on plain ints, for valid arguments."""
+    g = gcd(a, c)
+    if x % g:
+        return None
+    step = c // g
+    alpha = (x // g) * pow(a // g, -1, step) % step
+    beta = (x - alpha * a) // c
+    return None if beta < 0 else (alpha, beta)
+
+
 def canonical_rep(a: int, c: int, x: int) -> Optional[CanonicalRep]:
     """Solve x = alpha*a + beta*c with 0 <= alpha < c/g for g = gcd(a, c).
 
@@ -75,13 +91,8 @@ def canonical_rep(a: int, c: int, x: int) -> Optional[CanonicalRep]:
         raise ValueError("a and c must be positive")
     if x < 0:
         raise ValueError("x must be nonnegative")
-    g = gcd(a, c)
-    if x % g:
-        return None
-    step = c // g
-    alpha = (x // g) * pow(a // g, -1, step) % step
-    beta = (x - alpha * a) // c
-    return None if beta < 0 else CanonicalRep(alpha=alpha, beta=beta)
+    rep = _rep(a, c, x)
+    return None if rep is None else CanonicalRep(*rep)
 
 
 # (delta0, alpha0, beta0, J, steps): the factorization at j is the j = 0 one
@@ -89,27 +100,51 @@ def canonical_rep(a: int, c: int, x: int) -> Optional[CanonicalRep]:
 _Line = tuple[int, int, int, int, tuple[int, int, int]]
 
 
-def _line(m: CanonicalMonoid3, s: Vec2) -> Union[Membership, _Line]:
-    """The factorization line of s, or the non-member verdict with its reason."""
-    if s.x * m.d > s.y * m.c:
+def _line(m: CanonicalMonoid3, x: int, y: int) -> Union[Membership, _Line]:
+    """The factorization line of (x, y), or the non-member verdict with its reason."""
+    if x * m.d > y * m.c:
         return Membership(member=False, factorizations=(), reason=PHI_OUT_OF_RANGE)
-    rep = canonical_rep(m.a, m.c, s.x)
+    rep = _rep(m.a, m.c, x)
     if rep is None:
         return Membership(member=False, factorizations=(), reason=X_NOT_REPRESENTABLE)
-    dlt = s.y - rep.alpha * m.b - rep.beta * m.d
+    alpha, beta = rep
+    dlt = y - alpha * m.b - beta * m.d
     if dlt < 0:
         # x is representable, but even the canonical representation, which
         # has the largest delta, leaves no room for (0, 1).
         return Membership(member=False, factorizations=())
     g = gcd(m.a, m.c)
     d_step, a_step = (m.b * m.c - m.a * m.d) // g, m.a // g
-    j_max = min(rep.beta // a_step, dlt // d_step)
-    return dlt, rep.alpha, rep.beta, j_max, (-d_step, m.c // g, -a_step)
+    j_max = min(beta // a_step, dlt // d_step)
+    return dlt, alpha, beta, j_max, (-d_step, m.c // g, -a_step)
 
 
 def _fact(gens: tuple[Vec2, ...], s: Vec2, line: _Line, j: int) -> Factorization:
     dlt, alpha, beta, _, (dd, da, db) = line
     return Factorization.checked((dlt + j * dd, alpha + j * da, beta + j * db), gens, s)
+
+
+def _checked_length(m: CanonicalMonoid3, x: int, y: int, u: int, v: int, w: int) -> int:
+    """Length of u*(0,1) + v*(a,b) + w*(c,d), after checking that it is a
+    factorization of (x, y): the check of ``Factorization.checked``, on ints."""
+    if u < 0 or v < 0 or w < 0 or v * m.a + w * m.c != x or u + v * m.b + w * m.d != y:
+        raise ValueError(f"multiplicities {(u, v, w)} do not map to ({x}, {y})")
+    return u + v + w
+
+
+def _extreme_lengths(m: CanonicalMonoid3, x: int, y: int) -> tuple[int, int]:
+    """Shortest and longest factorization length of the member (x, y).
+
+    Both are read off the ends j = 0 and j = J of the line, each checked
+    by multiplying back; no value object is built.
+    """
+    line = _line(m, x, y)
+    if isinstance(line, Membership):
+        raise NotMemberError(f"({x}, {y}) is not in the monoid ({line.reason})")
+    dlt, alpha, beta, j_max, (dd, da, db) = line
+    len0 = _checked_length(m, x, y, dlt, alpha, beta)
+    len_j = _checked_length(m, x, y, dlt + j_max * dd, alpha + j_max * da, beta + j_max * db)
+    return (len0, len_j) if len0 <= len_j else (len_j, len0)
 
 
 def member3(m: CanonicalMonoid3, s: Vec2) -> Membership:
@@ -118,7 +153,7 @@ def member3(m: CanonicalMonoid3, s: Vec2) -> Membership:
     The full set is available through ``member3_general`` and its two ends
     through ``extreme_factorizations``.
     """
-    line = _line(m, s)
+    line = _line(m, s.x, s.y)
     if isinstance(line, Membership):
         return line
     return Membership(member=True, factorization=_fact(m.gens, s, line, 0))
@@ -130,7 +165,7 @@ def member3_general(m: CanonicalMonoid3, s: Vec2) -> Membership:
     Sorted order is j = J down to 0, because delta falls as j grows; the
     witness is the first of them.
     """
-    line = _line(m, s)
+    line = _line(m, s.x, s.y)
     if isinstance(line, Membership):
         return line
     gens = m.gens
@@ -167,7 +202,7 @@ def extreme_factorizations(m: CanonicalMonoid3, s: Vec2) -> ExtremeFactorization
     The branch is the slope of s against a/b: below it the t-range is bounded
     by beta, above it by delta, and on it both bounds are equal.
     """
-    line = _line(m, s)
+    line = _line(m, s.x, s.y)
     if isinstance(line, Membership):
         raise NotMemberError(f"{s} is not in the monoid ({line.reason})")
     gens, t_max = m.gens, line[3]

@@ -22,6 +22,7 @@ from affmon.errors import (
 )
 from affmon.intlin import IDENTITY
 from affmon.monoids import CanonicalMonoid3
+from affmon.oracle import elasticity_oracle
 from affmon.rationals import ONE, ExtRat, Vec2
 from affmon.solve3 import elasticity3
 
@@ -178,6 +179,22 @@ class TestScanMultiples:
     def test_rejects_bad_k_max(self):
         with pytest.raises(ValueError):
             scan_multiples(STAR, Vec2(6, 13), 0)
+
+    @given(data=st.data())
+    def test_every_row_matches_elasticity3_and_the_oracle(self, data):
+        m = data.draw(star_monoids(max_a=5, max_b=5, max_extra=2))
+        s = data.draw(members3(m, max_mult=4))
+        _, limit = rho_limit(m, s)
+        rows = scan_multiples(m, s, 40)
+        assert m.gens is m.gens
+        assert [r.k for r in rows] == list(range(1, 41))
+        for row in rows:
+            ks = row.k * s
+            assert row.rho_exact == elasticity3(m, ks)
+            assert row.rho_limit == limit
+            assert row.gap == limit.abs_diff(row.rho_exact)
+            if row.k <= 4:
+                assert row.rho_exact == elasticity_oracle(m.gens, ks)
 
 
 class TestAgainstEachOther:

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -358,10 +359,14 @@ class TestMain:
 
 
 def test_module_entry_point():
+    # The child imports the same affmon as this process, however that was found.
+    src = str(Path(affmon.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "affmon", "check", STAR_TEXT, "6,13"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "member: yes" in proc.stdout

@@ -193,3 +193,18 @@ class TestConstructorInvariants:
             CanonicalMonoid3(a=1, b=2, c=1, d=2, transform=IDENTITY)
         with pytest.raises(NotPhiMinimalError):
             CanonicalMonoid3(a=1, b=2, c=2, d=4, transform=IDENTITY)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CanonicalMonoid2(a=3, b=2, transform=IDENTITY),
+            lambda: CanonicalMonoid3(a=1, b=2, c=3, d=5, transform=IDENTITY),
+        ],
+        ids=["dim2", "dim3"],
+    )
+    def test_gens_are_built_once_and_stay_out_of_equality(self, make):
+        m, fresh = make(), make()
+        assert m.gens is m.gens
+        assert m.gens[0] == Vec2(0, 1)
+        assert m == fresh and hash(m) == hash(fresh)
+        assert "gens" not in repr(m)

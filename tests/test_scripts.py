@@ -22,3 +22,32 @@ def test_script_runs_cleanly(name, argv, monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(SCRIPTS))
     assert importlib.import_module(name).main(argv) == 0
     assert capsys.readouterr().out
+
+
+def _convergence_scan(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    return importlib.import_module("convergence_scan")
+
+
+def test_convergence_scan_rejects_k_max_below_one(monkeypatch, capsys):
+    script = _convergence_scan(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--monoid", "0,1;1,2;3,5", "--vector", "7,13", "--k-max", "0"])
+    assert exc.value.code == 2
+    assert "--k-max: must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "monoid, vector, code, status",
+    [
+        ("0,1;1,3;2,1", "2,1", "StarRequired", 2),  # three generators, not a star
+        ("0,1;1,2", "1,2", "StarRequired", 2),  # two generators
+        ("0,1;1,2;3,5", "1,0", "NotMember", 1),
+    ],
+)
+def test_convergence_scan_reports_errors_like_the_cli(monkeypatch, capsys, monoid, vector, code, status):
+    script = _convergence_scan(monkeypatch)
+    assert script.main(["--monoid", monoid, "--vector", vector, "--k-max", "3"]) == status
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error[{code}]: ")
