@@ -7,6 +7,8 @@ and the exact gap between them, e.g.:
     python3 scripts/convergence_scan.py --monoid '0,1;1,2;3,5' \
         --vector 7,13 --k-max 200 --out scan.csv
 
+The table is the one ``affmon scan`` prints, built by the same pipeline
+(``cli.run`` and ``cli.render``), with the same errors and exit statuses.
 Everything is exact rational arithmetic; the CSV contains no floats.
 """
 
@@ -16,10 +18,8 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from affmon.asymptotics import SCAN_CSV_HEADER, ScanRow, scan_multiples
-from affmon.cli import _positive_int, parse_monoid, parse_vector
-from affmon.errors import AffmonError, NotMemberError, StarRequiredError
-from affmon.monoids import CanonicalMonoid3, canonical_coords, canonicalize
+from affmon.cli import Query, _positive_int, render, run
+from affmon.errors import AffmonError, NotMemberError
 
 
 @dataclass(frozen=True)
@@ -45,34 +45,32 @@ def parse_args(argv: list[str] | None = None) -> ScanConfig:
     )
 
 
-def _scan(config: ScanConfig) -> list[ScanRow]:
-    m = canonicalize(parse_monoid(config.monoid_text))
-    if not isinstance(m, CanonicalMonoid3):
-        raise StarRequiredError("scanning multiples needs three generators with b*c - a*d = 1")
-    cs = canonical_coords(m, parse_vector(config.vector_text))
-    if cs is None:
-        raise NotMemberError("vector is outside the monoid's cone")
-    return scan_multiples(m, cs, config.k_max)
-
-
 def main(argv: list[str] | None = None) -> int:
     config = parse_args(argv)
+    query = Query(
+        command="scan",
+        monoid_text=config.monoid_text,
+        vector_text=config.vector_text,
+        k_max=config.k_max,
+        output="csv",
+    )
     try:
-        rows = _scan(config)
+        report = run(query)
     except AffmonError as exc:
         # The same report and exit status as the affmon CLI.
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, NotMemberError) else 2
-    lines = [SCAN_CSV_HEADER] + [row.to_csv_row() for row in rows]
+    text = render(report, "csv")
     if config.out == "-":
-        print("\n".join(lines))
+        print(text)
     else:
         with open(config.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    settled = next((row.k for row in rows if row.gap.num == 0), None)
+            fh.write(text + "\n")
+    rows = report.result["rows"]
+    settled = next((row["k"] for row in rows if row["gap"] == "0"), None)
     print(
-        f"scanned k=1..{config.k_max}: limit {rows[0].rho_limit}, "
-        f"first exact hit at k={settled}, final gap {rows[-1].gap}",
+        f"scanned k=1..{config.k_max}: limit {rows[0]['rho_limit']}, "
+        f"first exact hit at k={settled}, final gap {rows[-1]['gap']}",
         file=sys.stderr,
     )
     return 0

@@ -169,9 +169,6 @@ class ScanRow:
     rho_limit: ExtRat
     gap: ExtRat
 
-    def to_csv_row(self) -> str:
-        return f"{self.k},{self.rho_exact},{self.rho_limit},{self.gap}"
-
 
 def scan_multiples(m: CanonicalMonoid3, s: Vec2, k_max: int) -> list[ScanRow]:
     """Exact elasticity of k*s for k = 1..k_max, with gaps to the limit."""

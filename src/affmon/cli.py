@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -328,11 +329,14 @@ def _monoid_json(report: Report) -> dict:
 
 
 def render_json(report: Report) -> str:
+    result = report.result
+    if result.get("approx") == math.inf:
+        result = {**result, "approx": None}  # strict JSON has no Infinity
     payload = {
         "command": report.command,
         "monoid": _monoid_json(report),
         "input": [report.input.x, report.input.y],
-        "result": report.result,
+        "result": result,
         "solver_used": report.solver_used,
     }
     return json.dumps(payload, indent=2)

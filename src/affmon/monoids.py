@@ -2,12 +2,13 @@
 
 A monoid is described by a list of generators.  Canonicalization sorts them
 by slope once and applies a determinant-one change of coordinates (computed
-by ``row_swapped_hnf``) that sends the generator of least slope to (0, 1).
-A determinant of +1 keeps every cross product x1*y2 - x2*y1, so the images
-stay in strictly increasing slope order and need no second sort.  Because
-the transform is unimodular, all membership and factorization questions can
-be answered in the canonical coordinates: multiplicity vectors are
-untouched, only the query vector is mapped through the transform.
+by ``row_swapped_hnf`` on their plain (x, y) columns) that sends the
+generator of least slope to (0, 1).  A determinant of +1 keeps every cross
+product x1*y2 - x2*y1, so the images stay in strictly increasing slope order
+and need no second sort.  Because the transform is unimodular, all
+membership and factorization questions can be answered in the canonical
+coordinates: multiplicity vectors are untouched, only the query vector is
+mapped through the transform.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import gcd
 from typing import Optional, Sequence, Union
 
 from .errors import DuplicateGeneratorError, NotPhiMinimalError, ZeroGeneratorError
-from .intlin import Mat2xP, UniMat2, row_swapped_hnf
+from .intlin import UniMat2, row_swapped_hnf
 from .rationals import Vec2, is_phi_minimal, slope_compare
 
 __all__ = [
@@ -117,8 +118,7 @@ def canonicalize(gens: Sequence[Vec2]) -> Monoid:
     """
     # Distinct phi-minimal vectors never share a slope, so the order is strict.
     ordered = sorted(_validate_raw(gens), key=functools.cmp_to_key(slope_compare))
-    transform, canon = row_swapped_hnf(Mat2xP.from_vecs(ordered))
-    cols = canon.cols
+    transform, cols = row_swapped_hnf(tuple((g.x, g.y) for g in ordered))
     if len(cols) == 2:
         return CanonicalMonoid2(*cols[1], transform=transform)
     return CanonicalMonoid3(*cols[1], *cols[2], transform=transform)

@@ -127,8 +127,11 @@ class ExtRat:
         raise ValueError("exponent must be -1, 0, or 1")
 
     def approx(self) -> float:
-        """Decimal approximation, for display only."""
-        return math.inf if self.is_infinite else self.num / self.den
+        """Decimal approximation, for display only; inf beyond float range."""
+        try:
+            return math.inf if self.is_infinite else self.num / self.den
+        except OverflowError:
+            return math.inf
 
     def __str__(self) -> str:
         if self.is_infinite:

@@ -43,7 +43,6 @@ from .rationals import ExtRat, Vec2
 __all__ = [
     "BRANCH_LOW",
     "BRANCH_HIGH",
-    "CanonicalRep",
     "ExtremeFactorizations",
     "canonical_rep",
     "member3",
@@ -57,20 +56,17 @@ BRANCH_LOW = "low-slope"  # x*b <= y*a: J = beta0 div (a/g)
 BRANCH_HIGH = "high-slope"  # x*b >= y*a: J = delta0 div (D/g)
 
 
-@dataclass(frozen=True)
-class CanonicalRep:
-    """The representation x = alpha*a + beta*c with 0 <= alpha < c/gcd(a, c)."""
+def canonical_rep(a: int, c: int, x: int) -> Optional[tuple[int, int]]:
+    """Solve x = alpha*a + beta*c with 0 <= alpha < c/g for g = gcd(a, c).
 
-    alpha: int
-    beta: int
-
-    def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("canonical representation entries must be nonnegative")
-
-
-def _rep(a: int, c: int, x: int) -> Optional[tuple[int, int]]:
-    """(alpha, beta) of ``canonical_rep`` on plain ints, for valid arguments."""
+    Returns the pair (alpha, beta).  alpha is unique, and it is the least
+    alpha of any representation, so None (g does not divide x, or beta < 0)
+    decides that x is not a nonnegative combination of a and c at all.
+    """
+    if a < 1 or c < 1:
+        raise ValueError("a and c must be positive")
+    if x < 0:
+        raise ValueError("x must be nonnegative")
     g = gcd(a, c)
     if x % g:
         return None
@@ -78,21 +74,6 @@ def _rep(a: int, c: int, x: int) -> Optional[tuple[int, int]]:
     alpha = (x // g) * pow(a // g, -1, step) % step
     beta = (x - alpha * a) // c
     return None if beta < 0 else (alpha, beta)
-
-
-def canonical_rep(a: int, c: int, x: int) -> Optional[CanonicalRep]:
-    """Solve x = alpha*a + beta*c with 0 <= alpha < c/g for g = gcd(a, c).
-
-    alpha is unique, and it is the least alpha of any representation, so
-    None (g does not divide x, or beta < 0) decides that x is not a
-    nonnegative combination of a and c at all.
-    """
-    if a < 1 or c < 1:
-        raise ValueError("a and c must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    rep = _rep(a, c, x)
-    return None if rep is None else CanonicalRep(*rep)
 
 
 # (delta0, alpha0, beta0, J, steps): the factorization at j is the j = 0 one
@@ -104,7 +85,7 @@ def _line(m: CanonicalMonoid3, x: int, y: int) -> Union[Membership, _Line]:
     """The factorization line of (x, y), or the non-member verdict with its reason."""
     if x * m.d > y * m.c:
         return Membership(member=False, factorizations=(), reason=PHI_OUT_OF_RANGE)
-    rep = _rep(m.a, m.c, x)
+    rep = canonical_rep(m.a, m.c, x)
     if rep is None:
         return Membership(member=False, factorizations=(), reason=X_NOT_REPRESENTABLE)
     alpha, beta = rep

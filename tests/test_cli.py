@@ -358,6 +358,34 @@ class TestMain:
         assert "member: no" in out
 
 
+# A star monoid whose element (X, X) has rho = X/2, beyond float range.
+HUGE = 10**309
+HUGE_ARGS = [f"0,1;1,1;{HUGE},{HUGE - 1}", f"{HUGE},{HUGE}", "--approx"]
+
+
+class TestApproxBeyondFloatRange:
+    def test_human_output_reads_inf(self, capsys):
+        assert main(["elasticity", *HUGE_ARGS]) == 0
+        out = capsys.readouterr().out
+        assert f"rho = {HUGE // 2} (~ inf)" in out
+
+    def test_json_stays_strict(self, capsys):
+        assert main(["elasticity", *HUGE_ARGS, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert "Infinity" not in out
+        result = json.loads(out)["result"]
+        assert result == {"rho": str(HUGE // 2), "approx": None}
+
+    def test_limit(self, capsys):
+        assert main(["limit", *HUGE_ARGS]) == 0
+        assert f"rho_limit = {HUGE // 2} (~ inf)" in capsys.readouterr().out
+        assert main(["limit", *HUGE_ARGS, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert "Infinity" not in out
+        result = json.loads(out)["result"]
+        assert (result["rho_limit"], result["approx"]) == (str(HUGE // 2), None)
+
+
 def test_module_entry_point():
     # The child imports the same affmon as this process, however that was found.
     src = str(Path(affmon.__file__).resolve().parents[1])
@@ -401,3 +429,47 @@ def test_package_exports_each_module_all_once():
     from affmon import D2_INCONCLUSIVE, D2_NOT_MEMBER
 
     assert (D2_NOT_MEMBER, D2_INCONCLUSIVE) == ("not_member", "inconclusive")
+
+
+def test_public_surface_and_error_codes_are_pinned():
+    # Removing or renaming a public name or an error code is an interface
+    # change; it must show up as an edit of these literals.
+    assert sorted(affmon.__all__) == [
+        "AffmonError", "BRANCH_HIGH", "BRANCH_LOW", "BothZeroError", "CanonicalMonoid2",
+        "CanonicalMonoid3", "D2_INCONCLUSIVE", "D2_NOT_MEMBER", "DIVISIBILITY_FAILS",
+        "DuplicateGeneratorError", "ExtRat", "ExtremeFactorizations", "Factorization",
+        "FactorizationSet", "INF", "LimitLFT", "Membership", "Monoid", "MonoidParseError",
+        "NegativeResultError", "NotMemberError", "NotMinimallyGeneratedError",
+        "NotPhiMinimalError", "ONE", "PHI_OUT_OF_RANGE", "PeriodicityViolatedError", "Query",
+        "Report", "SCAN_CSV_HEADER", "ScanRow", "StarRequiredError", "UniMat2", "Vec2",
+        "WrongBranchError", "X_NOT_REPRESENTABLE", "ZERO", "ZeroElementError",
+        "ZeroGeneratorError", "ZeroVectorError", "apply_mults", "canonical_coords",
+        "canonical_rep", "canonicalize", "compare", "d2_test", "det_divisors", "elasticity2",
+        "elasticity3", "elasticity_oracle", "enumerate_factorizations", "ext_gcd",
+        "extreme_factorizations", "is_phi_minimal", "main", "mediant", "member2", "member3",
+        "member3_general", "parse_monoid", "parse_vector", "phi", "rho_limit",
+        "rho_special_ac", "rho_special_c", "row_swapped_hnf", "run", "scan_multiples",
+        "slope_compare", "tau", "validate_minimal_generation",
+    ]
+    error_classes = [
+        obj
+        for obj in vars(affmon.errors).values()
+        if isinstance(obj, type) and issubclass(obj, affmon.AffmonError)
+    ]
+    assert all(cls.__name__ in affmon.__all__ for cls in error_classes)
+    assert {cls.__name__: cls.code for cls in error_classes} == {
+        "AffmonError": "Error",
+        "ZeroVectorError": "ZeroVector",
+        "BothZeroError": "BothZero",
+        "NotPhiMinimalError": "NotPhiMinimal",
+        "NegativeResultError": "NegativeResult",
+        "StarRequiredError": "StarRequired",
+        "NotMemberError": "NotMember",
+        "ZeroElementError": "ZeroElement",
+        "PeriodicityViolatedError": "PeriodicityViolated",
+        "WrongBranchError": "WrongBranch",
+        "ZeroGeneratorError": "ZeroGenerator",
+        "DuplicateGeneratorError": "DuplicateGenerator",
+        "NotMinimallyGeneratedError": "NotMinimallyGenerated",
+        "MonoidParseError": "SyntaxError",
+    }

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from affmon import (
     BothZeroError,
-    Mat2xP,
     NegativeResultError,
     NotPhiMinimalError,
     UniMat2,
@@ -19,10 +18,6 @@ from affmon import (
     row_swapped_hnf,
 )
 from affmon.intlin import D2_INCONCLUSIVE, D2_NOT_MEMBER, IDENTITY
-
-
-def mat(*cols) -> Mat2xP:
-    return Mat2xP(tuple(cols))
 
 
 # Shears and swaps cover a useful slice of the unimodular group.
@@ -57,44 +52,44 @@ class TestExtGcd:
 
 class TestRowSwappedHnf:
     def test_already_canonical_is_identity(self):
-        m = mat((0, 1), (11, 10), (10, 3))
+        m = ((0, 1), (11, 10), (10, 3))
         u, m2 = row_swapped_hnf(m)
         assert u == IDENTITY
         assert m2 == m
 
     def test_pinned_two_generator_example(self):
-        m = mat((2, 1), (3, 1))
+        m = [(2, 1), (3, 1)]
         u, m2 = row_swapped_hnf(m)
-        assert m2.cols == ((0, 1), (1, 1))
+        assert m2 == ((0, 1), (1, 1))
         assert u.as_rows() == ((1, -2), (0, 1))
         assert u.det == 1
-        assert u.apply_mat(m) == m2
+        assert tuple(u.apply(*c) for c in m) == m2
 
     def test_single_column(self):
-        u, m2 = row_swapped_hnf(mat((3, 2)))
-        assert m2.cols == ((0, 1),)
+        u, m2 = row_swapped_hnf([(3, 2)])
+        assert m2 == ((0, 1),)
         assert abs(u.det) == 1
         assert u.apply(3, 2) == (0, 1)
 
     def test_rejects_non_coprime_first_column(self):
         with pytest.raises(NotPhiMinimalError):
-            row_swapped_hnf(mat((2, 4), (1, 1)))
+            row_swapped_hnf([(2, 4), (1, 1)])
 
     def test_rejects_columns_of_smaller_slope(self):
         # (0,1) has smaller slope than (1,1); with the wrong column first the
         # transform leaves the nonnegative quadrant.
         with pytest.raises(NegativeResultError):
-            row_swapped_hnf(mat((1, 1), (0, 1)))
+            row_swapped_hnf([(1, 1), (0, 1)])
 
     def test_repairs_negative_second_row(self):
         # The raw Bezout row for (5,3) is (-1, 2), which sends (3,1) to
         # second coordinate -1; a shift by the first row must repair that
         # while keeping the transform unimodular.
-        m = mat((5, 3), (3, 1))
+        m = [(5, 3), (3, 1)]
         u, m2 = row_swapped_hnf(m)
-        assert m2.cols == ((0, 1), (4, 3))
+        assert m2 == ((0, 1), (4, 3))
         assert u.det == 1
-        assert u.apply_mat(m) == m2
+        assert tuple(u.apply(*c) for c in m) == m2
 
     @given(
         st.lists(
@@ -115,33 +110,32 @@ class TestRowSwappedHnf:
             pairs, key=functools.cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1])
         )
         try:
-            _, m2 = row_swapped_hnf(mat(*pairs))
+            _, m2 = row_swapped_hnf(pairs)
         except NegativeResultError:
             return
-        for col in m2.cols:
+        for col in m2:
             assert gcd(col[0], col[1]) == 1
 
 
 class TestDetDivisors:
     def test_pinned(self):
-        assert det_divisors(mat((0, 1), (11, 10), (10, 3))) == (1, 1)
-        assert det_divisors(mat((0, 1), (3, 2)))[1] == 3
-        assert det_divisors(mat((0, 1), (4, 1), (6, 1))) == (1, 2)
+        assert det_divisors([(0, 1), (11, 10), (10, 3)]) == (1, 1)
+        assert det_divisors([(0, 1), (3, 2)])[1] == 3
+        assert det_divisors([(0, 1), (4, 1), (6, 1)]) == (1, 2)
 
     def test_second_divisor_of_two_generators_is_a(self):
         for a, b in [(1, 1), (3, 2), (7, 4), (5, 0)]:
-            assert det_divisors(mat((0, 1), (a, b)))[1] == a
+            assert det_divisors([(0, 1), (a, b)])[1] == a
 
     def test_single_column(self):
-        assert det_divisors(mat((4, 6))) == (2, 0)
+        assert det_divisors([(4, 6)]) == (2, 0)
 
     @given(
         st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), min_size=1, max_size=4),
         unimats,
     )
     def test_invariant_under_unimodular_multiplication(self, cols, u):
-        m = mat(*cols)
-        assert det_divisors(u.apply_mat(m)) == det_divisors(m)
+        assert det_divisors([u.apply(*c) for c in cols]) == det_divisors(cols)
 
     @given(
         st.lists(
@@ -152,22 +146,21 @@ class TestDetDivisors:
         st.lists(st.integers(0, 4), min_size=1, max_size=3),
     )
     def test_appending_combinations_changes_nothing(self, cols, mults):
-        m = mat(*cols)
-        mults = (mults + [0] * m.p)[: m.p]
+        mults = (mults + [0] * len(cols))[: len(cols)]
         extra = (
             sum(k * c[0] for k, c in zip(mults, cols)),
             sum(k * c[1] for k, c in zip(mults, cols)),
         )
-        assert det_divisors(m.with_column(extra)) == det_divisors(m)
+        assert det_divisors([*cols, extra]) == det_divisors(cols)
 
 
 class TestD2Test:
     def test_passing_non_member_from_worked_example(self):
-        m = mat((0, 1), (11, 10), (10, 3))
+        m = [(0, 1), (11, 10), (10, 3)]
         assert d2_test(m, Vec2(199, 119)) == D2_INCONCLUSIVE
 
     def test_detects_divisor_drop(self):
-        m = mat((0, 1), (2, 1))
+        m = [(0, 1), (2, 1)]
         assert d2_test(m, Vec2(3, 5)) == D2_NOT_MEMBER
         assert d2_test(m, Vec2(4, 3)) == D2_INCONCLUSIVE
 
@@ -181,8 +174,34 @@ class TestD2Test:
         st.tuples(st.integers(0, 25), st.integers(0, 25)),
     )
     def test_not_member_verdicts_are_sound(self, cols, target):
-        m = mat(*cols)
         s = Vec2(*target)
-        if d2_test(m, s) == D2_NOT_MEMBER:
+        if d2_test(cols, s) == D2_NOT_MEMBER:
             gens = tuple(Vec2(*c) for c in cols)
             assert not enumerate_factorizations(gens, s).member
+
+
+class TestColumnCheck:
+    """The one entry check on columns: at least one, each a pair of ints."""
+
+    BAD = [
+        pytest.param([], id="no-columns"),
+        pytest.param([(0, 1), (1, 2, 3)], id="triple"),
+        pytest.param([(0, 1), (1,)], id="single"),
+        pytest.param([(0, 1), (1, 2.0)], id="float-entry"),
+        pytest.param([(0, 1), ("1", 2)], id="str-entry"),
+    ]
+
+    @pytest.mark.parametrize("cols", BAD)
+    def test_row_swapped_hnf_rejects(self, cols):
+        with pytest.raises(ValueError, match="columns of integer pairs"):
+            row_swapped_hnf(cols)
+
+    @pytest.mark.parametrize("cols", BAD)
+    def test_det_divisors_rejects(self, cols):
+        with pytest.raises(ValueError, match="columns of integer pairs"):
+            det_divisors(cols)
+
+    @pytest.mark.parametrize("cols", BAD)
+    def test_d2_test_rejects(self, cols):
+        with pytest.raises(ValueError, match="columns of integer pairs"):
+            d2_test(cols, Vec2(1, 1))

@@ -20,7 +20,7 @@ from affmon import (
     slope_compare,
     validate_minimal_generation,
 )
-from affmon.intlin import IDENTITY, Mat2xP
+from affmon.intlin import IDENTITY
 from conftest import canonical_triples, star_monoids
 
 
@@ -94,14 +94,14 @@ class TestCanonicalize:
 
     @given(star_monoids())
     def test_star_implies_unit_second_divisor(self, m):
-        d1, d2 = det_divisors(Mat2xP.from_vecs(m.gens))
+        d1, d2 = det_divisors([(g.x, g.y) for g in m.gens])
         assert d1 == 1
         assert d2 == 1
 
     def test_second_divisor_is_gcd_of_first_coordinates(self):
         m = canonicalize(vecs((0, 1), (4, 1), (6, 1)))
         # not star; d2 = gcd(4, 6) = 2
-        assert det_divisors(Mat2xP.from_vecs(m.gens))[1] == 2
+        assert det_divisors([(g.x, g.y) for g in m.gens])[1] == 2
 
 
 class TestCanonicalCoords:

@@ -99,6 +99,8 @@ class TestExtRat:
     def test_approx(self):
         assert ExtRat(7, 5).approx() == pytest.approx(1.4)
         assert INF.approx() == math.inf
+        assert ExtRat(10**400, 3).approx() == math.inf  # beyond float range
+        assert ExtRat(10**400, 10**399).approx() == pytest.approx(10.0)
 
     def test_str_and_parse(self):
         assert str(ExtRat(7, 5)) == "7/5"

@@ -5,7 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from affmon.errors import NotMemberError, ZeroElementError
-from affmon.intlin import D2_INCONCLUSIVE, IDENTITY, Mat2xP, d2_test
+from affmon.intlin import D2_INCONCLUSIVE, IDENTITY, d2_test
 from affmon.monoids import CanonicalMonoid2
 from affmon.oracle import enumerate_factorizations
 from affmon.rationals import ONE, Vec2
@@ -88,4 +88,4 @@ class TestAgainstOracle:
     @given(m=dim2_monoids(), s=vecs(max_coord=30))
     def test_members_pass_the_coarse_lattice_screen(self, m, s):
         if member2(m, s).member:
-            assert d2_test(Mat2xP.from_vecs(m.gens), s) == D2_INCONCLUSIVE
+            assert d2_test([(g.x, g.y) for g in m.gens], s) == D2_INCONCLUSIVE
