@@ -49,17 +49,18 @@ def star_monoids(max_entry: int):
                 continue
             for c in range(1, max_entry + 1):
                 for d in range(0, max_entry + 1):
-                    if gcd(c, d) != 1 or b * c - a * d != 1 or a * d >= b * c:
+                    if gcd(c, d) != 1 or b * c - a * d != 1:
                         continue
                     m = CanonicalMonoid3(a=a, b=b, c=c, d=d, transform=IDENTITY)
                     if validate_minimal_generation(m):
                         yield m
 
 
-def check_monoid(m: CanonicalMonoid3, coord_bound: int) -> tuple[int, int]:
-    """Cross-check one monoid; returns (members, mismatches)."""
+def check_monoid(m: CanonicalMonoid3, coord_bound: int) -> tuple[int, int, ExtRat]:
+    """Cross-check one monoid; returns (members, mismatches, largest elasticity seen)."""
     members = 0
     mismatches = 0
+    rho_max = ExtRat(1, 1)
     # Length change per step of the factorization line; c - a - 1 here.
     step = (m.c - m.a - (m.b * m.c - m.a * m.d)) // gcd(m.a, m.c)
     for x in range(coord_bound + 1):
@@ -76,11 +77,13 @@ def check_monoid(m: CanonicalMonoid3, coord_bound: int) -> tuple[int, int]:
             progression = sorted(ext.len_t0 + t * step for t in range(ext.t_max + 1))
             if list(truth.lengths) != progression:
                 mismatches += 1
-            elif not s.is_zero and elasticity3(m, s) != ExtRat(
-                truth.lengths[-1], truth.lengths[0]
-            ):
-                mismatches += 1
-    return members, mismatches
+            elif not s.is_zero:
+                rho = elasticity3(m, s)
+                if rho != ExtRat(truth.lengths[-1], truth.lengths[0]):
+                    mismatches += 1
+                elif rho > rho_max:
+                    rho_max = rho
+    return members, mismatches, rho_max
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -90,14 +93,14 @@ def main(argv: list[str] | None = None) -> int:
     total_members = 0
     total_mismatches = 0
     for m in star_monoids(config.max_entry):
-        members, mismatches = check_monoid(m, config.coord_bound)
+        members, mismatches, rho_max = check_monoid(m, config.coord_bound)
         total_monoids += 1
         total_members += members
         total_mismatches += mismatches
         flag = "" if not mismatches else f"  MISMATCHES={mismatches}"
         print(
             f"(0,1) ({m.a},{m.b}) ({m.c},{m.d})  "
-            f"members={members:5d}  rho_max_seen={_rho_max(m, config.coord_bound)}{flag}"
+            f"members={members:5d}  rho_max_seen={rho_max}{flag}"
         )
     elapsed = time.perf_counter() - t0
     print(
@@ -105,19 +108,6 @@ def main(argv: list[str] | None = None) -> int:
         f"{total_mismatches} mismatches, {elapsed:.1f}s"
     )
     return 1 if total_mismatches else 0
-
-
-def _rho_max(m: CanonicalMonoid3, coord_bound: int) -> ExtRat:
-    best = ExtRat(1, 1)
-    for x in range(coord_bound + 1):
-        for y in range(coord_bound + 1):
-            s = Vec2(x, y)
-            if s.is_zero or not member3(m, s).member:
-                continue
-            rho = elasticity3(m, s)
-            if rho > best:
-                best = rho
-    return best
 
 
 if __name__ == "__main__":

@@ -1,15 +1,18 @@
 """Command-line front end.
 
 Monoids are written as semicolon-separated generator pairs ("0,1;1,2;3,5"),
-vectors as a single pair ("6,13"); whitespace is ignored.  Each subcommand
-parses, canonicalizes, and routes two generators to ``solve2`` and three to
+vectors as a single pair ("6,13"); whitespace is ignored.  ``run`` is the
+one place that routes a query and builds its ``Report``: it parses,
+canonicalizes, and sends two generators to ``solve2`` and three to
 ``solve3`` (``limit`` and ``scan`` to ``asymptotics``, for star monoids
 only); ``oracle`` alone runs the brute-force enumeration, on the raw
-generators.  The answer is printed as a human-readable report, a JSON
-report (--json), or CSV for ``scan``.
+generators.  The solver label is ``oracle`` for ``oracle``,
+``dim3-star-theorem`` for ``limit`` and ``scan``, else ``dim2-theorem`` or
+``dim3-line`` by the canonical monoid's type.  The answer is printed as a
+human-readable report, a JSON report (--json), or CSV for ``scan``.
 
 Exit codes: 0 when the query succeeded (member / value computed), 1 when the
-answer is "not a member", 2 for input errors.
+result says "member": False or a NotMember error is raised, 2 for input errors.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
     StarRequiredError,
     ZeroGeneratorError,
 )
-from .factorization import PHI_OUT_OF_RANGE, Factorization, Membership
+from .factorization import PHI_OUT_OF_RANGE, Factorization
 from .monoids import (
     CanonicalMonoid2,
     CanonicalMonoid3,
@@ -144,165 +147,122 @@ def _fact_payload(fact: Factorization) -> dict:
     return {"mults": list(fact.mults), "length": fact.length}
 
 
-def _membership(m: Monoid, cs: Optional[Vec2], full: bool) -> tuple[Membership, str]:
-    """Route membership to the monoid's solver; ``full`` asks for every
-    factorization.  cs is None when the transform already put the vector
-    outside the monoid's cone."""
-    if isinstance(m, CanonicalMonoid2):
-        solver, query = SOLVER_DIM2, member2
-    else:
-        solver, query = SOLVER_DIM3, member3_general if full else member3
-    if cs is None:
-        return Membership(member=False, reason=PHI_OUT_OF_RANGE), solver
-    return query(m, cs), solver
-
-
-def _run_factorize(m: Monoid, cs: Optional[Vec2], mode: str) -> tuple[dict, str, int]:
-    """Factorize in one of three modes; ``check`` is mode "one"."""
+def _factorize(m: Monoid, cs: Optional[Vec2], mode: str) -> dict:
+    """Factorize in one of three modes; ``check`` is mode "one".  cs is None
+    when the transform already put the vector outside the monoid's cone."""
     if mode not in ("one", "all", "extremes"):
         raise ValueError(f"unknown factorize mode {mode!r}")
-    mem, solver = _membership(m, cs, full=mode == "all")
+    if cs is None:
+        return {"member": False, "reason": PHI_OUT_OF_RANGE}
+    dim2 = isinstance(m, CanonicalMonoid2)
+    mem = member2(m, cs) if dim2 else (member3_general if mode == "all" else member3)(m, cs)
     if not mem.member:
-        return {"member": False, "reason": mem.reason}, solver, 1
+        return {"member": False, "reason": mem.reason}
     if mode == "one":
-        return {"member": True, "factorization": _fact_payload(mem.factorization)}, solver, 0
+        return {"member": True, "factorization": _fact_payload(mem.factorization)}
     if mode == "all":
         facts = mem.factorizations
-        return (
-            {
-                "member": True,
-                "count": len(facts),
-                "factorizations": [_fact_payload(f) for f in facts],
-                "lengths": sorted(f.length for f in facts),
-            },
-            solver,
-            0,
-        )
-    if isinstance(m, CanonicalMonoid2):
+        return {
+            "member": True,
+            "count": len(facts),
+            "factorizations": [_fact_payload(f) for f in facts],
+            "lengths": sorted(f.length for f in facts),
+        }
+    if dim2:
         # Two generators: the factorization is unique.
         fact = _fact_payload(mem.factorization)
-        return {"member": True, "shortest": fact, "longest": fact}, solver, 0
+        return {"member": True, "shortest": fact, "longest": fact}
     ext = extreme_factorizations(m, cs)
     short, long_ = sorted((ext.fact_t0, ext.fact_tmax), key=lambda f: f.length)
-    return (
-        {
-            "member": True,
-            "branch": ext.branch,
-            "t_max": ext.t_max,
-            "shortest": _fact_payload(short),
-            "longest": _fact_payload(long_),
-        },
-        solver,
-        0,
-    )
-
-
-def _rho_payload(value: ExtRat, approx: bool) -> dict:
-    out = {"rho": str(value)}
-    if approx:
-        out["approx"] = value.approx()
-    return out
-
-
-def _run_elasticity(m: Monoid, cs: Optional[Vec2], approx: bool) -> tuple[dict, str, int]:
-    if cs is None:
-        raise NotMemberError("vector is outside the monoid's cone")
-    if isinstance(m, CanonicalMonoid2):
-        return _rho_payload(elasticity2(m, cs), approx), SOLVER_DIM2, 0
-    return _rho_payload(elasticity3(m, cs), approx), SOLVER_DIM3, 0
-
-
-def _require_dim3(m: Monoid, what: str) -> CanonicalMonoid3:
-    if not isinstance(m, CanonicalMonoid3) or not m.star:
-        raise StarRequiredError(f"{what} needs three generators with b*c - a*d = 1")
-    return m
-
-
-def _run_limit(m: Monoid, cs: Optional[Vec2], approx: bool) -> tuple[dict, str, int]:
-    m3 = _require_dim3(m, "the limit formula")
-    if cs is None:
-        raise NotMemberError("vector is outside the monoid's cone")
-    lft, value = rho_limit(m3, cs)
-    result = {
-        "tau": lft.tau,
-        "lft": {"p": lft.p, "q": lft.q, "r": lft.r, "t": lft.t},
-        "rho_limit": str(value),
+    return {
+        "member": True,
+        "branch": ext.branch,
+        "t_max": ext.t_max,
+        "shortest": _fact_payload(short),
+        "longest": _fact_payload(long_),
     }
-    if approx:
-        result["approx"] = value.approx()
-    return result, SOLVER_DIM3_STAR, 0
 
 
-def _run_scan(m: Monoid, cs: Optional[Vec2], k_max: Optional[int]) -> tuple[dict, str, int]:
-    m3 = _require_dim3(m, "scanning multiples")
+def _solve(query: Query, m: Monoid, cs: Optional[Vec2]) -> dict:
+    """``elasticity``, ``limit`` or ``scan``: each needs the vector in the
+    cone, and ``limit`` and ``scan`` a star monoid, checked first."""
+    command = query.command
+    if command != "elasticity" and not (isinstance(m, CanonicalMonoid3) and m.star):
+        what = "the limit formula" if command == "limit" else "scanning multiples"
+        raise StarRequiredError(f"{what} needs three generators with b*c - a*d = 1")
     if cs is None:
         raise NotMemberError("vector is outside the monoid's cone")
-    if k_max is None or k_max < 1:
-        raise ValueError("scan needs --k-max >= 1")
-    rows = scan_multiples(m3, cs, k_max)
-    limit = str(rows[0].rho_limit)
-    return (
-        {
+    if command == "scan":
+        if query.k_max is None or query.k_max < 1:
+            raise ValueError("scan needs --k-max >= 1")
+        rows = scan_multiples(m, cs, query.k_max)
+        limit = str(rows[0].rho_limit)
+        return {
             "rows": [
                 {"k": r.k, "rho_exact": str(r.rho_exact), "rho_limit": limit, "gap": str(r.gap)}
                 for r in rows
             ]
-        },
-        SOLVER_DIM3_STAR,
-        0,
-    )
+        }
+    if command == "limit":
+        lft, value = rho_limit(m, cs)
+        result = {
+            "tau": lft.tau,
+            "lft": {"p": lft.p, "q": lft.q, "r": lft.r, "t": lft.t},
+            "rho_limit": str(value),
+        }
+    else:
+        value = (elasticity2 if isinstance(m, CanonicalMonoid2) else elasticity3)(m, cs)
+        result = {"rho": str(value)}
+    if query.approx:
+        result["approx"] = value.approx()
+    return result
 
 
-def _run_oracle(gens: tuple[Vec2, ...], vec: Vec2, approx: bool) -> Report:
+def _oracle(gens: tuple[Vec2, ...], vec: Vec2, approx: bool) -> dict:
     fs = enumerate_factorizations(gens, vec)
+    lengths = fs.lengths  # sorted on every read
     result: dict = {
         "member": fs.member,
         "count": len(fs.facts),
         "factorizations": [_fact_payload(f) for f in fs.facts],
-        "lengths": list(fs.lengths),
+        "lengths": list(lengths),
     }
     if fs.member and not vec.is_zero:
-        lengths = fs.lengths
         rho = ExtRat(lengths[-1], lengths[0])
-        result.update(_rho_payload(rho, approx))
-    return Report(
-        command="oracle",
-        generators=gens,
-        canonical=None,
-        input=vec,
-        result=result,
-        solver_used=SOLVER_ORACLE,
-        exit_code=0 if fs.member else 1,
-    )
+        result["rho"] = str(rho)
+        if approx:
+            result["approx"] = rho.approx()
+    return result
 
 
 def run(query: Query) -> Report:
-    """Execute a query in-process and return the full report."""
+    """Execute a query in-process and return the full report (routing, label
+    and exit code as in the module docstring)."""
     gens = parse_monoid(query.monoid_text)
     vec = parse_vector(query.vector_text)
+    m: Optional[Monoid] = None
     if query.command == "oracle":
-        return _run_oracle(gens, vec, query.approx)
-    if len(gens) not in (2, 3):
-        raise MonoidParseError(f"expected 2 or 3 generators, got {len(gens)}", 0)
-    m = canonicalize(gens)
-    if query.check_minimality and not validate_minimal_generation(m):
-        raise NotMinimallyGeneratedError(
-            "a generator is a combination of the others; "
-            "rerun with --no-minimality-check to query anyway"
-        )
-    cs = canonical_coords(m, vec)
-    if query.command == "check":
-        result, solver, code = _run_factorize(m, cs, "one")
-    elif query.command == "factorize":
-        result, solver, code = _run_factorize(m, cs, query.mode)
-    elif query.command == "elasticity":
-        result, solver, code = _run_elasticity(m, cs, query.approx)
-    elif query.command == "limit":
-        result, solver, code = _run_limit(m, cs, query.approx)
-    elif query.command == "scan":
-        result, solver, code = _run_scan(m, cs, query.k_max)
+        result, solver = _oracle(gens, vec, query.approx), SOLVER_ORACLE
     else:
-        raise ValueError(f"unknown command {query.command!r}")
+        if len(gens) not in (2, 3):
+            raise MonoidParseError(f"expected 2 or 3 generators, got {len(gens)}", 0)
+        m = canonicalize(gens)
+        if query.check_minimality and not validate_minimal_generation(m):
+            raise NotMinimallyGeneratedError(
+                "a generator is a combination of the others; "
+                "rerun with --no-minimality-check to query anyway"
+            )
+        cs = canonical_coords(m, vec)
+        if query.command in ("check", "factorize"):
+            result = _factorize(m, cs, query.mode if query.command == "factorize" else "one")
+        elif query.command in ("elasticity", "limit", "scan"):
+            result = _solve(query, m, cs)
+        else:
+            raise ValueError(f"unknown command {query.command!r}")
+        if query.command in ("limit", "scan"):
+            solver = SOLVER_DIM3_STAR
+        else:
+            solver = SOLVER_DIM2 if isinstance(m, CanonicalMonoid2) else SOLVER_DIM3
     return Report(
         command=query.command,
         generators=gens,
@@ -310,7 +270,7 @@ def run(query: Query) -> Report:
         input=vec,
         result=result,
         solver_used=solver,
-        exit_code=code,
+        exit_code=1 if result.get("member") is False else 0,
     )
 
 
@@ -409,7 +369,10 @@ def render(report: Report, output: str) -> str:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer: refused with the same message
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
@@ -440,10 +403,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fact = sub.add_parser("factorize", help="compute factorizations")
     common(fact)
     mode = fact.add_mutually_exclusive_group()
-    mode.add_argument("--all", action="store_true", help="list every factorization")
-    mode.add_argument(
-        "--extremes", action="store_true", help="only the shortest and longest"
-    )
+    flags = {"all": "list every factorization", "extremes": "only the shortest and longest"}
+    for flag, text in flags.items():
+        mode.add_argument(f"--{flag}", dest="mode", action="store_const", const=flag, help=text)
     common(sub.add_parser("elasticity", help="max length over min length"))
     common(sub.add_parser("limit", help="limit elasticity of multiples k*s"))
     scan = sub.add_parser("scan", help="tabulate elasticity of k*s vs the limit (CSV)")
@@ -455,21 +417,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "scan":
-        output = "json" if args.json else "csv"
-    else:
-        output = "json" if args.json else "human"
-    mode = "one"
-    if getattr(args, "all", False):
-        mode = "all"
-    elif getattr(args, "extremes", False):
-        mode = "extremes"
+    output = "json" if args.json else "csv" if args.command == "scan" else "human"
     query = Query(
         command=args.command,
         monoid_text=args.monoid,
         vector_text=args.vector,
         k_max=getattr(args, "k_max", None),
-        mode=mode,
+        mode=getattr(args, "mode", None) or "one",
         check_minimality=not args.no_minimality_check,
         output=output,
         approx=args.approx,

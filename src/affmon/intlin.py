@@ -80,7 +80,10 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 def _columns(cols: Sequence[_Col]) -> tuple[_Col, ...]:
     """The columns as a tuple, after checking there is one and each is an int pair."""
     out = tuple(cols)
-    if not out or not all(len(c) == 2 and all(isinstance(e, int) for e in c) for c in out):
+    if not out or not all(
+        isinstance(c, (tuple, list)) and len(c) == 2 and all(isinstance(e, int) for e in c)
+        for c in out
+    ):
         raise ValueError(f"a matrix needs one or more columns of integer pairs, got {out!r}")
     return out
 

@@ -14,6 +14,7 @@ import affmon
 from affmon.cli import (
     SOLVER_DIM2,
     SOLVER_DIM3,
+    SOLVER_DIM3_STAR,
     SOLVER_ORACLE,
     Query,
     main,
@@ -73,6 +74,43 @@ class TestParsing:
 
 def q(command, monoid, vector, **kw):
     return Query(command=command, monoid_text=monoid, vector_text=vector, **kw)
+
+
+# One row per route through ``run``: the query, then the (solver_used,
+# exit_code) it reports or the error it raises.
+ROUTES = [
+    pytest.param("check", DIM2_TEXT, "6,5", {}, (SOLVER_DIM2, 0), id="check-dim2"),
+    pytest.param("check", STAR_TEXT, "6,13", {}, (SOLVER_DIM3, 0), id="check-dim3"),
+    pytest.param("factorize", DIM2_TEXT, "6,5", {}, (SOLVER_DIM2, 0), id="one-dim2"),
+    pytest.param("factorize", STAR_TEXT, "6,13", {}, (SOLVER_DIM3, 0), id="one-dim3"),
+    pytest.param("factorize", DIM2_TEXT, "6,5", {"mode": "all"}, (SOLVER_DIM2, 0), id="all-dim2"),
+    pytest.param("factorize", STAR_TEXT, "6,13", {"mode": "all"}, (SOLVER_DIM3, 0), id="all-dim3"),
+    pytest.param(
+        "factorize", DIM2_TEXT, "6,5", {"mode": "extremes"}, (SOLVER_DIM2, 0), id="extremes-dim2"
+    ),
+    pytest.param(
+        "factorize", STAR_TEXT, "6,13", {"mode": "extremes"}, (SOLVER_DIM3, 0), id="extremes-dim3"
+    ),
+    pytest.param("factorize", STAR_TEXT, "1,0", {}, (SOLVER_DIM3, 1), id="factorize-out-of-cone"),
+    pytest.param("elasticity", DIM2_TEXT, "6,5", {}, (SOLVER_DIM2, 0), id="elasticity-dim2"),
+    pytest.param("elasticity", STAR_TEXT, "6,13", {}, (SOLVER_DIM3, 0), id="elasticity-dim3"),
+    pytest.param("limit", STAR_TEXT, "6,13", {}, (SOLVER_DIM3_STAR, 0), id="limit"),
+    pytest.param("scan", STAR_TEXT, "6,13", {"k_max": 2}, (SOLVER_DIM3_STAR, 0), id="scan"),
+    pytest.param("oracle", STAR_TEXT, "6,13", {}, (SOLVER_ORACLE, 0), id="oracle-member"),
+    pytest.param("oracle", STAR_TEXT, "6,9", {}, (SOLVER_ORACLE, 1), id="oracle-non-member"),
+    pytest.param("bogus", STAR_TEXT, "6,13", {}, ValueError, id="unknown-command"),
+    pytest.param("factorize", STAR_TEXT, "6,13", {"mode": "bogus"}, ValueError, id="unknown-mode"),
+]
+
+
+@pytest.mark.parametrize("command, monoid, vector, fields, expected", ROUTES)
+def test_run_derives_the_solver_and_exit_code(command, monoid, vector, fields, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError, match="unknown"):
+            run(q(command, monoid, vector, **fields))
+    else:
+        report = run(q(command, monoid, vector, **fields))
+        assert (report.solver_used, report.exit_code) == expected
 
 
 class TestRunCheck:
@@ -319,6 +357,12 @@ class TestMain:
         assert main(["scan", STAR_TEXT, "7,13", "--k-max", "3", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["result"]["rows"]) == 3
+
+    def test_k_max_that_is_not_an_integer_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", STAR_TEXT, "7,13", "--k-max", "abc"])
+        assert exc.value.code == 2
+        assert "argument --k-max: must be a positive integer" in capsys.readouterr().err
 
     def test_parse_error_exit_two(self, capsys):
         assert main(["check", STAR_TEXT, "x,2"]) == 2

@@ -189,6 +189,8 @@ class TestColumnCheck:
         pytest.param([(0, 1), (1,)], id="single"),
         pytest.param([(0, 1), (1, 2.0)], id="float-entry"),
         pytest.param([(0, 1), ("1", 2)], id="str-entry"),
+        pytest.param([(0, 1), 5], id="int-column"),
+        pytest.param([(0, 1), None], id="none-column"),
     ]
 
     @pytest.mark.parametrize("cols", BAD)

@@ -33,10 +33,11 @@ def _convergence_scan(monkeypatch):
 
 def test_convergence_scan_rejects_k_max_below_one(monkeypatch, capsys):
     script = _convergence_scan(monkeypatch)
-    with pytest.raises(SystemExit) as exc:
-        script.main(["--monoid", "0,1;1,2;3,5", "--vector", "7,13", "--k-max", "0"])
-    assert exc.value.code == 2
-    assert "--k-max: must be a positive integer" in capsys.readouterr().err
+    for k_max in ("0", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            script.main(["--monoid", "0,1;1,2;3,5", "--vector", "7,13", "--k-max", k_max])
+        assert exc.value.code == 2
+        assert "--k-max: must be a positive integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
