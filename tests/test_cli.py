@@ -359,10 +359,11 @@ class TestMain:
         assert len(payload["result"]["rows"]) == 3
 
     def test_k_max_that_is_not_an_integer_is_refused(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["scan", STAR_TEXT, "7,13", "--k-max", "abc"])
-        assert exc.value.code == 2
-        assert "argument --k-max: must be a positive integer" in capsys.readouterr().err
+        for k_max in ("abc", "0"):
+            with pytest.raises(SystemExit) as exc:
+                main(["scan", STAR_TEXT, "7,13", "--k-max", k_max])
+            assert exc.value.code == 2
+            assert "argument --k-max: must be a positive integer" in capsys.readouterr().err
 
     def test_parse_error_exit_two(self, capsys):
         assert main(["check", STAR_TEXT, "x,2"]) == 2
@@ -400,6 +401,24 @@ class TestMain:
         assert main(["oracle", "0,1;11,10;10,3", "199,119"]) == 1
         out = capsys.readouterr().out
         assert "member: no" in out
+
+
+@pytest.mark.parametrize(
+    "monoid, vector, code, status",
+    [
+        pytest.param("0,1;1,3;2,1", "2,1", "StarRequired", 2, id="not-star"),
+        pytest.param("0,1;1,2", "1,2", "StarRequired", 2, id="two-generators"),
+        pytest.param(STAR_TEXT, "1,0", "NotMember", 1, id="outside-the-cone"),
+        pytest.param("0,1;1,2;3,5;1,1", "7,13", "SyntaxError", 2, id="four-generators"),
+        # c | a: (2,3) = 2*(1,1) + (0,1) is redundant.
+        pytest.param("0,1;2,3;1,1", "7,13", "NotMinimallyGenerated", 2, id="c-divides-a"),
+    ],
+)
+def test_scan_errors_go_to_stderr_only(capsys, monoid, vector, code, status):
+    assert main(["scan", monoid, vector, "--k-max", "3"]) == status
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error[{code}]: ")
 
 
 # A star monoid whose element (X, X) has rho = X/2, beyond float range.

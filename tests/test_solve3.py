@@ -95,8 +95,9 @@ class TestDelta:
         assert [f.mults[:2] for f in res.factorizations] == [(1, 6), (2, 3), (3, 0)]
 
 
-class TestMember3Star:
-    """``member3`` on the star fixtures, and on the non-star worked example."""
+class TestMember3:
+    """``member3``, one solver for every canonical three-generator monoid:
+    the star fixtures and the non-star worked example."""
 
     def test_member_gets_canonical_factorization(self):
         res = member3(STAR, Vec2(6, 13))
