@@ -359,7 +359,13 @@ class TestMain:
         assert len(payload["result"]["rows"]) == 3
 
     def test_k_max_that_is_not_an_integer_is_refused(self, capsys):
-        for k_max in ("abc", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", STAR_TEXT, "7,13", "--k-max", "abc"])
+        assert exc.value.code == 2
+        assert "argument --k-max: must be a positive integer" in capsys.readouterr().err
+
+    def test_k_max_below_one_is_refused(self, capsys):
+        for k_max in ("0", "-3"):
             with pytest.raises(SystemExit) as exc:
                 main(["scan", STAR_TEXT, "7,13", "--k-max", k_max])
             assert exc.value.code == 2
