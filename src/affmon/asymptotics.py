@@ -14,7 +14,7 @@ exposed here as ``LimitLFT``.  ``scan_multiples`` tabulates exact values
 against the limit for empirical convergence studies.  It computes the limit
 once and each exact value from the factorization line of k*s in plain ints
 (``solve3._extreme_lengths``, multiply-back checked at both ends), so a row
-costs two ``ExtRat``s and no other value object.
+builds two ``ExtRat``s (the exact value and the gap) and its ``ScanRow``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     ZeroElementError,
 )
 from .monoids import CanonicalMonoid3
-from .rationals import ExtRat, Vec2
+from .rationals import ONE, ExtRat, Vec2
 from .solve3 import _extreme_lengths, member3
 
 __all__ = [
@@ -75,7 +75,9 @@ class LimitLFT:
         den = self.r * s.x + self.t * s.y
         if num <= 0 or den <= 0:
             raise ValueError(f"linear forms not positive at {s}; not a nonzero member")
-        return ExtRat(num, den).pow_sign(self.tau)
+        if self.tau == 0:
+            return ONE
+        return ExtRat(num, den) if self.tau == 1 else ExtRat(den, num)
 
 
 def _lft_low(m: CanonicalMonoid3) -> LimitLFT:

@@ -11,6 +11,10 @@ generators.  The solver label is ``oracle`` for ``oracle``,
 ``dim3-line`` by the canonical monoid's type.  The answer is printed as a
 human-readable report, a JSON report (--json), or CSV for ``scan``.
 
+A coordinate longer than ``MAX_DIGITS`` digits is refused (InputTooLarge)
+before any work.  Canonical entries then stay near 2,000 digits and LFT
+coefficients near 4,000, under CPython's 4,300-digit int-to-str limit.
+
 Exit codes: 0 when the query succeeded (member / value computed), 1 when the
 result says "member": False or a NotMember error is raised, 2 for input errors.
 """
@@ -27,6 +31,7 @@ from typing import Optional, Sequence
 from .errors import (
     AffmonError,
     DuplicateGeneratorError,
+    InputTooLargeError,
     MonoidParseError,
     NotMemberError,
     NotMinimallyGeneratedError,
@@ -55,6 +60,8 @@ SOLVER_DIM3 = "dim3-line"
 SOLVER_DIM3_STAR = "dim3-star-theorem"  # limit and scan
 SOLVER_ORACLE = "oracle"
 
+MAX_DIGITS = 1000  # per input coordinate
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -65,6 +72,9 @@ def _parse_component(part: str, base: int) -> int:
     if not stripped:
         raise MonoidParseError("empty coordinate", base)
     pos = base + part.index(stripped[0])
+    if len(stripped) > MAX_DIGITS:
+        # Checked before int(); the message does not echo the input.
+        raise InputTooLargeError(f"coordinate at offset {pos} is longer than {MAX_DIGITS} digits")
     try:
         value = int(stripped)
     except ValueError:

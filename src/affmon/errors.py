@@ -9,7 +9,6 @@ from __future__ import annotations
 
 __all__ = [
     "AffmonError",
-    "ZeroVectorError",
     "BothZeroError",
     "NotPhiMinimalError",
     "NegativeResultError",
@@ -22,6 +21,7 @@ __all__ = [
     "DuplicateGeneratorError",
     "NotMinimallyGeneratedError",
     "MonoidParseError",
+    "InputTooLargeError",
 ]
 
 
@@ -29,12 +29,6 @@ class AffmonError(Exception):
     """Base class for all affmon-specific errors."""
 
     code = "Error"
-
-
-class ZeroVectorError(AffmonError):
-    """The slope of the zero vector is undefined."""
-
-    code = "ZeroVector"
 
 
 class BothZeroError(AffmonError):
@@ -111,3 +105,9 @@ class MonoidParseError(AffmonError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
+
+
+class InputTooLargeError(AffmonError):
+    """An input coordinate has more digits than the CLI accepts."""
+
+    code = "InputTooLarge"

@@ -10,7 +10,6 @@ from .rationals import Vec2
 __all__ = [
     "Factorization",
     "Membership",
-    "apply_mults",
     "PHI_OUT_OF_RANGE",
     "DIVISIBILITY_FAILS",
     "X_NOT_REPRESENTABLE",
@@ -20,19 +19,6 @@ __all__ = [
 PHI_OUT_OF_RANGE = "PhiOutOfRange"
 DIVISIBILITY_FAILS = "DivisibilityFails"
 X_NOT_REPRESENTABLE = "XNotRepresentable"
-
-
-def _combine(gens: Sequence[Vec2], mults: Sequence[int]) -> tuple[int, int]:
-    x = y = 0
-    for g, m in zip(gens, mults):
-        x += m * g.x
-        y += m * g.y
-    return x, y
-
-
-def apply_mults(gens: Sequence[Vec2], mults: Sequence[int]) -> Vec2:
-    """Evaluate the factorization homomorphism: sum of mults[i] * gens[i]."""
-    return Vec2(*_combine(gens, mults))
 
 
 @dataclass(frozen=True)
@@ -60,7 +46,10 @@ class Factorization:
         """
         if len(mults) != len(gens):
             raise ValueError("one multiplicity per generator required")
-        x, y = _combine(gens, mults)
+        x = y = 0
+        for g, m in zip(gens, mults):
+            x += m * g.x
+            y += m * g.y
         if x != target.x or y != target.y:
             raise ValueError(f"multiplicities {tuple(mults)} map to ({x}, {y}), not {target}")
         return cls(tuple(mults))

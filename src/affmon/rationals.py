@@ -1,10 +1,10 @@
-"""Exact nonnegative rationals with +infinity, and slopes of lattice points.
+"""Exact nonnegative rationals, and slopes of lattice points.
 
-``ExtRat`` models Q>=0 together with +infinity.  Values are always stored in
-lowest terms, with +infinity encoded as 1/0 and zero as 0/1, so dataclass
-equality is value equality and every comparison is a single cross
-multiplication -- no division, no floats.  ``Vec2`` is a point of N0^2; its
-slope ``phi`` is x/y, read as +infinity on the x-axis.
+``ExtRat`` models Q>=0.  Values are always stored in lowest terms with a
+positive denominator, so dataclass equality is value equality and every
+comparison is a single cross multiplication -- no division, no floats.
+``Vec2`` is a point of N0^2; two nonzero points are ordered by their slope
+x/y, compared on the cross product.
 
 Everything in this module is immutable and pure.
 """
@@ -15,17 +15,10 @@ import math
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import ZeroVectorError
-
 __all__ = [
     "Vec2",
     "ExtRat",
-    "ZERO",
     "ONE",
-    "INF",
-    "phi",
-    "mediant",
-    "compare",
     "slope_compare",
     "is_phi_minimal",
 ]
@@ -62,13 +55,8 @@ class Vec2:
 
 @dataclass(frozen=True)
 class ExtRat:
-    """An element of Q>=0 together with +infinity.
-
-    The pair (num, den) is normalized on construction: common factors are
-    removed, +infinity becomes (1, 0) and zero becomes (0, 1).  0/0 is
-    rejected.  Negative inputs are rejected; this type deliberately covers
-    only the nonnegative ray, which is all the slope map can produce.
-    """
+    """An element of Q>=0 as num/den in lowest terms, den >= 1.  Every value
+    the program computes (an elasticity, a limit, a gap) is one of these."""
 
     num: int
     den: int = 1
@@ -77,25 +65,13 @@ class ExtRat:
         num, den = self.num, self.den
         if not isinstance(num, int) or not isinstance(den, int):
             raise TypeError("numerator and denominator must be integers")
-        if num < 0 or den < 0:
-            raise ValueError(f"negative rationals are not supported: {num}/{den}")
-        if num == 0 and den == 0:
-            raise ValueError("0/0 is not a value")
-        if den == 0:
-            num = 1
-        else:
-            g = gcd(num, den)
-            num //= g
-            den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        if num < 0 or den < 1:
+            raise ValueError(f"not a nonnegative rational: {num}/{den}")
+        g = gcd(num, den)
+        object.__setattr__(self, "num", num // g)
+        object.__setattr__(self, "den", den // g)
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.den == 0
-
-    # Total order by cross multiplication.  The canonical encodings make the
-    # single formula correct for finite and infinite values alike.
+    # Total order by cross multiplication (denominators are positive).
     def __lt__(self, other: "ExtRat") -> bool:
         return self.num * other.den < other.num * self.den
 
@@ -109,77 +85,28 @@ class ExtRat:
         return other <= self
 
     def abs_diff(self, other: "ExtRat") -> "ExtRat":
-        """Exact |self - other|.  Defined unless both operands are infinite."""
-        if self.is_infinite and other.is_infinite:
-            raise ValueError("difference of two infinite values is undefined")
-        if self.is_infinite or other.is_infinite:
-            return INF
+        """Exact |self - other|."""
         return ExtRat(abs(self.num * other.den - other.num * self.den), self.den * other.den)
-
-    def pow_sign(self, e: int) -> "ExtRat":
-        """self**e for e in {-1, 0, 1}; the reciprocal of 0 is +infinity."""
-        if e == 0:
-            return ONE
-        if e == 1:
-            return self
-        if e == -1:
-            return ExtRat(self.den, self.num) if self.num else INF
-        raise ValueError("exponent must be -1, 0, or 1")
 
     def approx(self) -> float:
         """Decimal approximation, for display only; inf beyond float range."""
         try:
-            return math.inf if self.is_infinite else self.num / self.den
+            return self.num / self.den
         except OverflowError:
             return math.inf
 
     def __str__(self) -> str:
-        if self.is_infinite:
-            return "inf"
         if self.den == 1:
             return str(self.num)
         return f"{self.num}/{self.den}"
 
-    @classmethod
-    def parse(cls, text: str) -> "ExtRat":
-        """Inverse of ``str``: accepts "inf", "p", or "p/q"."""
-        body = text.strip()
-        if body == "inf":
-            return INF
-        num_s, sep, den_s = body.partition("/")
-        if not num_s.isdigit() or (sep and not den_s.isdigit()):
-            raise ValueError(f"not a nonnegative rational: {text!r}")
-        return cls(int(num_s), int(den_s) if sep else 1)
 
-
-ZERO = ExtRat(0, 1)
 ONE = ExtRat(1, 1)
-INF = ExtRat(1, 0)
-
-
-def phi(v: Vec2) -> ExtRat:
-    """Slope of a nonzero lattice point: x/y, with y = 0 mapping to +infinity."""
-    if v.is_zero:
-        raise ZeroVectorError("the slope of (0, 0) is undefined")
-    return ExtRat(v.x, v.y)
-
-
-def mediant(u: Vec2, v: Vec2) -> Vec2:
-    """Componentwise sum.  For nonzero u, v with phi(u) < phi(v) the slope of
-    the mediant lies strictly between the two."""
-    return Vec2(u.x + v.x, u.y + v.y)
-
-
-def compare(p: ExtRat, q: ExtRat) -> int:
-    """Three-way comparison: -1 if p < q, 0 if equal, +1 if p > q."""
-    lhs = p.num * q.den
-    rhs = q.num * p.den
-    return (lhs > rhs) - (lhs < rhs)
 
 
 def slope_compare(u: Vec2, v: Vec2) -> int:
-    """Three-way comparison of phi(u) and phi(v) for nonzero u, v, done on the
-    cross product so it never builds intermediate rationals."""
+    """Three-way comparison of the slopes x/y of nonzero u and v (y = 0 is
+    the steepest), done on the cross product so it builds no rationals."""
     cross = u.x * v.y - v.x * u.y
     return (cross > 0) - (cross < 0)
 

@@ -53,8 +53,10 @@ class TestLimitLFT:
             lft.evaluate(Vec2(6, 0))
 
     def test_reciprocal_orientation(self):
-        flipped = LimitLFT(p=0, q=1, r=0, t=2, tau=-1)
-        assert flipped.evaluate(Vec2(0, 1)) == ExtRat(2, 1)
+        # (0*x + 1*y) / (0*x + 2*y) = 1/2 at (0, 1), raised to tau.
+        for tau_, expected in [(-1, ExtRat(2, 1)), (0, ONE), (1, ExtRat(1, 2))]:
+            lft = LimitLFT(p=0, q=1, r=0, t=2, tau=tau_)
+            assert lft.evaluate(Vec2(0, 1)) == expected, tau_
 
 
 class TestRhoSpecialAc:

@@ -27,13 +27,14 @@ from affmon.cli import (
 )
 from affmon.errors import (
     DuplicateGeneratorError,
+    InputTooLargeError,
     MonoidParseError,
     NotMemberError,
     NotMinimallyGeneratedError,
     StarRequiredError,
     ZeroGeneratorError,
 )
-from affmon.rationals import ExtRat, Vec2
+from affmon.rationals import Vec2
 
 
 STAR_TEXT = "0,1;1,2;3,5"
@@ -302,7 +303,7 @@ class TestRendering:
         assert payload["monoid"]["star"] is True
         assert payload["monoid"]["transform"] == [[1, 0], [0, 1]]
         assert payload["input"] == [6, 13]
-        assert ExtRat.parse(payload["result"]["rho"]) == ExtRat(7, 5)
+        assert payload["result"]["rho"] == "7/5"
         assert payload["solver_used"] == "dim3-line"
 
     def test_human_check_output(self):
@@ -455,6 +456,67 @@ class TestApproxBeyondFloatRange:
         assert (result["rho_limit"], result["approx"]) == (str(HUGE // 2), None)
 
 
+# The largest X with every coordinate of <(0,1), (1,2), (X, 2X-1)> and of
+# s = (X, 2X-1) within the 1,000-digit bound: 2X - 1 = 10**1000 - 3.  Its LFT
+# coefficients have about 2,000 digits, and rho(s) = rho_limit = 1.
+BIG_X = 5 * 10**999 - 1
+BIG_ARGS = [f"0,1;1,2;{BIG_X},{2 * BIG_X - 1}", f"{BIG_X},{2 * BIG_X - 1}"]
+
+
+class TestInputSize:
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            (["limit"], "rho_limit = 1"),
+            (["scan", "--k-max", "2"], "2,1,1,0"),
+            (["elasticity", "--approx"], "rho = 1 (~ 1)"),
+            (["factorize", "--extremes"], "longest: (0, 0, 1)  length=1"),
+        ],
+    )
+    def test_largest_accepted_input_prints(self, capsys, command, line):
+        assert main([command[0], *BIG_ARGS, *command[1:]]) == 0
+        out = capsys.readouterr()
+        assert line in out.out.splitlines()
+        assert out.err == ""
+        assert main([command[0], *BIG_ARGS, *command[1:], "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["input"] == [BIG_X, 2 * BIG_X - 1]
+
+    def test_limit_coefficients_are_exact(self, capsys):
+        assert main(["limit", *BIG_ARGS, "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        x = BIG_X
+        lft = {"p": -x * (2 * x - 3), "q": x * (x - 1), "r": -(2 * x - 2), "t": x}
+        assert result == {"tau": 1, "lft": lft, "rho_limit": "1"}
+
+    @pytest.mark.parametrize(
+        "monoid, vector",
+        [
+            # X = 10**1000 - 1 puts 2X - 1 at 1,001 digits.
+            (f"0,1;1,2;{10**1000 - 1},{2 * 10**1000 - 3}", "1,2"),
+            ("0,1;1,2;3,5", f"{10**1000},1"),
+            ("0,1;1,2;3,5", "6," + "0" * 1001),
+            ("0,1;1,2;3,5", "6," + "x" * 1001),
+        ],
+        ids=["generator", "vector-x", "leading-zeros", "not-digits"],
+    )
+    def test_more_than_a_thousand_digits_is_refused(self, capsys, monoid, vector):
+        assert main(["limit", monoid, vector]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error[InputTooLarge]: ")
+        assert len(out.err) < 200
+        assert main(["check", monoid, vector, "--json"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "InputTooLarge"
+        assert len(error["message"]) < 200
+
+    def test_boundary(self):
+        assert parse_vector(f"{10**1000 - 1},1") == Vec2(10**1000 - 1, 1)
+        with pytest.raises(InputTooLargeError):
+            parse_vector(f"{10**1000},1")
+
+
 def test_module_entry_point():
     # The child imports the same affmon as this process, however that was found.
     src = str(Path(affmon.__file__).resolve().parents[1])
@@ -507,18 +569,17 @@ def test_public_surface_and_error_codes_are_pinned():
         "AffmonError", "BRANCH_HIGH", "BRANCH_LOW", "BothZeroError", "CanonicalMonoid2",
         "CanonicalMonoid3", "D2_INCONCLUSIVE", "D2_NOT_MEMBER", "DIVISIBILITY_FAILS",
         "DuplicateGeneratorError", "ExtRat", "ExtremeFactorizations", "Factorization",
-        "FactorizationSet", "INF", "LimitLFT", "Membership", "Monoid", "MonoidParseError",
-        "NegativeResultError", "NotMemberError", "NotMinimallyGeneratedError",
-        "NotPhiMinimalError", "ONE", "PHI_OUT_OF_RANGE", "PeriodicityViolatedError", "Query",
-        "Report", "SCAN_CSV_HEADER", "ScanRow", "StarRequiredError", "UniMat2", "Vec2",
-        "WrongBranchError", "X_NOT_REPRESENTABLE", "ZERO", "ZeroElementError",
-        "ZeroGeneratorError", "ZeroVectorError", "apply_mults", "canonical_coords",
-        "canonical_rep", "canonicalize", "compare", "d2_test", "det_divisors", "elasticity2",
-        "elasticity3", "elasticity_oracle", "enumerate_factorizations", "ext_gcd",
-        "extreme_factorizations", "is_phi_minimal", "main", "mediant", "member2", "member3",
-        "member3_general", "parse_monoid", "parse_vector", "phi", "rho_limit",
-        "rho_special_ac", "rho_special_c", "row_swapped_hnf", "run", "scan_multiples",
-        "slope_compare", "tau", "validate_minimal_generation",
+        "FactorizationSet", "InputTooLargeError", "LimitLFT", "Membership", "Monoid",
+        "MonoidParseError", "NegativeResultError", "NotMemberError",
+        "NotMinimallyGeneratedError", "NotPhiMinimalError", "ONE", "PHI_OUT_OF_RANGE",
+        "PeriodicityViolatedError", "Query", "Report", "SCAN_CSV_HEADER", "ScanRow",
+        "StarRequiredError", "UniMat2", "Vec2", "WrongBranchError", "X_NOT_REPRESENTABLE",
+        "ZeroElementError", "ZeroGeneratorError", "canonical_coords", "canonical_rep",
+        "canonicalize", "d2_test", "det_divisors", "elasticity2", "elasticity3",
+        "elasticity_oracle", "enumerate_factorizations", "ext_gcd", "extreme_factorizations",
+        "is_phi_minimal", "main", "member2", "member3", "member3_general", "parse_monoid",
+        "parse_vector", "rho_limit", "rho_special_ac", "rho_special_c", "row_swapped_hnf",
+        "run", "scan_multiples", "slope_compare", "tau", "validate_minimal_generation",
     ]
     error_classes = [
         obj
@@ -528,7 +589,6 @@ def test_public_surface_and_error_codes_are_pinned():
     assert all(cls.__name__ in affmon.__all__ for cls in error_classes)
     assert {cls.__name__: cls.code for cls in error_classes} == {
         "AffmonError": "Error",
-        "ZeroVectorError": "ZeroVector",
         "BothZeroError": "BothZero",
         "NotPhiMinimalError": "NotPhiMinimal",
         "NegativeResultError": "NegativeResult",
@@ -541,4 +601,5 @@ def test_public_surface_and_error_codes_are_pinned():
         "DuplicateGeneratorError": "DuplicateGenerator",
         "NotMinimallyGeneratedError": "NotMinimallyGenerated",
         "MonoidParseError": "SyntaxError",
+        "InputTooLargeError": "InputTooLarge",
     }

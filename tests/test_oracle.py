@@ -11,7 +11,6 @@ from affmon import (
     Vec2,
     ZeroElementError,
     ZeroGeneratorError,
-    apply_mults,
     elasticity_oracle,
     enumerate_factorizations,
 )
@@ -19,6 +18,11 @@ from affmon import (
 
 def gens(*pairs):
     return tuple(Vec2(x, y) for x, y in pairs)
+
+
+def multiply_back(g, mults):
+    """The vector sum of mults[i] * g[i]."""
+    return Vec2(sum(m * v.x for v, m in zip(g, mults)), sum(m * v.y for v, m in zip(g, mults)))
 
 
 class TestEnumerate:
@@ -65,7 +69,7 @@ class TestEnumerate:
             expected = {
                 m
                 for m in itertools.product(range(7), repeat=3)
-                if apply_mults(g, m) == target
+                if multiply_back(g, m) == target
             }
             fs = enumerate_factorizations(g, target)
             assert {f.mults for f in fs.facts} == expected
@@ -97,7 +101,7 @@ class TestEnumerate:
     def test_explicit_combinations_are_found(self, pairs, mults):
         g = gens(*pairs)
         mults = tuple(mults[: len(g)])
-        s = apply_mults(g, mults)
+        s = multiply_back(g, mults)
         fs = enumerate_factorizations(g, s)
         assert mults in {f.mults for f in fs.facts}
 
