@@ -11,6 +11,10 @@ generators.  The solver label is ``oracle`` for ``oracle``,
 ``dim3-line`` by the canonical monoid's type.  The answer is printed as a
 human-readable report, a JSON report (--json), or CSV for ``scan``.
 
+Values are exact ``ExtRat``s (``fractions.Fraction``s) and print as "7/5"
+or "3".  ``--approx`` adds ``float(value)``, made here and nowhere else in
+the package; beyond float range it prints ``(~ inf)``, or ``null`` in JSON.
+
 A coordinate longer than ``MAX_DIGITS`` digits is refused (InputTooLarge)
 before any work.  Canonical entries then stay near 2,000 digits and LFT
 coefficients near 4,000, under CPython's 4,300-digit int-to-str limit.
@@ -26,6 +30,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 from .errors import (
@@ -75,10 +80,11 @@ def _parse_component(part: str, base: int) -> int:
     if len(stripped) > MAX_DIGITS:
         # Checked before int(); the message does not echo the input.
         raise InputTooLargeError(f"coordinate at offset {pos} is longer than {MAX_DIGITS} digits")
-    try:
-        value = int(stripped)
-    except ValueError:
-        raise MonoidParseError(f"{stripped!r} is not an integer", pos) from None
+    digits = stripped.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        # int() would also take "1_3", "+6" and non-ASCII digits.
+        raise MonoidParseError(f"{stripped!r} is not an integer", pos)
+    value = int(stripped)
     if value < 0:
         raise MonoidParseError("coordinates must be nonnegative", pos)
     return value
@@ -224,7 +230,7 @@ def _solve(query: Query, m: Monoid, cs: Optional[Vec2]) -> dict:
         value = (elasticity2 if isinstance(m, CanonicalMonoid2) else elasticity3)(m, cs)
         result = {"rho": str(value)}
     if query.approx:
-        result["approx"] = value.approx()
+        result["approx"] = _approx(value)
     return result
 
 
@@ -241,7 +247,7 @@ def _oracle(gens: tuple[Vec2, ...], vec: Vec2, approx: bool) -> dict:
         rho = ExtRat(lengths[-1], lengths[0])
         result["rho"] = str(rho)
         if approx:
-            result["approx"] = rho.approx()
+            result["approx"] = _approx(rho)
     return result
 
 
@@ -360,6 +366,15 @@ def render_human(report: Report) -> str:
     return "\n".join(lines)
 
 
+def _approx(value: ExtRat) -> float:
+    """The ``--approx`` value: inf beyond float range, which the human
+    report prints as ``(~ inf)`` and JSON as ``null``."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _approx_suffix(res: dict) -> str:
     if "approx" in res:
         return f" (~ {res['approx']:.6g})"
@@ -388,7 +403,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Each dest is a ``Query`` field;
+    metavars keep the printed names."""
     parser = argparse.ArgumentParser(
         prog="affmon",
         description="Exact membership, factorization, and elasticity queries "
@@ -397,21 +415,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("monoid", help="generators, e.g. '0,1;1,2;3,5'")
-        p.add_argument("vector", help="target vector, e.g. '6,13'")
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
+        p.add_argument("monoid_text", metavar="monoid", help="generators, e.g. '0,1;1,2;3,5'")
+        p.add_argument("vector_text", metavar="vector", help="target vector, e.g. '6,13'")
         p.add_argument(
-            "--approx", action="store_true", help="include decimal approximations"
+            "--json", dest="output", action="store_const", const="json", help="emit a JSON report"
         )
+        p.add_argument("--approx", action="store_true", help="include decimal approximations")
         p.add_argument(
             "--no-minimality-check",
-            action="store_true",
+            dest="check_minimality",
+            action="store_false",
             help="skip validating that no generator is redundant",
         )
+        p.set_defaults(output="human")
 
     common(sub.add_parser("check", help="decide membership"))
     fact = sub.add_parser("factorize", help="compute factorizations")
     common(fact)
+    fact.set_defaults(mode="one")
     mode = fact.add_mutually_exclusive_group()
     flags = {"all": "list every factorization", "extremes": "only the shortest and longest"}
     for flag, text in flags.items():
@@ -420,33 +441,23 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("limit", help="limit elasticity of multiples k*s"))
     scan = sub.add_parser("scan", help="tabulate elasticity of k*s vs the limit (CSV)")
     common(scan)
+    scan.set_defaults(output="csv")
     scan.add_argument("--k-max", type=_positive_int, required=True, help="scan k=1..N")
     common(sub.add_parser("oracle", help="brute-force enumeration (any generator count)"))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    output = "json" if args.json else "csv" if args.command == "scan" else "human"
-    query = Query(
-        command=args.command,
-        monoid_text=args.monoid,
-        vector_text=args.vector,
-        k_max=getattr(args, "k_max", None),
-        mode=getattr(args, "mode", None) or "one",
-        check_minimality=not args.no_minimality_check,
-        output=output,
-        approx=args.approx,
-    )
+    query = Query(**vars(_build_parser().parse_args(argv)))
     try:
         report = run(query)
     except AffmonError as exc:
-        if output == "json":
+        if query.output == "json":
             print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}))
         else:
             print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, NotMemberError) else 2
-    print(render(report, output))
+    print(render(report, query.output))
     return report.exit_code
 
 

@@ -1,8 +1,10 @@
 """Exact nonnegative rationals, and slopes of lattice points.
 
-``ExtRat`` models Q>=0.  Values are always stored in lowest terms with a
-positive denominator, so dataclass equality is value equality and every
-comparison is a single cross multiplication -- no division, no floats.
+``ExtRat`` models Q>=0 as a ``fractions.Fraction`` subclass that adds only
+the Q>=0 check and ``abs_diff``: the standard library keeps it in lowest
+terms and supplies equality, hashing, order and ``str`` ("7/5", "3").
+Arithmetic on it returns a plain ``Fraction``.  This module makes no
+approximations; ``cli`` converts a value for ``--approx`` display.
 ``Vec2`` is a point of N0^2; two nonzero points are ordered by their slope
 x/y, compared on the cross product.
 
@@ -11,17 +13,11 @@ Everything in this module is immutable and pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
-__all__ = [
-    "Vec2",
-    "ExtRat",
-    "ONE",
-    "slope_compare",
-    "is_phi_minimal",
-]
+__all__ = ["Vec2", "ExtRat", "ONE", "slope_compare", "is_phi_minimal"]
 
 
 @dataclass(frozen=True)
@@ -53,55 +49,31 @@ class Vec2:
         return f"({self.x}, {self.y})"
 
 
-@dataclass(frozen=True)
-class ExtRat:
-    """An element of Q>=0 as num/den in lowest terms, den >= 1.  Every value
-    the program computes (an elasticity, a limit, a gap) is one of these."""
+class ExtRat(Fraction):
+    """An element of Q>=0: a ``Fraction`` whose constructor takes only ints,
+    with a denominator >= 1 and a numerator >= 0.  Every value the program
+    computes (an elasticity, a limit, a gap) is one of these."""
 
-    num: int
-    den: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        num, den = self.num, self.den
+    def __new__(cls, num: int, den: int = 1) -> "ExtRat":
         if not isinstance(num, int) or not isinstance(den, int):
             raise TypeError("numerator and denominator must be integers")
         if num < 0 or den < 1:
             raise ValueError(f"not a nonnegative rational: {num}/{den}")
-        g = gcd(num, den)
-        object.__setattr__(self, "num", num // g)
-        object.__setattr__(self, "den", den // g)
+        return super().__new__(cls, num, den)
 
-    # Total order by cross multiplication (denominators are positive).
-    def __lt__(self, other: "ExtRat") -> bool:
-        return self.num * other.den < other.num * self.den
-
-    def __le__(self, other: "ExtRat") -> bool:
-        return self.num * other.den <= other.num * self.den
-
-    def __gt__(self, other: "ExtRat") -> bool:
-        return other < self
-
-    def __ge__(self, other: "ExtRat") -> bool:
-        return other <= self
+    def __reduce__(self):
+        # Fraction.__reduce__ may pass str(self), which __new__ refuses.
+        return (type(self), (self.numerator, self.denominator))
 
     def abs_diff(self, other: "ExtRat") -> "ExtRat":
-        """Exact |self - other|."""
-        return ExtRat(abs(self.num * other.den - other.num * self.den), self.den * other.den)
-
-    def approx(self) -> float:
-        """Decimal approximation, for display only; inf beyond float range."""
-        try:
-            return self.num / self.den
-        except OverflowError:
-            return math.inf
-
-    def __str__(self) -> str:
-        if self.den == 1:
-            return str(self.num)
-        return f"{self.num}/{self.den}"
+        """Exact |self - other|, as an ExtRat."""
+        p, q = self.numerator, self.denominator
+        return ExtRat(abs(p * other.denominator - other.numerator * q), q * other.denominator)
 
 
-ONE = ExtRat(1, 1)
+ONE = ExtRat(1)
 
 
 def slope_compare(u: Vec2, v: Vec2) -> int:

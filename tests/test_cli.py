@@ -1,8 +1,10 @@
 """Tests for the command-line interface, from parsing to exit codes."""
 
+import argparse
 import ast
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from affmon.cli import (
     SOLVER_DIM3_STAR,
     SOLVER_ORACLE,
     Query,
+    _approx,
     main,
     parse_monoid,
     parse_vector,
@@ -34,7 +37,7 @@ from affmon.errors import (
     StarRequiredError,
     ZeroGeneratorError,
 )
-from affmon.rationals import Vec2
+from affmon.rationals import ExtRat, Vec2
 
 
 STAR_TEXT = "0,1;1,2;3,5"
@@ -65,12 +68,31 @@ class TestParsing:
         with pytest.raises(MonoidParseError) as exc:
             parse_monoid("0,1;-1,2")
         assert exc.value.offset == 4
+        assert str(exc.value) == "coordinates must be nonnegative (offset 4)"
         with pytest.raises(MonoidParseError) as exc:
             parse_vector("6")
         assert exc.value.offset == 0
         with pytest.raises(MonoidParseError) as exc:
             parse_vector("6,")
         assert exc.value.offset == 2
+
+    # int() alone reads each of these as a number: an underscore, a plus
+    # sign, full-width "13" and Arabic-Indic "6".
+    @pytest.mark.parametrize("bad", ["1_3", "+6", "\uff11\uff13", "\u0666"])
+    @pytest.mark.parametrize(
+        "parse, template, offset",
+        [(parse_monoid, "0,1;2, {} ", 7), (parse_vector, " {} ,13", 1)],
+        ids=["generator", "vector"],
+    )
+    def test_coordinates_are_ascii_digits(self, bad, parse, template, offset):
+        with pytest.raises(MonoidParseError) as exc:
+            parse(template.format(bad))
+        assert exc.value.offset == offset
+        assert str(exc.value) == f"{bad!r} is not an integer (offset {offset})"
+
+    def test_non_digit_coordinate_exits_two(self, capsys):
+        assert main(["check", STAR_TEXT, "6,1_3"]) == 2
+        assert capsys.readouterr().err == "error[SyntaxError]: '1_3' is not an integer (offset 2)\n"
 
 
 def q(command, monoid, vector, **kw):
@@ -404,6 +426,19 @@ class TestMain:
         assert "branch: low-slope" in out
         assert "shortest: (3, 0, 2)  length=5" in out
 
+    def test_calls_share_one_parser(self, capsys, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recording(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        assert main(["check", STAR_TEXT, "6,13"]) == 0
+        assert main(["elasticity", STAR_TEXT, "6,13", "--json"]) == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
     def test_oracle_subcommand(self, capsys):
         assert main(["oracle", "0,1;11,10;10,3", "199,119"]) == 1
         out = capsys.readouterr().out
@@ -434,6 +469,11 @@ HUGE_ARGS = [f"0,1;1,1;{HUGE},{HUGE - 1}", f"{HUGE},{HUGE}", "--approx"]
 
 
 class TestApproxBeyondFloatRange:
+    def test_approx(self):
+        assert _approx(ExtRat(7, 5)) == pytest.approx(1.4)
+        assert _approx(ExtRat(10**400, 3)) == math.inf  # beyond float range
+        assert _approx(ExtRat(10**400, 10**399)) == pytest.approx(10.0)
+
     def test_human_output_reads_inf(self, capsys):
         assert main(["elasticity", *HUGE_ARGS]) == 0
         out = capsys.readouterr().out

@@ -1,6 +1,8 @@
 """Exact rational arithmetic and the slope order."""
 
-import math
+import copy
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -45,7 +47,7 @@ class TestVec2:
 class TestExtRat:
     def test_stored_in_lowest_terms(self):
         assert ExtRat(21, 15) == ExtRat(7, 5)
-        assert ExtRat(21, 15).num == 7
+        assert ExtRat(21, 15).numerator == 7
         assert ExtRat(4, 2) == ExtRat(2, 1)
 
     def test_zero_denominator_is_rejected(self):
@@ -70,10 +72,28 @@ class TestExtRat:
         assert ExtRat(4, 3).abs_diff(ExtRat(7, 5)) == ExtRat(1, 15)
         assert ExtRat(7, 5).abs_diff(ExtRat(7, 5)) == ExtRat(0, 1)
 
-    def test_approx(self):
-        assert ExtRat(7, 5).approx() == pytest.approx(1.4)
-        assert ExtRat(10**400, 3).approx() == math.inf  # beyond float range
-        assert ExtRat(10**400, 10**399).approx() == pytest.approx(10.0)
+    def test_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            ExtRat(1.5)
+        with pytest.raises(TypeError):
+            ExtRat(Fraction(1, 2))
+
+    def test_pickle_and_deepcopy_keep_the_type(self):
+        value = ExtRat(7, 5)
+        pickled = [pickle.loads(pickle.dumps(value, n)) for n in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in (*pickled, copy.copy(value), copy.deepcopy(value)):
+            assert copied == value
+            assert type(copied) is ExtRat
+
+    @given(st.integers(0, 10**6), st.integers(1, 10**6), st.integers(0, 10**6), st.integers(1, 10**6))
+    def test_behaves_like_fraction(self, p, q, r, s):
+        a, b = ExtRat(p, q), ExtRat(r, s)
+        fa, fb = Fraction(p, q), Fraction(r, s)
+        assert a == fa and str(a) == str(fa) and hash(a) == hash(fa)
+        ops = (operator.lt, operator.le, operator.eq, operator.ge, operator.gt)
+        assert [op(a, b) for op in ops] == [op(fa, fb) for op in ops]
+        assert a.abs_diff(b) == abs(a - b)
+        assert type(a.abs_diff(b)) is ExtRat
 
     def test_str_and_parse(self):
         # str prints "p/q" in lowest terms, or "p" for an integer, which
@@ -85,7 +105,7 @@ class TestExtRat:
 
     @given(ext_rats())
     def test_parse_round_trips(self, value):
-        assert Fraction(str(value)) == Fraction(value.num, value.den)
+        assert Fraction(str(value)) == Fraction(value.numerator, value.denominator)
 
     @given(ext_rats(), ext_rats(), ext_rats())
     def test_total_order(self, p, q, r):
