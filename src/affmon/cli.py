@@ -20,7 +20,8 @@ before any work.  Canonical entries then stay near 2,000 digits and LFT
 coefficients near 4,000, under CPython's 4,300-digit int-to-str limit.
 
 Exit codes: 0 when the query succeeded (member / value computed), 1 when the
-result says "member": False or a NotMember error is raised, 2 for input errors.
+result says "member": False or a NotMember error is raised, 2 for input errors,
+141 (128 + SIGPIPE) when the reader closed stdout before the output was written.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -72,6 +74,11 @@ MAX_DIGITS = 1000  # per input coordinate
 # parsing
 
 
+def _is_digits(text: str) -> bool:
+    # int() would also take "1_3", "+6" and non-ASCII digits.
+    return text.isascii() and text.isdigit()
+
+
 def _parse_component(part: str, base: int) -> int:
     stripped = part.strip()
     if not stripped:
@@ -80,9 +87,7 @@ def _parse_component(part: str, base: int) -> int:
     if len(stripped) > MAX_DIGITS:
         # Checked before int(); the message does not echo the input.
         raise InputTooLargeError(f"coordinate at offset {pos} is longer than {MAX_DIGITS} digits")
-    digits = stripped.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        # int() would also take "1_3", "+6" and non-ASCII digits.
+    if not _is_digits(stripped.removeprefix("-")):
         raise MonoidParseError(f"{stripped!r} is not an integer", pos)
     value = int(stripped)
     if value < 0:
@@ -394,10 +399,11 @@ def render(report: Report, output: str) -> str:
 
 
 def _positive_int(text: str) -> int:
+    digits = text.strip()
     try:
-        value = int(text)
+        value = int(digits) if _is_digits(digits) else 0
     except ValueError:
-        value = 0  # not an integer: refused with the same message
+        value = 0  # past CPython's int-to-str digit limit: refused with the same message
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
@@ -452,13 +458,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         report = run(query)
     except AffmonError as exc:
-        if query.output == "json":
-            print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}))
-        else:
+        code = 1 if isinstance(exc, NotMemberError) else 2
+        if query.output != "json":
             print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, NotMemberError) else 2
-    print(render(report, query.output))
-    return report.exit_code
+            return code
+        text = json.dumps({"error": {"code": exc.code, "message": str(exc)}})
+    else:
+        text, code = render(report, query.output), report.exit_code
+    try:
+        print(text)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+    except BrokenPipeError:
+        # Point fd 1 at devnull so the interpreter's exit flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a writer stopped by it
+    return code
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ positive, so the search space is finite and the enumeration is complete.
 
 This module is deliberately independent of the closed-form solvers -- it
 shares only the Vec2/Factorization value types -- so it can serve as ground
-truth in tests.  The only liberties taken are orderings and solving the final
-one or two multiplicities by divisibility instead of looping, which prunes
-nothing that could have succeeded.
+truth in tests.  The only liberties taken are orderings, solving the final
+multiplicity by divisibility and the final two by Cramer's rule (looping one
+of them only when the two generators are parallel), which prunes nothing that
+could have succeeded.
 """
 
 from __future__ import annotations
@@ -50,46 +51,23 @@ def _bound(rx: int, ry: int, gx: int, gy: int) -> int:
 
 
 def _solve_single(rx: int, ry: int, gx: int, gy: int) -> Optional[int]:
-    # The unique m with m * (gx, gy) == (rx, ry), if it exists.
-    if rx < 0 or ry < 0:
-        return None
-    if gx:
-        if rx % gx:
-            return None
-        m = rx // gx
-        return m if m * gy == ry else None
-    if rx:
-        return None
-    return ry // gy if ry % gy == 0 else None
+    # The unique m with m * (gx, gy) == (rx, ry), if it exists; rx, ry >= 0.
+    m = _bound(rx, ry, gx, gy)
+    return m if m * gx == rx and m * gy == ry else None
 
 
 def _pair_solutions(rx: int, ry: int, g: tuple[int, int], h: tuple[int, int]) -> list[tuple[int, int]]:
-    # All (mg, mh) with mg * g + mh * h == (rx, ry).
+    # All (mg, mh) with mg * g + mh * h == (rx, ry); rx, ry >= 0.
     gx, gy = g
     hx, hy = h
-    if gx > 0 and hx == 0:
-        # mg is forced by the x coordinate.
-        if rx % gx:
-            return []
-        mg = rx // gx
-        mh = _solve_single(0, ry - mg * gy, hx, hy)
-        return [(mg, mh)] if mh is not None and ry - mg * gy >= 0 else []
-    if hx > 0 and gx == 0:
-        return [(mg, mh) for mh, mg in _pair_solutions(rx, ry, h, g)]
-    if gy > 0 and hy == 0:
-        # mg is forced by the y coordinate.
-        if ry % gy:
-            return []
-        mg = ry // gy
-        mh = _solve_single(rx - mg * gx, 0, hx, hy)
-        return [(mg, mh)] if mh is not None and rx - mg * gx >= 0 else []
-    if hy > 0 and gy == 0:
-        return [(mg, mh) for mh, mg in _pair_solutions(rx, ry, h, g)]
-    if gx == 0 and hx == 0 and rx:
-        return []
-    # Nothing is forced: loop the generator with the smaller range.
-    if _bound(rx, ry, hx, hy) < _bound(rx, ry, gx, gy):
-        return [(mg, mh) for mh, mg in _pair_solutions(rx, ry, h, g)]
+    det = gx * hy - hx * gy
+    if det:
+        # Cramer's rule: the one rational solution, kept if it lies in N0^2.
+        mg, rem_g = divmod(rx * hy - hx * ry, det)
+        mh, rem_h = divmod(gx * ry - rx * gy, det)
+        return [(mg, mh)] if rem_g == rem_h == 0 and mg >= 0 and mh >= 0 else []
+    # Parallel: the search order puts the longer of the two first, so looping
+    # g walks the smaller range.
     out = []
     for mg in range(_bound(rx, ry, gx, gy) + 1):
         mh = _solve_single(rx - mg * gx, ry - mg * gy, hx, hy)

@@ -382,10 +382,12 @@ class TestMain:
         assert len(payload["result"]["rows"]) == 3
 
     def test_k_max_that_is_not_an_integer_is_refused(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["scan", STAR_TEXT, "7,13", "--k-max", "abc"])
-        assert exc.value.code == 2
-        assert "argument --k-max: must be a positive integer" in capsys.readouterr().err
+        # The coordinate rule: int() alone would take all but "abc".
+        for k_max in ("abc", "1_0", "+5", "\uff11\uff10", "\u0662"):
+            with pytest.raises(SystemExit) as exc:
+                main(["scan", STAR_TEXT, "7,13", "--k-max", k_max])
+            assert exc.value.code == 2
+            assert "argument --k-max: must be a positive integer" in capsys.readouterr().err
 
     def test_k_max_below_one_is_refused(self, capsys):
         for k_max in ("0", "-3"):
@@ -557,18 +559,37 @@ class TestInputSize:
             parse_vector(f"{10**1000},1")
 
 
-def test_module_entry_point():
+def _child_env() -> dict:
     # The child imports the same affmon as this process, however that was found.
     src = str(Path(affmon.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "affmon", "check", STAR_TEXT, "6,13"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "member: yes" in proc.stdout
+
+
+def test_reader_closing_the_pipe_exits_141_without_traceback():
+    # About 550 KB of CSV, far more than a pipe holds, so the child is still
+    # writing when the reader closes its end after one line (`| head -1`).
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "affmon", "scan", STAR_TEXT, "7,13", "--k-max", "20000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    assert proc.stdout.readline() == b"k,rho_exact,rho_limit,gap\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait() == 141
 
 
 def test_no_assert_statements_in_the_package():

@@ -62,17 +62,25 @@ class TestEnumerate:
         assert {f.mults for f in fs.facts} == {(4, 0), (2, 1), (0, 2)}
 
     def test_completeness_against_full_grid(self):
-        # Every multiplicity vector in a small box is found iff it hits the
-        # target: the enumeration is complete, not just sound.
-        g = gens((1, 1), (1, 2), (2, 1))
-        for target in [Vec2(4, 4), Vec2(5, 3), Vec2(3, 6), Vec2(2, 2)]:
-            expected = {
-                m
-                for m in itertools.product(range(7), repeat=3)
-                if multiply_back(g, m) == target
-            }
-            fs = enumerate_factorizations(g, target)
-            assert {f.mults for f in fs.facts} == expected
+        # Every multiplicity vector in a box is found iff it multiplies back to
+        # the target: the enumeration is complete, not just sound.  The cases
+        # are every ordered list of one or two generators with entries <= 3
+        # (single, equal, parallel, axis, off-axis and non-coprime ones) and
+        # every set of three with entries <= 2, at every target <= 6.
+        def nonzero(top):
+            return [(x, y) for x in range(top + 1) for y in range(top + 1) if (x, y) != (0, 0)]
+
+        cases = [pairs for n in (1, 2) for pairs in itertools.product(nonzero(3), repeat=n)]
+        cases += itertools.combinations(nonzero(2), 3)
+        for pairs in cases:
+            g = gens(*pairs)
+            # Each generator has an entry >= 1, so no multiplicity exceeds 6.
+            expected: dict = {}
+            for m in itertools.product(range(7), repeat=len(g)):
+                expected.setdefault(multiply_back(g, m), set()).add(m)
+            for target in (Vec2(x, y) for x in range(7) for y in range(7)):
+                fs = enumerate_factorizations(g, target)
+                assert {f.mults for f in fs.facts} == expected.get(target, set()), (pairs, target)
 
     @given(
         st.lists(
