@@ -11,8 +11,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import affmon
+from affmon import cli
 from affmon.cli import (
     SOLVER_DIM2,
     SOLVER_DIM3,
@@ -20,6 +22,7 @@ from affmon.cli import (
     SOLVER_ORACLE,
     Query,
     _approx,
+    _json_text,
     main,
     parse_monoid,
     parse_vector,
@@ -496,6 +499,78 @@ class TestApproxBeyondFloatRange:
         assert "Infinity" not in out
         result = json.loads(out)["result"]
         assert (result["rho_limit"], result["approx"]) == (str(HUGE // 2), None)
+
+
+# Nested JSON values with ints past 64 bits, finite floats, and text with
+# quotes, backslashes, control and non-ASCII characters.
+JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028\xe9\U0001f600'))
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**300), 10**300)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+# One query per report shape: every subcommand, members and non-members,
+# and --approx at and beyond float range.
+JSON_QUERIES = [
+    pytest.param("check", STAR_TEXT, "6,13", {}, id="check-member"),
+    pytest.param("check", WORKED_TEXT, "199,119", {}, id="check-non-member"),
+    pytest.param("check", STAR_TEXT, "1,0", {}, id="check-out-of-cone"),
+    pytest.param("check", DIM2_TEXT, "6,5", {}, id="check-dim2"),
+    pytest.param("factorize", STAR_TEXT, "6,13", {}, id="factorize-one"),
+    pytest.param("factorize", STAR_TEXT, "6,13", {"mode": "all"}, id="factorize-all"),
+    pytest.param("factorize", STAR_TEXT, "6,9", {"mode": "all"}, id="factorize-all-non-member"),
+    pytest.param("factorize", STAR_TEXT, "6,13", {"mode": "extremes"}, id="extremes-dim3"),
+    pytest.param("factorize", DIM2_TEXT, "6,5", {"mode": "extremes"}, id="extremes-dim2"),
+    pytest.param("elasticity", STAR_TEXT, "6,13", {"approx": True}, id="elasticity"),
+    pytest.param("elasticity", DIM2_TEXT, "6,5", {}, id="elasticity-dim2"),
+    pytest.param("elasticity", *HUGE_ARGS[:2], {"approx": True}, id="elasticity-approx-overflow"),
+    pytest.param("limit", STAR_TEXT, "7,13", {"approx": True}, id="limit"),
+    pytest.param("limit", *HUGE_ARGS[:2], {"approx": True}, id="limit-approx-overflow"),
+    pytest.param("scan", STAR_TEXT, "7,13", {"k_max": 6, "approx": True}, id="scan"),
+    pytest.param("oracle", STAR_TEXT, "6,13", {"approx": True}, id="oracle-member"),
+    pytest.param("oracle", STAR_TEXT, "6,9", {}, id="oracle-non-member"),
+    pytest.param("oracle", STAR_TEXT, "0,0", {}, id="oracle-zero"),
+]
+
+
+class TestJsonText:
+    """``render_json`` prints exactly what ``json.dumps(payload, indent=2)`` does."""
+
+    @given(JSON_VALUES)
+    def test_equals_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("command, monoid, vector, fields", JSON_QUERIES)
+    def test_every_report_equals_json_dumps(self, monkeypatch, command, monoid, vector, fields):
+        report = run(q(command, monoid, vector, output="json", **fields))
+        text = render_json(report)
+        monkeypatch.setattr(cli, "_json_text", lambda value: json.dumps(value, indent=2))
+        assert text == render_json(report)
+        if vector == HUGE_ARGS[1]:  # rho is beyond float range
+            assert '"approx": null' in text
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [{"a": math.inf}]])
+    def test_non_finite_float_raises(self, value):
+        with pytest.raises(ValueError, match="no strict JSON form"):
+            _json_text(value)
+
+    @pytest.mark.parametrize("value", [{1: 2}, {None: 1}, [{"a": {(1, 2): 3}}]])
+    def test_non_str_key_raises(self, value):
+        with pytest.raises(TypeError, match="keys must be str"):
+            _json_text(value)
+
+    @pytest.mark.parametrize(
+        "value", [(1, 2), {1, 2}, ExtRat(7, 5), Vec2(1, 2), b"x", ["ok", (1,)]]
+    )
+    def test_unsupported_type_raises(self, value):
+        with pytest.raises(TypeError, match="is not a JSON type"):
+            _json_text(value)
 
 
 # The largest X with every coordinate of <(0,1), (1,2), (X, 2X-1)> and of

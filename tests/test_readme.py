@@ -29,8 +29,8 @@ def _cli_samples() -> list[tuple[str, str]]:
 CLI_SAMPLES = _cli_samples()
 
 
-def test_the_cli_section_has_six_samples():
-    assert len(CLI_SAMPLES) == 6
+def test_the_cli_section_has_seven_samples():
+    assert len(CLI_SAMPLES) == 7
     assert all(command.startswith("affmon ") for command, _ in CLI_SAMPLES)
 
 
