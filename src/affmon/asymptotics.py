@@ -11,15 +11,17 @@ where tau = sign(c - a - 1) and the exponent -1 means the reciprocal, which
 keeps every value >= 1.  The k -> infinity limit of the elasticity equals the
 same expressions, so it is a linear fractional transformation of (x, y),
 exposed here as ``LimitLFT``.  ``scan_multiples`` tabulates exact values
-against the limit for empirical convergence studies.  It computes the limit
-once and each exact value from the factorization line of k*s in plain ints
-(``solve3._extreme_lengths``, multiply-back checked at both ends), so a row
-builds two ``ExtRat``s (the exact value and the gap) and its ``ScanRow``.
+against the limit for empirical convergence studies.  ``_scan_terms``
+computes the limit once and each row on plain ints: the extreme lengths of
+k*s (``solve3._extreme_lengths``, multiply-back checked at both ends), then
+the exact value and its gap, each reduced by one ``gcd``.  The CLI prints
+those ints; ``scan_multiples`` wraps them in ``ExtRat``s and ``ScanRow``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import (
     NotMemberError,
@@ -172,15 +174,26 @@ class ScanRow:
     gap: ExtRat
 
 
-def scan_multiples(m: CanonicalMonoid3, s: Vec2, k_max: int) -> list[ScanRow]:
-    """Exact elasticity of k*s for k = 1..k_max, with gaps to the limit."""
+def _scan_terms(m: CanonicalMonoid3, s: Vec2, k_max: int) -> tuple[ExtRat, list[tuple]]:
+    """The limit, and for k = 1..k_max the term (k, p, q, n, d) with
+    rho(k*s) = p/q and |limit - p/q| = n/d, both in lowest terms."""
     if k_max < 1:
         raise ValueError("k_max must be a positive integer")
     _, limit = rho_limit(m, s)
+    ln, ld = limit.numerator, limit.denominator
     x, y = s.x, s.y
-    rows = []
+    terms = []
     for k in range(1, k_max + 1):
         lo, hi = _extreme_lengths(m, k * x, k * y)
-        exact = ExtRat(hi, lo)
-        rows.append(ScanRow(k=k, rho_exact=exact, rho_limit=limit, gap=limit.abs_diff(exact)))
-    return rows
+        g = gcd(hi, lo)
+        p, q = hi // g, lo // g
+        n, d = abs(ln * q - p * ld), ld * q
+        g = gcd(n, d)
+        terms.append((k, p, q, n // g, d // g))
+    return limit, terms
+
+
+def scan_multiples(m: CanonicalMonoid3, s: Vec2, k_max: int) -> list[ScanRow]:
+    """Exact elasticity of k*s for k = 1..k_max, with gaps to the limit."""
+    limit, terms = _scan_terms(m, s, k_max)
+    return [ScanRow(k, ExtRat(p, q), limit, ExtRat(n, d)) for k, p, q, n, d in terms]

@@ -5,11 +5,13 @@ vectors as a single pair ("6,13"); whitespace is ignored.  ``run`` is the
 one place that routes a query and builds its ``Report``: it parses,
 canonicalizes, and sends two generators to ``solve2`` and three to
 ``solve3`` (``limit`` and ``scan`` to ``asymptotics``, for star monoids
-only); ``oracle`` alone runs the brute-force enumeration, on the raw
-generators.  The solver label is ``oracle`` for ``oracle``,
-``dim3-star-theorem`` for ``limit`` and ``scan``, else ``dim2-theorem`` or
-``dim3-line`` by the canonical monoid's type.  The answer is printed as a
-human-readable report, a JSON report (--json), or CSV for ``scan``.
+only; ``scan`` takes its rows as plain ints from ``_scan_terms`` and prints
+them with ``_ratio_text``); ``oracle`` alone runs the brute-force
+enumeration, on the raw generators.  The solver label is ``oracle`` for
+``oracle``, ``dim3-star-theorem`` for ``limit`` and ``scan``, else
+``dim2-theorem`` or ``dim3-line`` by the canonical monoid's type.  The
+answer is printed as a human-readable report, a JSON report (--json), or
+CSV for ``scan``.
 The JSON report is what ``json.dumps(payload, indent=2)`` prints, byte for
 byte: two-space indent, ASCII escapes, keys in insertion order.
 ``_json_text`` writes it directly, because given an indent ``json`` drops to
@@ -60,7 +62,7 @@ from .monoids import (
     canonicalize,
     validate_minimal_generation,
 )
-from .asymptotics import SCAN_CSV_HEADER, rho_limit, scan_multiples
+from .asymptotics import SCAN_CSV_HEADER, _scan_terms, rho_limit
 from .oracle import enumerate_factorizations
 from .rationals import ExtRat, Vec2
 from .solve2 import elasticity2, member2
@@ -222,12 +224,12 @@ def _solve(query: Query, m: Monoid, cs: Optional[Vec2]) -> dict:
     if command == "scan":
         if query.k_max is None or query.k_max < 1:
             raise ValueError("scan needs --k-max >= 1")
-        rows = scan_multiples(m, cs, query.k_max)
-        limit = str(rows[0].rho_limit)
+        limit, terms = _scan_terms(m, cs, query.k_max)
+        lim = str(limit)
         return {
             "rows": [
-                {"k": r.k, "rho_exact": str(r.rho_exact), "rho_limit": limit, "gap": str(r.gap)}
-                for r in rows
+                {"k": k, "rho_exact": _ratio_text(p, q), "rho_limit": lim, "gap": _ratio_text(n, d)}
+                for k, p, q, n, d in terms
             ]
         }
     if command == "limit":
@@ -243,6 +245,11 @@ def _solve(query: Query, m: Monoid, cs: Optional[Vec2]) -> dict:
     if query.approx:
         result["approx"] = _approx(value)
     return result
+
+
+def _ratio_text(p: int, q: int) -> str:
+    """``str(Fraction(p, q))`` for p/q already in lowest terms."""
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def _oracle(gens: tuple[Vec2, ...], vec: Vec2, approx: bool) -> dict:

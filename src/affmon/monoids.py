@@ -57,7 +57,8 @@ class CanonicalMonoid3:
     """Monoid generated by (0, 1), (a, b), (c, d), in canonical coordinates.
 
     Slope order is part of the invariant: 0 < a/b < c/d (compared by
-    cross-multiplication, so d = 0 meaning infinite slope is fine).
+    cross-multiplication, so d = 0 meaning infinite slope is fine).  It
+    caches ``gens`` and ``line_consts``, the constants of ``solve3``'s line.
     """
 
     a: int
@@ -85,6 +86,14 @@ class CanonicalMonoid3:
     def gens(self) -> tuple[Vec2, Vec2, Vec2]:
         """Built once per monoid; not a field, so equality and hashing ignore it."""
         return (Vec2(0, 1), Vec2(self.a, self.b), Vec2(self.c, self.d))
+
+    @functools.cached_property
+    def line_consts(self) -> tuple[int, int, int, int, int]:
+        """(g, c/g, a/g, D/g, (a/g)^-1 mod c/g) for g = gcd(a, c), D = b*c - a*d;
+        built once per monoid and, like ``gens``, ignored by equality and hashing."""
+        g = gcd(self.a, self.c)
+        c_g, a_g = self.c // g, self.a // g
+        return g, c_g, a_g, (self.b * self.c - self.a * self.d) // g, pow(a_g, -1, c_g)
 
 
 Monoid = Union[CanonicalMonoid2, CanonicalMonoid3]

@@ -18,10 +18,12 @@ along which the length changes by (c - a - D)/g per step.  This yields
 closed-form membership, extreme lengths and elasticity for every monoid; the
 paper's star theorem (b*c - a*d = 1) is the case g = D = 1.
 
-The line is computed on plain ints.  Every factorization handed out is
-multiplied back by ``Factorization.checked``; ``_extreme_lengths``, which
-serves scans over many multiples, runs the same check on ints at both ends
-j = 0 and j = J and returns only the two lengths.
+The line is computed on plain ints, from the constants g, c/g, a/g, D/g and
+(a/g)^-1 mod c/g that ``CanonicalMonoid3.line_consts`` computes once per
+monoid.  Every factorization handed out is multiplied back by
+``Factorization.checked``; ``_extreme_lengths``, which serves scans over many
+multiples, runs the same check on ints at both ends j = 0 and j = J and
+returns only the two lengths.
 """
 
 from __future__ import annotations
@@ -68,10 +70,14 @@ def canonical_rep(a: int, c: int, x: int) -> Optional[tuple[int, int]]:
     if x < 0:
         raise ValueError("x must be nonnegative")
     g = gcd(a, c)
+    return _canonical_rep(a, c, g, c // g, pow(a // g, -1, c // g), x)
+
+
+def _canonical_rep(a: int, c: int, g: int, c_g: int, inv: int, x: int) -> Optional[tuple[int, int]]:
+    """``canonical_rep`` given g, c/g and inv = (a/g)^-1 mod c/g, unchecked."""
     if x % g:
         return None
-    step = c // g
-    alpha = (x // g) * pow(a // g, -1, step) % step
+    alpha = (x // g) * inv % c_g
     beta = (x - alpha * a) // c
     return None if beta < 0 else (alpha, beta)
 
@@ -85,7 +91,8 @@ def _line(m: CanonicalMonoid3, x: int, y: int) -> Union[Membership, _Line]:
     """The factorization line of (x, y), or the non-member verdict with its reason."""
     if x * m.d > y * m.c:
         return Membership(member=False, factorizations=(), reason=PHI_OUT_OF_RANGE)
-    rep = canonical_rep(m.a, m.c, x)
+    g, c_g, a_g, d_g, inv = m.line_consts
+    rep = _canonical_rep(m.a, m.c, g, c_g, inv, x)
     if rep is None:
         return Membership(member=False, factorizations=(), reason=X_NOT_REPRESENTABLE)
     alpha, beta = rep
@@ -94,10 +101,8 @@ def _line(m: CanonicalMonoid3, x: int, y: int) -> Union[Membership, _Line]:
         # x is representable, but even the canonical representation, which
         # has the largest delta, leaves no room for (0, 1).
         return Membership(member=False, factorizations=())
-    g = gcd(m.a, m.c)
-    d_step, a_step = (m.b * m.c - m.a * m.d) // g, m.a // g
-    j_max = min(beta // a_step, dlt // d_step)
-    return dlt, alpha, beta, j_max, (-d_step, m.c // g, -a_step)
+    j_max = min(beta // a_g, dlt // d_g)
+    return dlt, alpha, beta, j_max, (-d_g, c_g, -a_g)
 
 
 def _fact(gens: tuple[Vec2, ...], s: Vec2, line: _Line, j: int) -> Factorization:

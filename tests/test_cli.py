@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from affmon.cli import (
     Query,
     _approx,
     _json_text,
+    _ratio_text,
     main,
     parse_monoid,
     parse_vector,
@@ -40,8 +42,12 @@ from affmon.errors import (
     StarRequiredError,
     ZeroGeneratorError,
 )
+from affmon.asymptotics import SCAN_CSV_HEADER, scan_multiples
+from affmon.intlin import IDENTITY
+from affmon.monoids import canonical_coords
 from affmon.rationals import ExtRat, Vec2
 
+from conftest import members3, star_monoids
 
 STAR_TEXT = "0,1;1,2;3,5"
 WORKED_TEXT = "0,1;11,10;10,3"
@@ -275,6 +281,36 @@ class TestRunScan:
         assert lines[0] == "k,rho_exact,rho_limit,gap"
         assert lines[1] == "1,5/4,15/11,5/44"
         assert lines[3] == "3,15/11,15/11,0"
+
+    @given(data=st.data())
+    def test_rows_are_scan_multiples_through_a_transform(self, data):
+        # The star monoid is presented sheared, (x, y) -> (x + t*y, y), so
+        # canonicalize has to undo a non-identity transform.
+        m0 = data.draw(star_monoids(max_a=5, max_b=5, max_extra=2))
+        s0 = data.draw(members3(m0, max_mult=4))
+        t = data.draw(st.integers(1, 3))
+        k_max = data.draw(st.integers(1, 40))
+        monoid_text = ";".join(f"{g.x + t * g.y},{g.y}" for g in m0.gens)
+        report = run(q("scan", monoid_text, f"{s0.x + t * s0.y},{s0.y}", k_max=k_max))
+        m = report.canonical
+        assert m.transform != IDENTITY
+        rows = scan_multiples(m, canonical_coords(m, report.input), k_max)
+        expected = [
+            {"k": r.k, "rho_exact": str(r.rho_exact), "rho_limit": str(r.rho_limit),
+             "gap": str(r.gap)}
+            for r in rows
+        ]
+        assert report.result["rows"] == expected
+        csv = [SCAN_CSV_HEADER] + [f"{r.k},{r.rho_exact},{r.rho_limit},{r.gap}" for r in rows]
+        assert render_csv(report) == "\n".join(csv)
+        assert json.loads(render_json(report))["result"]["rows"] == expected
+
+    def test_ratio_text_is_the_fraction_str(self):
+        big_p, big_q = 10**1999 + 1, 10**2000 - 3  # coprime, about 2,000 digits each
+        assert math.gcd(big_p, big_q) == 1
+        pairs = [(0, 1), (1, 1), (7, 5), (5, 1), (big_p, 1), (big_p, big_q), (big_q, big_p)]
+        for num, den in pairs:
+            assert _ratio_text(num, den) == str(Fraction(num, den))
 
     def test_csv_refused_for_other_commands(self):
         report = run(q("check", STAR_TEXT, "6,13"))

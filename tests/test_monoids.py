@@ -208,3 +208,16 @@ class TestConstructorInvariants:
         assert m.gens[0] == Vec2(0, 1)
         assert m == fresh and hash(m) == hash(fresh)
         assert "gens" not in repr(m)
+
+    @pytest.mark.parametrize("t", canonical_triples(4))
+    def test_line_constants_are_built_once_and_stay_out_of_equality(self, t):
+        m = CanonicalMonoid3(*t, transform=IDENTITY)
+        fresh = CanonicalMonoid3(*t, transform=IDENTITY)
+        before = hash(m)
+        g, c_g, a_g, d_g, inv = m.line_consts
+        assert m.line_consts is m.line_consts
+        a, b, c, d = t
+        assert (g, c_g, a_g, d_g) == (gcd(a, c), c // g, a // g, (b * c - a * d) // g)
+        assert 0 <= inv < c_g and (a_g * inv - 1) % c_g == 0
+        assert m == fresh and hash(m) == hash(fresh) == before
+        assert "line_consts" not in repr(m)

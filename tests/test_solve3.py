@@ -24,7 +24,7 @@ from affmon.solve3 import (
     member3_general,
 )
 
-from conftest import canonical_monoids3, members3, star_monoids, vecs
+from conftest import canonical_monoids3, canonical_triples, members3, star_monoids, vecs
 
 
 # Star monoid (b*c - a*d = 1) used throughout; lengths grow with t.
@@ -76,6 +76,32 @@ class TestCanonicalRep:
             assert 0 <= alpha < c // gcd(a, c)
             assert beta >= 0
             assert alpha * a + beta * c == x
+
+
+class TestLine:
+    def test_starts_at_canonical_rep_with_the_same_verdicts(self):
+        # _line reads gcd(a, c), the steps and the inverse off the monoid;
+        # canonical_rep computes them itself.  Per x: the least y in the cone
+        # (delta may be negative there), one y below it, and a y large enough
+        # for every representation's delta to be nonnegative.
+        for t in canonical_triples(6):
+            m = CanonicalMonoid3(*t, transform=IDENTITY)
+            a, b, c, d = t
+            for x in range(61):
+                y_min = -(-x * d // c)
+                for y in (y_min - 1, y_min, x * (b + d)):
+                    if y < 0:
+                        continue
+                    line, rep = solve3._line(m, x, y), canonical_rep(a, c, x)
+                    if x * d > y * c:
+                        assert line.reason == PHI_OUT_OF_RANGE
+                    elif rep is None:
+                        assert not line.member and line.reason == X_NOT_REPRESENTABLE
+                    elif y - rep[0] * b - rep[1] * d < 0:
+                        assert not line.member and line.reason is None
+                    else:
+                        assert line[1:3] == rep
+                        assert line[0] == y - rep[0] * b - rep[1] * d
 
 
 class TestDelta:
