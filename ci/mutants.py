@@ -1,0 +1,167 @@
+"""Check that the test suite kills every mutant in ``MUTANTS``.
+
+Usage: python ci/mutants.py
+
+Each entry is (file under src/affmon, exact source snippet, replacement,
+test files).  For each one the runner copies ``src/`` and ``tests/`` into a
+fresh temporary directory, requires the snippet to occur exactly once in the
+file, applies the replacement and runs the named test files with
+``pytest -x``.  A mutant whose tests all pass has survived, and the runner
+exits 1.  The unmutated copy runs the same test files first, so a failure
+unrelated to the mutant never counts as a kill.
+
+A survivor is a finding: add a test that kills it.  Never delete an entry to
+make the run pass.  Needs only the standard library, pytest and hypothesis.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MUTANTS = [
+    # The gap denominator of a scan row: ld in place of ld * q.
+    (
+        "asymptotics.py",
+        "n, d = abs(ln * q - p * ld), ld * q",
+        "n, d = abs(ln * q - p * ld), ld",
+        ["test_asymptotics.py"],
+    ),
+    # The gap left unreduced: the second gcd of a scan row dropped.
+    (
+        "asymptotics.py",
+        "rows.append((k, p, q, n // g, d // g))",
+        "rows.append((k, p, q, n, d))",
+        ["test_asymptotics.py"],
+    ),
+    # count one past the end of the line: J + 2 points.
+    (
+        "solve3.py",
+        "min(beta // a_g, dlt // d_g) + 1",
+        "min(beta // a_g, dlt // d_g) + 2",
+        ["test_solve3.py"],
+    ),
+    # count one short: the j = J point is lost.
+    (
+        "solve3.py",
+        "min(beta // a_g, dlt // d_g) + 1",
+        "min(beta // a_g, dlt // d_g)",
+        ["test_solve3.py"],
+    ),
+    # The multiply-back at the j = count - 1 end skipped.
+    (
+        "solve3.py",
+        "len_j = _checked_length(m, x, y, u + j * du, v + j * dv, w + j * dw)",
+        "len_j = u + j * du + v + j * dv + w + j * dw",
+        ["test_solve3.py"],
+    ),
+    # D not divided by g in the line constants.
+    (
+        "monoids.py",
+        "(self.b * self.c - self.a * self.d) // g",
+        "(self.b * self.c - self.a * self.d)",
+        ["test_solve3.py"],
+    ),
+    # The oracle's Cramer branch drops solutions that do not use h.
+    (
+        "oracle.py",
+        "and mg >= 0 and mh >= 0 else []",
+        "and mg >= 0 and mh > 0 else []",
+        ["test_oracle.py"],
+    ),
+    # The multiply-back of Factorization.checked no longer compares the target.
+    (
+        "factorization.py",
+        "if x != target.x or y != target.y:",
+        "if False:",
+        ["test_factorization.py"],
+    ),
+    # A non-member of a two-generator monoid reports "not computed".
+    (
+        "solve2.py",
+        "factorizations=(), reason=DIVISIBILITY_FAILS",
+        "reason=DIVISIBILITY_FAILS",
+        ["test_solve2.py"],
+    ),
+    # The JSON writer's key separator without its space.
+    (
+        "cli.py",
+        '_json_str(k) + ": " + _json_text(v, inner)',
+        '_json_str(k) + ":" + _json_text(v, inner)',
+        ["test_cli.py"],
+    ),
+    # The JSON writer prints false as true.
+    (
+        "cli.py",
+        'return "true" if value else "false"',
+        'return "true"',
+        ["test_cli.py"],
+    ),
+    # An integer ratio printed as "p/1".
+    (
+        "cli.py",
+        'return str(p) if q == 1 else f"{p}/{q}"',
+        'return f"{p}/{q}"',
+        ["test_cli.py"],
+    ),
+]
+
+
+def _copy(dest: Path) -> None:
+    for name in ("src", "tests"):
+        shutil.copytree(
+            ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__", "*.pyc")
+        )
+
+
+def _run_tests(tree: Path, tests: list[str]) -> bool:
+    """Whether the named test files pass in ``tree``, stopping at the first failure."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           f"--rootdir={tree}", *(str(tree / "tests" / t) for t in tests)]
+    done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    return done.returncode == 0
+
+
+def _mutate(tree: Path, file: str, snippet: str, replacement: str) -> None:
+    path = tree / "src" / "affmon" / file
+    text = path.read_text()
+    found = text.count(snippet)
+    if found != 1:
+        raise SystemExit(f"{file}: snippet {snippet!r} occurs {found} times, not once")
+    path.write_text(text.replace(snippet, replacement))
+
+
+def main() -> int:
+    every_test = sorted({t for *_, tests in MUTANTS for t in tests})
+    with tempfile.TemporaryDirectory(prefix="affmon-mutants-") as tmp:
+        base = Path(tmp) / "base"
+        _copy(base)
+        if not _run_tests(base, every_test):
+            print(f"unmutated tests fail: {' '.join(every_test)}", file=sys.stderr)
+            return 2
+        survivors = 0
+        for i, (file, snippet, replacement, tests) in enumerate(MUTANTS):
+            tree = Path(tmp) / f"m{i}"
+            _copy(tree)
+            _mutate(tree, file, snippet, replacement)
+            start = time.perf_counter()
+            killed = not _run_tests(tree, tests)
+            survivors += not killed
+            verdict = "killed" if killed else "SURVIVED"
+            print(f"{verdict:8} {time.perf_counter() - start:5.1f}s  {file}: "
+                  f"{snippet!r} -> {replacement!r}")
+            shutil.rmtree(tree)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

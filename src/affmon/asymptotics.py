@@ -11,11 +11,10 @@ where tau = sign(c - a - 1) and the exponent -1 means the reciprocal, which
 keeps every value >= 1.  The k -> infinity limit of the elasticity equals the
 same expressions, so it is a linear fractional transformation of (x, y),
 exposed here as ``LimitLFT``.  ``scan_multiples`` tabulates exact values
-against the limit for empirical convergence studies.  ``_scan_terms``
-computes the limit once and each row on plain ints: the extreme lengths of
-k*s (``solve3._extreme_lengths``, multiply-back checked at both ends), then
-the exact value and its gap, each reduced by one ``gcd``.  The CLI prints
-those ints; ``scan_multiples`` wraps them in ``ExtRat``s and ``ScanRow``s.
+against the limit for empirical convergence studies, and ``affmon scan``
+prints its rows.  It computes the limit once and each row on plain ints: the
+extreme lengths of k*s (``solve3._extreme_lengths``, multiply-back checked
+at both ends), then the exact value and its gap, each reduced by one ``gcd``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .solve3 import _extreme_lengths, member3
 
 __all__ = [
     "LimitLFT",
-    "ScanRow",
     "SCAN_CSV_HEADER",
     "tau",
     "rho_special_ac",
@@ -164,36 +162,23 @@ def rho_limit(m: CanonicalMonoid3, s: Vec2) -> tuple[LimitLFT, ExtRat]:
     return lft, value
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """One row of a convergence scan: exact elasticity of k*s vs the limit."""
+def scan_multiples(m: CanonicalMonoid3, s: Vec2, k_max: int) -> tuple[ExtRat, list[tuple]]:
+    """Exact elasticity of k*s for k = 1..k_max, with gaps to the limit.
 
-    k: int
-    rho_exact: ExtRat
-    rho_limit: ExtRat
-    gap: ExtRat
-
-
-def _scan_terms(m: CanonicalMonoid3, s: Vec2, k_max: int) -> tuple[ExtRat, list[tuple]]:
-    """The limit, and for k = 1..k_max the term (k, p, q, n, d) with
-    rho(k*s) = p/q and |limit - p/q| = n/d, both in lowest terms."""
+    Returns the limit and, for each k, the row (k, p, q, n, d) with
+    rho(k*s) = p/q and |limit - p/q| = n/d, both in lowest terms.
+    """
     if k_max < 1:
         raise ValueError("k_max must be a positive integer")
     _, limit = rho_limit(m, s)
     ln, ld = limit.numerator, limit.denominator
     x, y = s.x, s.y
-    terms = []
+    rows = []
     for k in range(1, k_max + 1):
         lo, hi = _extreme_lengths(m, k * x, k * y)
         g = gcd(hi, lo)
         p, q = hi // g, lo // g
         n, d = abs(ln * q - p * ld), ld * q
         g = gcd(n, d)
-        terms.append((k, p, q, n // g, d // g))
-    return limit, terms
-
-
-def scan_multiples(m: CanonicalMonoid3, s: Vec2, k_max: int) -> list[ScanRow]:
-    """Exact elasticity of k*s for k = 1..k_max, with gaps to the limit."""
-    limit, terms = _scan_terms(m, s, k_max)
-    return [ScanRow(k, ExtRat(p, q), limit, ExtRat(n, d)) for k, p, q, n, d in terms]
+        rows.append((k, p, q, n // g, d // g))
+    return limit, rows

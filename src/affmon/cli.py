@@ -5,8 +5,8 @@ vectors as a single pair ("6,13"); whitespace is ignored.  ``run`` is the
 one place that routes a query and builds its ``Report``: it parses,
 canonicalizes, and sends two generators to ``solve2`` and three to
 ``solve3`` (``limit`` and ``scan`` to ``asymptotics``, for star monoids
-only; ``scan`` takes its rows as plain ints from ``_scan_terms`` and prints
-them with ``_ratio_text``); ``oracle`` alone runs the brute-force
+only; ``scan`` takes its rows as plain ints from ``scan_multiples`` and
+prints them with ``_ratio_text``); ``oracle`` alone runs the brute-force
 enumeration, on the raw generators.  The solver label is ``oracle`` for
 ``oracle``, ``dim3-star-theorem`` for ``limit`` and ``scan``, else
 ``dim2-theorem`` or ``dim3-line`` by the canonical monoid's type.  The
@@ -62,7 +62,7 @@ from .monoids import (
     canonicalize,
     validate_minimal_generation,
 )
-from .asymptotics import SCAN_CSV_HEADER, _scan_terms, rho_limit
+from .asymptotics import SCAN_CSV_HEADER, rho_limit, scan_multiples
 from .oracle import enumerate_factorizations
 from .rationals import ExtRat, Vec2
 from .solve2 import elasticity2, member2
@@ -224,12 +224,12 @@ def _solve(query: Query, m: Monoid, cs: Optional[Vec2]) -> dict:
     if command == "scan":
         if query.k_max is None or query.k_max < 1:
             raise ValueError("scan needs --k-max >= 1")
-        limit, terms = _scan_terms(m, cs, query.k_max)
+        limit, rows = scan_multiples(m, cs, query.k_max)
         lim = str(limit)
         return {
             "rows": [
                 {"k": k, "rho_exact": _ratio_text(p, q), "rho_limit": lim, "gap": _ratio_text(n, d)}
-                for k, p, q, n, d in terms
+                for k, p, q, n, d in rows
             ]
         }
     if command == "limit":

@@ -23,9 +23,9 @@ def member2(m: CanonicalMonoid2, s: Vec2) -> Membership:
     exception.  The zero vector is a member via the empty factorization.
     """
     if s.x * m.b > s.y * m.a:
-        return Membership(member=False, reason=PHI_OUT_OF_RANGE)
+        return Membership(member=False, factorizations=(), reason=PHI_OUT_OF_RANGE)
     if s.x % m.a:
-        return Membership(member=False, reason=DIVISIBILITY_FAILS)
+        return Membership(member=False, factorizations=(), reason=DIVISIBILITY_FAILS)
     k = s.x // m.a
     fact = Factorization.checked((s.y - k * m.b, k), m.gens, s)
     return Membership(member=True, factorization=fact, factorizations=(fact,))

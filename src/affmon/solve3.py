@@ -18,12 +18,15 @@ along which the length changes by (c - a - D)/g per step.  This yields
 closed-form membership, extreme lengths and elasticity for every monoid; the
 paper's star theorem (b*c - a*d = 1) is the case g = D = 1.
 
-The line is computed on plain ints, from the constants g, c/g, a/g, D/g and
-(a/g)^-1 mod c/g that ``CanonicalMonoid3.line_consts`` computes once per
-monoid.  Every factorization handed out is multiplied back by
-``Factorization.checked``; ``_extreme_lengths``, which serves scans over many
-multiples, runs the same check on ints at both ends j = 0 and j = J and
-returns only the two lengths.
+``_line`` returns this line as one plain value (start, step, count): the
+factorizations are start + j*step for 0 <= j < count, with
+start = (delta0, alpha0, beta0), step = (-D/g, c/g, -a/g) and count = J + 1,
+so the length moves by sum(step) per step.  It is computed on ints, from the
+constants g, c/g, a/g, D/g and (a/g)^-1 mod c/g that
+``CanonicalMonoid3.line_consts`` computes once per monoid.  Every
+factorization handed out is multiplied back by ``Factorization.checked``;
+``_extreme_lengths``, which serves scans over many multiples, runs the same
+check on ints at both ends j = 0 and j = J and returns only the two lengths.
 """
 
 from __future__ import annotations
@@ -82,9 +85,8 @@ def _canonical_rep(a: int, c: int, g: int, c_g: int, inv: int, x: int) -> Option
     return None if beta < 0 else (alpha, beta)
 
 
-# (delta0, alpha0, beta0, J, steps): the factorization at j is the j = 0 one
-# plus j times steps = (-D/g, c/g, -a/g).
-_Line = tuple[int, int, int, int, tuple[int, int, int]]
+# (start, step, count): the factorization at j is start + j*step, 0 <= j < count.
+_Line = tuple[tuple[int, int, int], tuple[int, int, int], int]
 
 
 def _line(m: CanonicalMonoid3, x: int, y: int) -> Union[Membership, _Line]:
@@ -101,13 +103,11 @@ def _line(m: CanonicalMonoid3, x: int, y: int) -> Union[Membership, _Line]:
         # x is representable, but even the canonical representation, which
         # has the largest delta, leaves no room for (0, 1).
         return Membership(member=False, factorizations=())
-    j_max = min(beta // a_g, dlt // d_g)
-    return dlt, alpha, beta, j_max, (-d_g, c_g, -a_g)
+    return (dlt, alpha, beta), (-d_g, c_g, -a_g), min(beta // a_g, dlt // d_g) + 1
 
 
-def _fact(gens: tuple[Vec2, ...], s: Vec2, line: _Line, j: int) -> Factorization:
-    dlt, alpha, beta, _, (dd, da, db) = line
-    return Factorization.checked((dlt + j * dd, alpha + j * da, beta + j * db), gens, s)
+def _not_member(x: int, y: int, verdict: Membership) -> NotMemberError:
+    return NotMemberError(f"({x}, {y}) is not in the monoid ({verdict.reason})")
 
 
 def _checked_length(m: CanonicalMonoid3, x: int, y: int, u: int, v: int, w: int) -> int:
@@ -121,15 +121,16 @@ def _checked_length(m: CanonicalMonoid3, x: int, y: int, u: int, v: int, w: int)
 def _extreme_lengths(m: CanonicalMonoid3, x: int, y: int) -> tuple[int, int]:
     """Shortest and longest factorization length of the member (x, y).
 
-    Both are read off the ends j = 0 and j = J of the line, each checked
-    by multiplying back; no value object is built.
+    Both are read off the ends j = 0 and j = count - 1 of the line, each
+    checked by multiplying back; no value object is built.
     """
     line = _line(m, x, y)
     if isinstance(line, Membership):
-        raise NotMemberError(f"({x}, {y}) is not in the monoid ({line.reason})")
-    dlt, alpha, beta, j_max, (dd, da, db) = line
-    len0 = _checked_length(m, x, y, dlt, alpha, beta)
-    len_j = _checked_length(m, x, y, dlt + j_max * dd, alpha + j_max * da, beta + j_max * db)
+        raise _not_member(x, y, line)
+    (u, v, w), (du, dv, dw), count = line
+    j = count - 1
+    len0 = _checked_length(m, x, y, u, v, w)
+    len_j = _checked_length(m, x, y, u + j * du, v + j * dv, w + j * dw)
     return (len0, len_j) if len0 <= len_j else (len_j, len0)
 
 
@@ -142,20 +143,25 @@ def member3(m: CanonicalMonoid3, s: Vec2) -> Membership:
     line = _line(m, s.x, s.y)
     if isinstance(line, Membership):
         return line
-    return Membership(member=True, factorization=_fact(m.gens, s, line, 0))
+    start, _, _ = line
+    return Membership(member=True, factorization=Factorization.checked(start, m.gens, s))
 
 
 def member3_general(m: CanonicalMonoid3, s: Vec2) -> Membership:
     """Decide s in S and list every factorization, sorted by multiplicities.
 
-    Sorted order is j = J down to 0, because delta falls as j grows; the
-    witness is the first of them.
+    Sorted order is j = count - 1 down to 0, because delta falls as j grows;
+    the witness is the first of them.
     """
     line = _line(m, s.x, s.y)
     if isinstance(line, Membership):
         return line
+    (u, v, w), (du, dv, dw), count = line
     gens = m.gens
-    facts = tuple(_fact(gens, s, line, j) for j in range(line[3], -1, -1))
+    facts = tuple(
+        Factorization.checked((u + j * du, v + j * dv, w + j * dw), gens, s)
+        for j in range(count - 1, -1, -1)
+    )
     return Membership(member=True, factorization=facts[0], factorizations=facts)
 
 
@@ -190,13 +196,15 @@ def extreme_factorizations(m: CanonicalMonoid3, s: Vec2) -> ExtremeFactorization
     """
     line = _line(m, s.x, s.y)
     if isinstance(line, Membership):
-        raise NotMemberError(f"{s} is not in the monoid ({line.reason})")
-    gens, t_max = m.gens, line[3]
+        raise _not_member(s.x, s.y, line)
+    (u, v, w), (du, dv, dw), count = line
+    t_max, gens = count - 1, m.gens
+    end = (u + t_max * du, v + t_max * dv, w + t_max * dw)
     return ExtremeFactorizations(
         branch=BRANCH_LOW if s.x * m.b <= s.y * m.a else BRANCH_HIGH,
         t_max=t_max,
-        fact_t0=_fact(gens, s, line, 0),
-        fact_tmax=_fact(gens, s, line, t_max),
+        fact_t0=Factorization.checked((u, v, w), gens, s),
+        fact_tmax=Factorization.checked(end, gens, s),
     )
 
 

@@ -151,26 +151,19 @@ class TestConvergence:
         assert gap_10k < ExtRat(1, 1000)
 
     def test_exact_values_along_small_k(self):
-        rows = scan_multiples(STAR, Vec2(7, 13), 4)
-        assert [r.rho_exact for r in rows] == [
-            ExtRat(5, 4),
-            ExtRat(5, 4),
-            ExtRat(15, 11),
-            ExtRat(4, 3),
-        ]
-        assert rows[2].gap == ExtRat(0, 1)
-        assert rows[3].gap == ExtRat(1, 33)
+        # Rows are (k, p, q, n, d): rho(k*s) = p/q and the gap n/d, in lowest
+        # terms, so an unreduced row (lengths 20/15 at k = 4, gap 0/121 at
+        # k = 3) fails the comparison.
+        limit, rows = scan_multiples(STAR, Vec2(7, 13), 4)
+        assert limit == ExtRat(15, 11)
+        assert rows == [(1, 5, 4, 5, 44), (2, 5, 4, 5, 44), (3, 15, 11, 0, 1), (4, 4, 3, 1, 33)]
 
 
 class TestScanMultiples:
     def test_constant_elasticity_member_has_zero_gaps(self):
-        rows = scan_multiples(STAR, Vec2(6, 13), 5)
-        assert len(rows) == 5
-        assert [r.k for r in rows] == [1, 2, 3, 4, 5]
-        for row in rows:
-            assert row.rho_exact == ExtRat(7, 5)
-            assert row.rho_limit == ExtRat(7, 5)
-            assert row.gap == ExtRat(0, 1)
+        limit, rows = scan_multiples(STAR, Vec2(6, 13), 5)
+        assert limit == ExtRat(7, 5)
+        assert rows == [(k, 7, 5, 0, 1) for k in range(1, 6)]
 
     def test_csv_rendering(self):
         assert SCAN_CSV_HEADER == "k,rho_exact,rho_limit,gap"
@@ -184,16 +177,16 @@ class TestScanMultiples:
         m = data.draw(star_monoids(max_a=5, max_b=5, max_extra=2))
         s = data.draw(members3(m, max_mult=4))
         _, limit = rho_limit(m, s)
-        rows = scan_multiples(m, s, 40)
-        assert m.gens is m.gens
-        assert [r.k for r in rows] == list(range(1, 41))
-        for row in rows:
-            ks = row.k * s
-            assert row.rho_exact == elasticity3(m, ks)
-            assert row.rho_limit == limit
-            assert row.gap == limit.abs_diff(row.rho_exact)
-            if row.k <= 4:
-                assert row.rho_exact == elasticity_oracle(m.gens, ks)
+        scan_limit, rows = scan_multiples(m, s, 40)
+        assert scan_limit == limit
+        assert [row[0] for row in rows] == list(range(1, 41))
+        for k, p, q, n, d in rows:
+            ks = k * s
+            rho = elasticity3(m, ks)
+            gap = limit.abs_diff(rho)
+            assert (p, q, n, d) == (rho.numerator, rho.denominator, gap.numerator, gap.denominator)
+            if k <= 4:
+                assert rho == elasticity_oracle(m.gens, ks)
 
 
 class TestAgainstEachOther:

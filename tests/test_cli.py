@@ -294,14 +294,14 @@ class TestRunScan:
         report = run(q("scan", monoid_text, f"{s0.x + t * s0.y},{s0.y}", k_max=k_max))
         m = report.canonical
         assert m.transform != IDENTITY
-        rows = scan_multiples(m, canonical_coords(m, report.input), k_max)
+        limit, rows = scan_multiples(m, canonical_coords(m, report.input), k_max)
         expected = [
-            {"k": r.k, "rho_exact": str(r.rho_exact), "rho_limit": str(r.rho_limit),
-             "gap": str(r.gap)}
-            for r in rows
+            {"k": k, "rho_exact": str(Fraction(p, q)), "rho_limit": str(limit),
+             "gap": str(Fraction(n, d))}
+            for k, p, q, n, d in rows
         ]
         assert report.result["rows"] == expected
-        csv = [SCAN_CSV_HEADER] + [f"{r.k},{r.rho_exact},{r.rho_limit},{r.gap}" for r in rows]
+        csv = [SCAN_CSV_HEADER] + [",".join(str(v) for v in r.values()) for r in expected]
         assert render_csv(report) == "\n".join(csv)
         assert json.loads(render_json(report))["result"]["rows"] == expected
 
@@ -744,10 +744,10 @@ def test_public_surface_and_error_codes_are_pinned():
         "FactorizationSet", "InputTooLargeError", "LimitLFT", "Membership", "Monoid",
         "MonoidParseError", "NegativeResultError", "NotMemberError",
         "NotMinimallyGeneratedError", "NotPhiMinimalError", "ONE", "PHI_OUT_OF_RANGE",
-        "PeriodicityViolatedError", "Query", "Report", "SCAN_CSV_HEADER", "ScanRow",
-        "StarRequiredError", "UniMat2", "Vec2", "WrongBranchError", "X_NOT_REPRESENTABLE",
-        "ZeroElementError", "ZeroGeneratorError", "canonical_coords", "canonical_rep",
-        "canonicalize", "d2_test", "det_divisors", "elasticity2", "elasticity3",
+        "PeriodicityViolatedError", "Query", "Report", "SCAN_CSV_HEADER", "StarRequiredError",
+        "UniMat2", "Vec2", "WrongBranchError", "X_NOT_REPRESENTABLE", "ZeroElementError",
+        "ZeroGeneratorError", "canonical_coords", "canonical_rep", "canonicalize", "d2_test",
+        "det_divisors", "elasticity2", "elasticity3",
         "elasticity_oracle", "enumerate_factorizations", "ext_gcd", "extreme_factorizations",
         "is_phi_minimal", "main", "member2", "member3", "member3_general", "parse_monoid",
         "parse_vector", "rho_limit", "rho_special_ac", "rho_special_c", "row_swapped_hnf",

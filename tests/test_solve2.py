@@ -37,6 +37,11 @@ class TestMember2:
         assert not res.member
         assert res.reason == DIVISIBILITY_FAILS
 
+    def test_non_member_has_no_factorizations(self):
+        # (), as from member3: None would mean "not computed".
+        assert member2(M32, Vec2(6, 3)).factorizations == ()
+        assert member2(M32, Vec2(4, 9)).factorizations == ()
+
     def test_vertical_axis_members(self):
         res = member2(M32, Vec2(0, 7))
         assert res.member

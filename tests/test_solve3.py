@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 
 from affmon import solve3
 from affmon.errors import NotMemberError, ZeroElementError
-from affmon.factorization import PHI_OUT_OF_RANGE, X_NOT_REPRESENTABLE
+from affmon.factorization import PHI_OUT_OF_RANGE, X_NOT_REPRESENTABLE, Membership
 from affmon.intlin import D2_INCONCLUSIVE, IDENTITY, d2_test
 from affmon.monoids import CanonicalMonoid3
 from affmon.oracle import elasticity_oracle, enumerate_factorizations
@@ -78,7 +78,24 @@ class TestCanonicalRep:
             assert alpha * a + beta * c == x
 
 
+def _shift(start, step, j):
+    """The point start + j*step of a line."""
+    return tuple(u + j * du for u, du in zip(start, step))
+
+
 class TestLine:
+    """``_line`` returns (start, step, count): the factorizations are
+    start + j*step for 0 <= j < count."""
+
+    def test_pinned_line(self):
+        # 6 = 0*1 + 2*3 leaves delta0 = 13 - 10 = 3; J = min(2 div 1, 3 div 1) = 2.
+        assert solve3._line(STAR, 6, 13) == ((3, 0, 2), (-1, 3, -1), 3)
+        # g = gcd(11, 10) = 1 and D = 67: one point; the length would move
+        # by sum(step) = (c - a - D)/g = -68 per step.
+        start, step, count = solve3._line(WORKED, 199, 120)
+        assert (start, step, count) == ((0, 9, 10), (-67, 10, -11), 1)
+        assert sum(step) == WORKED.c - WORKED.a - 67
+
     def test_starts_at_canonical_rep_with_the_same_verdicts(self):
         # _line reads gcd(a, c), the steps and the inverse off the monoid;
         # canonical_rep computes them itself.  Per x: the least y in the cone
@@ -100,8 +117,28 @@ class TestLine:
                     elif y - rep[0] * b - rep[1] * d < 0:
                         assert not line.member and line.reason is None
                     else:
-                        assert line[1:3] == rep
-                        assert line[0] == y - rep[0] * b - rep[1] * d
+                        (dlt, alpha, beta), _, _ = line
+                        assert (alpha, beta) == rep
+                        assert dlt == y - rep[0] * b - rep[1] * d
+
+    def test_points_are_the_oracle_factorizations(self):
+        # Every canonical triple with entries <= 5, minimal or not, at every
+        # (x, y) with 0 <= x, y <= 20: the line's points, last first, are
+        # the oracle's sorted list, and a non-member gets a verdict instead.
+        for t in canonical_triples(5):
+            m = CanonicalMonoid3(*t, transform=IDENTITY)
+            g = gcd(m.a, m.c)
+            for x in range(21):
+                for y in range(21):
+                    facts = enumerate_factorizations(m.gens, Vec2(x, y)).facts
+                    line = solve3._line(m, x, y)
+                    if isinstance(line, Membership):
+                        assert not line.member and line.factorizations == () and facts == ()
+                        continue
+                    start, step, count = line
+                    assert step == (-(m.b * m.c - m.a * m.d) // g, m.c // g, -m.a // g)
+                    points = [_shift(start, step, j) for j in range(count)]
+                    assert [f.mults for f in facts] == points[::-1], (t, x, y)
 
 
 class TestDelta:
@@ -289,16 +326,16 @@ class TestExtremeLengths:
             _extreme_lengths(GAPPY, 1, 5)
 
     # Each corruption of the line breaks the multiply-back at one end or at
-    # both; the check has to run at j = 0 and at j = J to catch all three.
+    # both; the check has to run at j = 0 and at j = count - 1 to catch all three.
     @pytest.mark.parametrize(
         "corrupt, message",
         [
             # Start one step before j = 0: alpha0 - c/g < 0 at the j = 0 end only.
-            (lambda d, a, b, j, st: (d - st[0], a - st[1], b - st[2], j, st), r"\(2, -2, 3\)"),
-            # One step past J: negative at the j = J end only.
-            (lambda d, a, b, j, st: (d, a, b, j + 1, st), r"\(-1, 7, 0\)"),
+            (lambda start, step, count: (_shift(start, step, -1), step, count), r"\(2, -2, 3\)"),
+            # One step past J: negative at the j = count - 1 end only.
+            (lambda start, step, count: (start, step, count + 1), r"\(-1, 7, 0\)"),
             # delta0 + 1: nonnegative at both ends, but off the target.
-            (lambda d, a, b, j, st: (d + 1, a, b, j, st), r"\(2, 1, 2\)"),
+            (lambda start, step, count: (_shift(start, (1, 0, 0), 1), step, count), r"\(2, 1, 2\)"),
         ],
         ids=["before-j0", "past-J", "off-target"],
     )
