@@ -37,8 +37,36 @@ MUTANTS = [
     # The gap left unreduced: the second gcd of a scan row dropped.
     (
         "asymptotics.py",
-        "rows.append((k, p, q, n // g, d // g))",
-        "rows.append((k, p, q, n, d))",
+        "rows[k - 1] = (k, p, q, n // g, d // g)",
+        "rows[k - 1] = (k, p, q, n, d)",
+        ["test_asymptotics.py"],
+    ),
+    # The multiply-back of a scan row's j = J end skipped.
+    (
+        "asymptotics.py",
+        "or vj * m_a + wj * m_c != kx or uj + vj * m_b + wj * m_d != ky",
+        "or False",
+        ["test_asymptotics.py"],
+    ),
+    # A scan row's start not checked to be j = 0 (alpha < c/g).
+    (
+        "asymptotics.py",
+        "or v >= c_g",
+        "or False",
+        ["test_asymptotics.py"],
+    ),
+    # A scan row's end not checked to be j = J (delta < D/g or beta < a/g).
+    (
+        "asymptotics.py",
+        "or (uj >= d_g and wj >= a_g)",
+        "or False",
+        ["test_asymptotics.py"],
+    ),
+    # The per-class step never applied: past k = P every row repeats its class's first.
+    (
+        "asymptotics.py",
+        "u, v, w, uj, vj, wj = u + su, v + sv, w + sw, uj + suj, vj + svj, wj + swj",
+        "pass",
         ["test_asymptotics.py"],
     ),
     # count one past the end of the line: J + 2 points.
@@ -53,13 +81,6 @@ MUTANTS = [
         "solve3.py",
         "min(beta // a_g, dlt // d_g) + 1",
         "min(beta // a_g, dlt // d_g)",
-        ["test_solve3.py"],
-    ),
-    # The multiply-back at the j = count - 1 end skipped.
-    (
-        "solve3.py",
-        "len_j = _checked_length(m, x, y, u + j * du, v + j * dv, w + j * dw)",
-        "len_j = u + j * du + v + j * dv + w + j * dw",
         ["test_solve3.py"],
     ),
     # D not divided by g in the line constants.
@@ -95,6 +116,13 @@ MUTANTS = [
         "cli.py",
         '_json_str(k) + ": " + _json_text(v, inner)',
         '_json_str(k) + ":" + _json_text(v, inner)',
+        ["test_cli.py"],
+    ),
+    # The scan row writer's key separator without its space.
+    (
+        "cli.py",
+        '{i}"gap": {_json_str(r["gap"])}',
+        '{i}"gap":{_json_str(r["gap"])}',
         ["test_cli.py"],
     ),
     # The JSON writer prints false as true.

@@ -12,15 +12,24 @@ keeps every value >= 1.  The k -> infinity limit of the elasticity equals the
 same expressions, so it is a linear fractional transformation of (x, y),
 exposed here as ``LimitLFT``.  ``scan_multiples`` tabulates exact values
 against the limit for empirical convergence studies, and ``affmon scan``
-prints its rows.  It computes the limit once and each row on plain ints: the
-extreme lengths of k*s (``solve3._extreme_lengths``, multiply-back checked
-at both ends), then the exact value and its gap, each reduced by one ``gcd``.
+prints its rows.  It computes the limit once and each row on plain ints.
+The two ends (delta, alpha, beta) of the factorization line of k*s, at j = 0
+and j = J, are linear in k on each residue class mod P = (c/g)*lcm(a/g, D/g),
+which is a*c on a star monoid: alpha0 depends on k only mod c/g, and J is
+beta0 div (a/g) below slope a/b and delta0 div (D/g) above it.  So
+``solve3._line`` is read for k <= P, and once more at k = r + P for each
+class r when the scan goes past P; every later row adds its class's step.
+Each row is checked on ints, whatever produced it: both ends are nonnegative
+and multiply back to k*s, the first has alpha < c/g (no point before it) and
+the second has delta < D/g or beta < a/g (no point after it).  The exact
+value and its gap are then each reduced by one ``gcd``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
+from operator import sub
 
 from .errors import (
     NotMemberError,
@@ -31,7 +40,7 @@ from .errors import (
 )
 from .monoids import CanonicalMonoid3
 from .rationals import ONE, ExtRat, Vec2
-from .solve3 import _extreme_lengths, member3
+from .solve3 import _line, member3
 
 __all__ = [
     "LimitLFT",
@@ -162,6 +171,14 @@ def rho_limit(m: CanonicalMonoid3, s: Vec2) -> tuple[LimitLFT, ExtRat]:
     return lft, value
 
 
+def _ends(m: CanonicalMonoid3, x: int, y: int) -> tuple[int, ...]:
+    """Both ends of the factorization line of (x, y), (delta, alpha, beta) at
+    j = 0 and then at j = J, unchecked."""
+    (u, v, w), (du, dv, dw), count = _line(m, x, y)
+    j = count - 1
+    return u, v, w, u + j * du, v + j * dv, w + j * dw
+
+
 def scan_multiples(m: CanonicalMonoid3, s: Vec2, k_max: int) -> tuple[ExtRat, list[tuple]]:
     """Exact elasticity of k*s for k = 1..k_max, with gaps to the limit.
 
@@ -173,12 +190,34 @@ def scan_multiples(m: CanonicalMonoid3, s: Vec2, k_max: int) -> tuple[ExtRat, li
     _, limit = rho_limit(m, s)
     ln, ld = limit.numerator, limit.denominator
     x, y = s.x, s.y
-    rows = []
-    for k in range(1, k_max + 1):
-        lo, hi = _extreme_lengths(m, k * x, k * y)
-        g = gcd(hi, lo)
-        p, q = hi // g, lo // g
-        n, d = abs(ln * q - p * ld), ld * q
-        g = gcd(n, d)
-        rows.append((k, p, q, n // g, d // g))
+    m_a, m_b, m_c, m_d = m.a, m.b, m.c, m.d
+    _, c_g, a_g, d_g, _ = m.line_consts
+    period = c_g * lcm(a_g, d_g)
+    rows: list = [None] * k_max
+    for r in range(1, min(period, k_max) + 1):
+        u, v, w, uj, vj, wj = start = _ends(m, r * x, r * y)
+        # On the class of r every end multiplicity is linear in k, so the
+        # step from k to k + period is read off the class's first two rows.
+        nxt = r + period
+        step = tuple(map(sub, _ends(m, nxt * x, nxt * y), start)) if nxt <= k_max else (0,) * 6
+        su, sv, sw, suj, svj, swj = step
+        for k in range(r, k_max + 1, period):
+            kx, ky = k * x, k * y
+            # Both ends are factorizations of k*s; the first is j = 0 (no
+            # point before it) and the second is j = J (no point after it).
+            if (u < 0 or v < 0 or w < 0 or uj < 0 or vj < 0 or wj < 0 or v >= c_g
+                    or (uj >= d_g and wj >= a_g)
+                    or v * m_a + w * m_c != kx or u + v * m_b + w * m_d != ky
+                    or vj * m_a + wj * m_c != kx or uj + vj * m_b + wj * m_d != ky):
+                raise ValueError(f"{(u, v, w)} and {(uj, vj, wj)} are not the ends of the "
+                                 f"factorization line of ({kx}, {ky})")
+            lo, hi = u + v + w, uj + vj + wj
+            if lo > hi:
+                lo, hi = hi, lo
+            g = gcd(hi, lo)
+            p, q = hi // g, lo // g
+            n, d = abs(ln * q - p * ld), ld * q
+            g = gcd(n, d)
+            rows[k - 1] = (k, p, q, n // g, d // g)
+            u, v, w, uj, vj, wj = u + su, v + sv, w + sw, uj + suj, vj + svj, wj + swj
     return limit, rows

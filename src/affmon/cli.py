@@ -17,6 +17,9 @@ byte: two-space indent, ASCII escapes, keys in insertion order.
 ``_json_text`` writes it directly, because given an indent ``json`` drops to
 its pure-Python encoder, which took almost half of a ``large_x`` benchmark
 pass; the writer renders the benchmark's reports in 0.5-0.6x its time.
+Scan rows all have one shape, so ``render_json`` writes each of them with
+one f-string, its strings escaped by ``encode_basestring_ascii``, and only
+the rest of a scan report through ``_json_text``.
 
 Values are exact ``ExtRat``s (``fractions.Fraction``s) and print as "7/5"
 or "3".  ``--approx`` adds ``float(value)``, made here and nowhere else in
@@ -333,7 +336,20 @@ def render_json(report: Report) -> str:
         "result": result,
         "solver_used": report.solver_used,
     }
-    return _json_text(payload)
+    rows = result.get("rows")
+    if not rows:
+        return _json_text(payload)
+    # Scan rows all have one shape, so each is written with one f-string;
+    # the rest of the report goes through _json_text with the rows left empty.
+    i = "\n        "
+    text = ",\n      ".join(
+        f'{{{i}"k": {r["k"]},{i}"rho_exact": {_json_str(r["rho_exact"])},'
+        f'{i}"rho_limit": {_json_str(r["rho_limit"])},{i}"gap": {_json_str(r["gap"])}\n      }}'
+        for r in rows
+    )
+    empty = _json_text({**payload, "result": {**result, "rows": []}})
+    head, _, tail = empty.partition('"rows": []')
+    return f'{head}"rows": [\n      {text}\n    ]{tail}'
 
 
 def _json_text(value, newline: str = "\n") -> str:

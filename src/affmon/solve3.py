@@ -25,8 +25,8 @@ so the length moves by sum(step) per step.  It is computed on ints, from the
 constants g, c/g, a/g, D/g and (a/g)^-1 mod c/g that
 ``CanonicalMonoid3.line_consts`` computes once per monoid.  Every
 factorization handed out is multiplied back by ``Factorization.checked``;
-``_extreme_lengths``, which serves scans over many multiples, runs the same
-check on ints at both ends j = 0 and j = J and returns only the two lengths.
+``asymptotics.scan_multiples`` reads the two ends of the line itself and
+checks them on ints.
 """
 
 from __future__ import annotations
@@ -106,34 +106,6 @@ def _line(m: CanonicalMonoid3, x: int, y: int) -> Union[Membership, _Line]:
     return (dlt, alpha, beta), (-d_g, c_g, -a_g), min(beta // a_g, dlt // d_g) + 1
 
 
-def _not_member(x: int, y: int, verdict: Membership) -> NotMemberError:
-    return NotMemberError(f"({x}, {y}) is not in the monoid ({verdict.reason})")
-
-
-def _checked_length(m: CanonicalMonoid3, x: int, y: int, u: int, v: int, w: int) -> int:
-    """Length of u*(0,1) + v*(a,b) + w*(c,d), after checking that it is a
-    factorization of (x, y): the check of ``Factorization.checked``, on ints."""
-    if u < 0 or v < 0 or w < 0 or v * m.a + w * m.c != x or u + v * m.b + w * m.d != y:
-        raise ValueError(f"multiplicities {(u, v, w)} do not map to ({x}, {y})")
-    return u + v + w
-
-
-def _extreme_lengths(m: CanonicalMonoid3, x: int, y: int) -> tuple[int, int]:
-    """Shortest and longest factorization length of the member (x, y).
-
-    Both are read off the ends j = 0 and j = count - 1 of the line, each
-    checked by multiplying back; no value object is built.
-    """
-    line = _line(m, x, y)
-    if isinstance(line, Membership):
-        raise _not_member(x, y, line)
-    (u, v, w), (du, dv, dw), count = line
-    j = count - 1
-    len0 = _checked_length(m, x, y, u, v, w)
-    len_j = _checked_length(m, x, y, u + j * du, v + j * dv, w + j * dw)
-    return (len0, len_j) if len0 <= len_j else (len_j, len0)
-
-
 def member3(m: CanonicalMonoid3, s: Vec2) -> Membership:
     """Decide s in S; a member comes with its canonical factorization (j = 0).
 
@@ -196,7 +168,7 @@ def extreme_factorizations(m: CanonicalMonoid3, s: Vec2) -> ExtremeFactorization
     """
     line = _line(m, s.x, s.y)
     if isinstance(line, Membership):
-        raise _not_member(s.x, s.y, line)
+        raise NotMemberError(f"({s.x}, {s.y}) is not in the monoid ({line.reason})")
     (u, v, w), (du, dv, dw), count = line
     t_max, gens = count - 1, m.gens
     end = (u + t_max * du, v + t_max * dv, w + t_max * dw)

@@ -1,9 +1,12 @@
 """Tests for the periodic elasticity formulas, the limit LFT, and scans."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from affmon import asymptotics
 from affmon.asymptotics import (
     SCAN_CSV_HEADER,
     LimitLFT,
@@ -26,13 +29,31 @@ from affmon.oracle import elasticity_oracle
 from affmon.rationals import ONE, ExtRat, Vec2
 from affmon.solve3 import elasticity3
 
-from conftest import members3, star_monoids
+from conftest import canonical_triples, members3, star_monoids
 
 
 STAR = CanonicalMonoid3(a=1, b=2, c=3, d=5, transform=IDENTITY)
 WORKED = CanonicalMonoid3(a=11, b=10, c=10, d=3, transform=IDENTITY)
 TAU_NEG = CanonicalMonoid3(a=3, b=5, c=2, d=3, transform=IDENTITY)
 SINGLE_LEN = CanonicalMonoid3(a=1, b=2, c=2, d=3, transform=IDENTITY)
+# Star monoid where x = 1 is not a combination of a = 2 and c = 3.
+GAPPY = CanonicalMonoid3(a=2, b=3, c=3, d=4, transform=IDENTITY)
+
+
+def _shift(start, step, j):
+    """The point start + j*step of a line."""
+    return tuple(u + j * du for u, du in zip(start, step))
+
+
+def _elasticity_rows(m, s, k_max):
+    """Scan rows (k, p, q, n, d) from ``elasticity3`` of each multiple."""
+    _, limit = rho_limit(m, s)
+    rows = []
+    for k in range(1, k_max + 1):
+        rho = elasticity3(m, k * s)
+        gap = limit.abs_diff(rho)
+        rows.append((k, rho.numerator, rho.denominator, gap.numerator, gap.denominator))
+    return rows
 
 
 class TestTau:
@@ -171,6 +192,71 @@ class TestScanMultiples:
     def test_rejects_bad_k_max(self):
         with pytest.raises(ValueError):
             scan_multiples(STAR, Vec2(6, 13), 0)
+
+    def test_non_member_rejected(self):
+        with pytest.raises(NotMemberError):
+            scan_multiples(GAPPY, Vec2(1, 5), 3)
+
+    def test_every_row_matches_elasticity3_on_every_small_star_monoid(self):
+        # Past k = P each row comes from its class's step, so three periods
+        # and one row more use every step at least twice.
+        for a, b, c, d in canonical_triples(6):
+            if b * c - a * d != 1:
+                continue
+            m = CanonicalMonoid3(a, b, c, d, transform=IDENTITY)
+            u, v, w = m.gens
+            for i, j, n in product(range(3), repeat=3):
+                if i or j or n:
+                    s = i * u + j * v + n * w
+                    k_max = 3 * a * c + 1
+                    assert scan_multiples(m, s, k_max)[1] == _elasticity_rows(m, s, k_max), (m, s)
+
+    @pytest.mark.parametrize(
+        "m, s",
+        [(STAR, Vec2(7, 13)), (TAU_NEG, Vec2(7, 12)), (TAU_NEG, Vec2(9, 14))],
+        ids=["star", "tau-neg-low", "tau-neg-high"],
+    )
+    def test_k_max_around_the_period(self, m, s):
+        # P = a*c on a star monoid: below it no class has a step, at P + 1
+        # only the class of 1 has one.
+        period = m.a * m.c
+        for k_max in (period - 1, period, period + 1):
+            limit, rows = scan_multiples(m, s, k_max)
+            assert limit == rho_limit(m, s)[1]
+            assert rows == _elasticity_rows(m, s, k_max), k_max
+
+    # Each corruption of the line fails one check of the row: both ends
+    # nonnegative and multiplied back, the start first (alpha < c/g) and the
+    # end last (delta < D/g or beta < a/g).  At k = 1, s = (7, 13), the line
+    # is (1, 1, 2) + j*(-1, 3, -1) for j = 0, 1.
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            # Start one step before j = 0: alpha0 - c/g < 0 at the j = 0 end only.
+            (lambda start, step, count: (_shift(start, step, -1), step, count), r"\(2, -2, 3\)"),
+            # One step past J: negative at the j = count - 1 end only.
+            (lambda start, step, count: (start, step, count + 1), r"\(-1, 7, 0\)"),
+            # delta0 + 1: nonnegative at both ends, but off the target.
+            (lambda start, step, count: (_shift(start, (1, 0, 0), 1), step, count), r"\(2, 1, 2\)"),
+            # Start one step inward, end kept: two factorizations, but the
+            # start has a point before it (alpha = 4 >= c/g = 3).
+            (
+                lambda start, step, count: (_shift(start, step, 1), step, count - 1),
+                r"\(0, 4, 1\) and \(0, 4, 1\)",
+            ),
+            # count one short, start kept: the end has a point after it.
+            (lambda start, step, count: (start, step, count - 1), r"\(1, 1, 2\) and \(1, 1, 2\)"),
+            # A step off the line: the end is nonnegative and last, but off
+            # the target.
+            (lambda start, step, count: (start, (-1, 2, -1), count), r"\(0, 3, 1\)"),
+        ],
+        ids=["before-j0", "past-J", "off-target", "start-inward", "count-short", "end-off-target"],
+    )
+    def test_rejects_a_corrupted_line(self, monkeypatch, corrupt, message):
+        line = asymptotics._line
+        monkeypatch.setattr(asymptotics, "_line", lambda m, x, y: corrupt(*line(m, x, y)))
+        with pytest.raises(ValueError, match=message):
+            scan_multiples(STAR, Vec2(7, 13), 1)
 
     @given(data=st.data())
     def test_every_row_matches_elasticity3_and_the_oracle(self, data):

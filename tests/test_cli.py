@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -575,6 +576,23 @@ JSON_QUERIES = [
 ]
 
 
+def _scan_payload(report):
+    """The JSON payload of a scan report, built here from its fields."""
+    m = report.canonical
+    return {
+        "command": "scan",
+        "monoid": {
+            "generators": [[g.x, g.y] for g in report.generators],
+            "canonical": [[g.x, g.y] for g in m.gens],
+            "star": True,
+            "transform": [list(r) for r in m.transform.as_rows()],
+        },
+        "input": [report.input.x, report.input.y],
+        "result": report.result,
+        "solver_used": SOLVER_DIM3_STAR,
+    }
+
+
 class TestJsonText:
     """``render_json`` prints exactly what ``json.dumps(payload, indent=2)`` does."""
 
@@ -590,6 +608,23 @@ class TestJsonText:
         assert text == render_json(report)
         if vector == HUGE_ARGS[1]:  # rho is beyond float range
             assert '"approx": null' in text
+
+    @pytest.mark.parametrize("k_max", [1, 2, 5, 2000])
+    @pytest.mark.parametrize(
+        "monoid, vector", [(STAR_TEXT, "7,13"), ("1,1;3,2;8,5", "12,8")], ids=["identity", "sheared"]
+    )
+    def test_scan_reports_equal_json_dumps(self, monoid, vector, k_max):
+        # The rows are written one f-string each, the rest by _json_text.
+        report = run(q("scan", monoid, vector, k_max=k_max, output="json"))
+        assert (report.canonical.transform == IDENTITY) == (monoid == STAR_TEXT)
+        assert len(report.result["rows"]) == k_max
+        assert render_json(report) == json.dumps(_scan_payload(report), indent=2)
+
+    def test_scan_row_strings_are_escaped(self):
+        text = '"\\/\x00\n\xe9\u2028\U0001f600'
+        rows = [{"k": 1, "rho_exact": text, "rho_limit": "", "gap": text[::-1]}]
+        report = replace(run(q("scan", STAR_TEXT, "7,13", k_max=1)), result={"rows": rows})
+        assert render_json(report) == json.dumps(_scan_payload(report), indent=2)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [{"a": math.inf}]])
     def test_non_finite_float_raises(self, value):

@@ -16,7 +16,6 @@ from affmon.rationals import ONE, ExtRat, Vec2
 from affmon.solve3 import (
     BRANCH_HIGH,
     BRANCH_LOW,
-    _extreme_lengths,
     canonical_rep,
     elasticity3,
     extreme_factorizations,
@@ -313,37 +312,6 @@ class TestExtremeFactorizations:
         assert ext.fact_t0 in res.factorizations
         assert ext.fact_tmax in res.factorizations
         assert len(res.factorizations) == ext.t_max + 1
-
-
-class TestExtremeLengths:
-    def test_matches_the_extreme_factorizations(self):
-        ext = extreme_factorizations(STAR, Vec2(7, 13))
-        assert _extreme_lengths(STAR, 7, 13) == tuple(sorted((ext.len_t0, ext.len_tmax)))
-        assert _extreme_lengths(TAU_NEG, 6, 10) == (2, 4)
-
-    def test_non_member_rejected(self):
-        with pytest.raises(NotMemberError):
-            _extreme_lengths(GAPPY, 1, 5)
-
-    # Each corruption of the line breaks the multiply-back at one end or at
-    # both; the check has to run at j = 0 and at j = count - 1 to catch all three.
-    @pytest.mark.parametrize(
-        "corrupt, message",
-        [
-            # Start one step before j = 0: alpha0 - c/g < 0 at the j = 0 end only.
-            (lambda start, step, count: (_shift(start, step, -1), step, count), r"\(2, -2, 3\)"),
-            # One step past J: negative at the j = count - 1 end only.
-            (lambda start, step, count: (start, step, count + 1), r"\(-1, 7, 0\)"),
-            # delta0 + 1: nonnegative at both ends, but off the target.
-            (lambda start, step, count: (_shift(start, (1, 0, 0), 1), step, count), r"\(2, 1, 2\)"),
-        ],
-        ids=["before-j0", "past-J", "off-target"],
-    )
-    def test_rejects_a_corrupted_line(self, monkeypatch, corrupt, message):
-        line = solve3._line
-        monkeypatch.setattr(solve3, "_line", lambda m, x, y: corrupt(*line(m, x, y)))
-        with pytest.raises(ValueError, match=message):
-            _extreme_lengths(STAR, 7, 13)
 
 
 class TestElasticity3:
