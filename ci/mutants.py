@@ -139,6 +139,41 @@ MUTANTS = [
         'return f"{p}/{q}"',
         ["test_cli.py"],
     ),
+    # Value equality compares only the first field.
+    (
+        "rationals.py",
+        "return self._astuple() == other._astuple()",
+        "return self._astuple()[:1] == other._astuple()[:1]",
+        ["test_values.py"],
+    ),
+    # A value's hash skips its last field.
+    (
+        "rationals.py",
+        "return hash(self._astuple())",
+        "return hash(self._astuple()[:-1])",
+        ["test_values.py"],
+    ),
+    # A value's field can be reassigned.
+    (
+        "rationals.py",
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
+        ["test_values.py"],
+    ),
+    # The package answers None for a name it does not have.
+    (
+        "__init__.py",
+        'raise AttributeError(f"module {__name__!r} has no attribute {name!r}")',
+        "return None",
+        ["test_imports.py"],
+    ),
+    # A query skips the minimality check unless asked for it.
+    (
+        "cli.py",
+        "check_minimality: bool = True,",
+        "check_minimality: bool = False,",
+        ["test_values.py"],
+    ),
 ]
 
 

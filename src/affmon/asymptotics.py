@@ -27,7 +27,6 @@ value and its gap are then each reduced by one ``gcd``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import sub
 
@@ -39,7 +38,7 @@ from .errors import (
     ZeroElementError,
 )
 from .monoids import CanonicalMonoid3
-from .rationals import ONE, ExtRat, Vec2
+from .rationals import ONE, ExtRat, Vec2, _Frozen
 from .solve3 import _line, member3
 
 __all__ = [
@@ -61,19 +60,22 @@ def tau(m: CanonicalMonoid3) -> int:
     return (diff > 0) - (diff < 0)
 
 
-@dataclass(frozen=True)
-class LimitLFT:
+class LimitLFT(_Frozen):
     """The limit elasticity as a map (x, y) -> ((p*x + q*y)/(r*x + t*y)) ** tau.
 
     Coefficients may be negative individually; on a nonzero member of the
     monoid both linear forms are strictly positive.
     """
 
-    p: int
-    q: int
-    r: int
-    t: int
-    tau: int
+    _fields = ("p", "q", "r", "t", "tau")
+
+    def __init__(self, p: int, q: int, r: int, t: int, tau: int) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "tau", tau)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.tau not in (-1, 0, 1):

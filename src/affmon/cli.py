@@ -21,6 +21,12 @@ Scan rows all have one shape, so ``render_json`` writes each of them with
 one f-string, its strings escaped by ``encode_basestring_ascii``, and only
 the rest of a scan report through ``_json_text``.
 
+Imports: the solvers (``solve2``, ``solve3``), ``monoids``, ``argparse`` and
+``json`` load with this module.  ``oracle`` is imported by the ``oracle``
+command alone (in ``_oracle``), and ``asymptotics`` by ``limit`` and ``scan``
+alone, after the star check (in ``_solve``), so ``check``, ``factorize`` and
+``elasticity`` never load either.
+
 Values are exact ``ExtRat``s (``fractions.Fraction``s) and print as "7/5"
 or "3".  ``--approx`` adds ``float(value)``, made here and nowhere else in
 the package; beyond float range it prints ``(~ inf)``, or ``null`` in JSON.
@@ -41,7 +47,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional, Sequence
@@ -65,9 +70,7 @@ from .monoids import (
     canonicalize,
     validate_minimal_generation,
 )
-from .asymptotics import SCAN_CSV_HEADER, rho_limit, scan_multiples
-from .oracle import enumerate_factorizations
-from .rationals import ExtRat, Vec2
+from .rationals import ExtRat, Vec2, _Frozen
 from .solve2 import elasticity2, member2
 from .solve3 import elasticity3, extreme_factorizations, member3, member3_general
 
@@ -79,6 +82,10 @@ SOLVER_DIM3_STAR = "dim3-star-theorem"  # limit and scan
 SOLVER_ORACLE = "oracle"
 
 MAX_DIGITS = 1000  # per input coordinate
+
+# asymptotics.SCAN_CSV_HEADER, spelled out so that rendering a scan report
+# imports nothing; tests check that the two agree.
+_SCAN_CSV_HEADER = "k,rho_exact,rho_limit,gap"
 
 
 # ---------------------------------------------------------------------------
@@ -142,31 +149,59 @@ def parse_monoid(text: str) -> tuple[Vec2, ...]:
 # queries and reports
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(_Frozen):
     """One CLI invocation, decoupled from argparse for in-process use."""
 
-    command: str
-    monoid_text: str
-    vector_text: str
-    k_max: Optional[int] = None
-    mode: str = "one"  # factorize: one | all | extremes
-    check_minimality: bool = True
-    output: str = "human"  # human | json | csv
-    approx: bool = False
+    _fields = (
+        "command", "monoid_text", "vector_text", "k_max", "mode", "check_minimality", "output",
+        "approx",
+    )
+
+    def __init__(
+        self,
+        command: str,
+        monoid_text: str,
+        vector_text: str,
+        k_max: Optional[int] = None,
+        mode: str = "one",  # factorize: one | all | extremes
+        check_minimality: bool = True,
+        output: str = "human",  # human | json | csv
+        approx: bool = False,
+    ) -> None:
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "monoid_text", monoid_text)
+        object.__setattr__(self, "vector_text", vector_text)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "check_minimality", check_minimality)
+        object.__setattr__(self, "output", output)
+        object.__setattr__(self, "approx", approx)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Frozen):
     """The answer to a query, ready for rendering in any output format."""
 
-    command: str
-    generators: tuple[Vec2, ...]
-    canonical: Optional[Monoid]
-    input: Vec2
-    result: dict
-    solver_used: str
-    exit_code: int
+    _fields = (
+        "command", "generators", "canonical", "input", "result", "solver_used", "exit_code",
+    )
+
+    def __init__(
+        self,
+        command: str,
+        generators: tuple[Vec2, ...],
+        canonical: Optional[Monoid],
+        input: Vec2,
+        result: dict,
+        solver_used: str,
+        exit_code: int,
+    ) -> None:
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "solver_used", solver_used)
+        object.__setattr__(self, "exit_code", exit_code)
 
     @property
     def star(self) -> Optional[bool]:
@@ -224,6 +259,8 @@ def _solve(query: Query, m: Monoid, cs: Optional[Vec2]) -> dict:
         raise StarRequiredError(f"{what} needs three generators with b*c - a*d = 1")
     if cs is None:
         raise NotMemberError("vector is outside the monoid's cone")
+    if command != "elasticity":
+        from .asymptotics import rho_limit, scan_multiples  # imported by limit and scan only
     if command == "scan":
         if query.k_max is None or query.k_max < 1:
             raise ValueError("scan needs --k-max >= 1")
@@ -256,6 +293,8 @@ def _ratio_text(p: int, q: int) -> str:
 
 
 def _oracle(gens: tuple[Vec2, ...], vec: Vec2, approx: bool) -> dict:
+    from .oracle import enumerate_factorizations
+
     fs = enumerate_factorizations(gens, vec)
     lengths = fs.lengths  # sorted on every read
     result: dict = {
@@ -392,7 +431,7 @@ def render_csv(report: Report) -> str:
     rows = report.result.get("rows")
     if rows is None:
         raise ValueError("CSV output is only defined for scan reports")
-    lines = [SCAN_CSV_HEADER]
+    lines = [_SCAN_CSV_HEADER]
     lines.extend(f"{r['k']},{r['rho_exact']},{r['rho_limit']},{r['gap']}" for r in rows)
     return "\n".join(lines)
 

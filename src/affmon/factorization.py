@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .rationals import Vec2
+from .rationals import Vec2, _Frozen
 
 __all__ = [
     "Factorization",
@@ -21,11 +20,14 @@ DIVISIBILITY_FAILS = "DivisibilityFails"
 X_NOT_REPRESENTABLE = "XNotRepresentable"
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Frozen):
     """One factorization: how many copies of each generator are used."""
 
-    mults: tuple[int, ...]
+    _fields = ("mults",)
+
+    def __init__(self, mults: tuple[int, ...]) -> None:
+        object.__setattr__(self, "mults", mults)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.mults) < 1:
@@ -55,8 +57,7 @@ class Factorization:
         return cls(tuple(mults))
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(_Frozen):
     """Outcome of a membership test.
 
     ``factorization`` is the canonical witness when one is computed;
@@ -64,7 +65,16 @@ class Membership:
     them (None means "not computed", not "none exist").
     """
 
-    member: bool
-    factorization: Optional[Factorization] = None
-    factorizations: Optional[tuple[Factorization, ...]] = None
-    reason: Optional[str] = None
+    _fields = ("member", "factorization", "factorizations", "reason")
+
+    def __init__(
+        self,
+        member: bool,
+        factorization: Optional[Factorization] = None,
+        factorizations: Optional[tuple[Factorization, ...]] = None,
+        reason: Optional[str] = None,
+    ) -> None:
+        object.__setattr__(self, "member", member)
+        object.__setattr__(self, "factorization", factorization)
+        object.__setattr__(self, "factorizations", factorizations)
+        object.__setattr__(self, "reason", reason)

@@ -10,13 +10,12 @@ column is an (x, y) pair of ints, checked once on entry to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 from typing import Sequence
 
 from .errors import BothZeroError, NegativeResultError, NotPhiMinimalError
-from .rationals import Vec2
+from .rationals import Vec2, _Frozen
 
 __all__ = [
     "UniMat2",
@@ -33,14 +32,17 @@ D2_INCONCLUSIVE = "inconclusive"
 _Col = tuple[int, int]  # one column (x, y)
 
 
-@dataclass(frozen=True)
-class UniMat2:
+class UniMat2(_Frozen):
     """A 2 x 2 integer matrix with determinant +-1 (row-major entries)."""
 
-    m00: int
-    m01: int
-    m10: int
-    m11: int
+    _fields = ("m00", "m01", "m10", "m11")
+
+    def __init__(self, m00: int, m01: int, m10: int, m11: int) -> None:
+        object.__setattr__(self, "m00", m00)
+        object.__setattr__(self, "m01", m01)
+        object.__setattr__(self, "m10", m10)
+        object.__setattr__(self, "m11", m11)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.det not in (1, -1):

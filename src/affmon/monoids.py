@@ -14,13 +14,12 @@ mapped through the transform.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence, Union
 
 from .errors import DuplicateGeneratorError, NotPhiMinimalError, ZeroGeneratorError
 from .intlin import UniMat2, row_swapped_hnf
-from .rationals import Vec2, is_phi_minimal, slope_compare
+from .rationals import Vec2, _Frozen, is_phi_minimal, slope_compare
 
 __all__ = [
     "CanonicalMonoid2",
@@ -32,13 +31,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CanonicalMonoid2:
+class CanonicalMonoid2(_Frozen):
     """Monoid generated by (0, 1) and (a, b), in canonical coordinates."""
 
-    a: int
-    b: int
-    transform: UniMat2
+    _fields = ("a", "b", "transform")
+
+    def __init__(self, a: int, b: int, transform: UniMat2) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "transform", transform)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.a < 1 or self.b < 0:
@@ -52,8 +54,7 @@ class CanonicalMonoid2:
         return (Vec2(0, 1), Vec2(self.a, self.b))
 
 
-@dataclass(frozen=True)
-class CanonicalMonoid3:
+class CanonicalMonoid3(_Frozen):
     """Monoid generated by (0, 1), (a, b), (c, d), in canonical coordinates.
 
     Slope order is part of the invariant: 0 < a/b < c/d (compared by
@@ -61,11 +62,15 @@ class CanonicalMonoid3:
     caches ``gens`` and ``line_consts``, the constants of ``solve3``'s line.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
-    transform: UniMat2
+    _fields = ("a", "b", "c", "d", "transform")
+
+    def __init__(self, a: int, b: int, c: int, d: int, transform: UniMat2) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "transform", transform)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.a < 1 or self.b < 0 or self.c < 1 or self.d < 0:

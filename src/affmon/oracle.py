@@ -16,22 +16,23 @@ could have succeeded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import NotMemberError, ZeroElementError, ZeroGeneratorError
 from .factorization import Factorization
-from .rationals import ExtRat, Vec2
+from .rationals import ExtRat, Vec2, _Frozen
 
 __all__ = ["FactorizationSet", "enumerate_factorizations", "elasticity_oracle"]
 
 
-@dataclass(frozen=True)
-class FactorizationSet:
+class FactorizationSet(_Frozen):
     """The complete factorization set of one target element."""
 
-    target: Vec2
-    facts: tuple[Factorization, ...]
+    _fields = ("target", "facts")
+
+    def __init__(self, target: Vec2, facts: tuple[Factorization, ...]) -> None:
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "facts", facts)
 
     @property
     def member(self) -> bool:

@@ -6,26 +6,65 @@ terms and supplies equality, hashing, order and ``str`` ("7/5", "3").
 Arithmetic on it returns a plain ``Fraction``.  This module makes no
 approximations; ``cli`` converts a value for ``--approx`` display.
 ``Vec2`` is a point of N0^2; two nonzero points are ordered by their slope
-x/y, compared on the cross product.
+x/y, compared on the cross product.  ``_Frozen`` is the private base of every
+value type in the package.
 
 Everything in this module is immutable and pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 __all__ = ["Vec2", "ExtRat", "ONE", "slope_compare", "is_phi_minimal"]
 
 
-@dataclass(frozen=True)
-class Vec2:
+class _Frozen:
+    """An immutable value: what ``@dataclass(frozen=True)`` generated, without
+    importing ``dataclasses`` or exec-ing methods for each class.
+
+    A subclass names its fields once, in ``_fields``.  Its own ``__init__``
+    sets them with ``object.__setattr__`` and then calls ``__post_init__``
+    where the class has one.  Equality and hashing go by the field tuple,
+    within one class only; ``repr`` names every field; a field can be neither
+    set nor deleted.  Instances keep their ``__dict__``, so
+    ``functools.cached_property``, pickle and copy work as on any object.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Vec2(_Frozen):
     """A lattice point (x, y) with nonnegative integer coordinates."""
 
-    x: int
-    y: int
+    _fields = ("x", "y")
+
+    def __init__(self, x: int, y: int) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.x, int) or not isinstance(self.y, int):

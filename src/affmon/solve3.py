@@ -31,7 +31,6 @@ checks them on ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Union
 
@@ -43,7 +42,7 @@ from .factorization import (
     Membership,
 )
 from .monoids import CanonicalMonoid3
-from .rationals import ExtRat, Vec2
+from .rationals import ExtRat, Vec2, _Frozen
 
 __all__ = [
     "BRANCH_LOW",
@@ -137,8 +136,7 @@ def member3_general(m: CanonicalMonoid3, s: Vec2) -> Membership:
     return Membership(member=True, factorization=facts[0], factorizations=facts)
 
 
-@dataclass(frozen=True)
-class ExtremeFactorizations:
+class ExtremeFactorizations(_Frozen):
     """Both ends of the factorization line of a member.
 
     ``fact_t0`` is the canonical factorization (t = 0) and ``fact_tmax`` the
@@ -146,10 +144,15 @@ class ExtremeFactorizations:
     the short one depends on the sign of c - a - D.
     """
 
-    branch: str
-    t_max: int
-    fact_t0: Factorization
-    fact_tmax: Factorization
+    _fields = ("branch", "t_max", "fact_t0", "fact_tmax")
+
+    def __init__(
+        self, branch: str, t_max: int, fact_t0: Factorization, fact_tmax: Factorization
+    ) -> None:
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "t_max", t_max)
+        object.__setattr__(self, "fact_t0", fact_t0)
+        object.__setattr__(self, "fact_tmax", fact_tmax)
 
     @property
     def len_t0(self) -> int:

@@ -8,7 +8,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from affmon.cli import (
     SOLVER_DIM3_STAR,
     SOLVER_ORACLE,
     Query,
+    Report,
     _approx,
     _json_text,
     _ratio_text,
@@ -623,7 +623,16 @@ class TestJsonText:
     def test_scan_row_strings_are_escaped(self):
         text = '"\\/\x00\n\xe9\u2028\U0001f600'
         rows = [{"k": 1, "rho_exact": text, "rho_limit": "", "gap": text[::-1]}]
-        report = replace(run(q("scan", STAR_TEXT, "7,13", k_max=1)), result={"rows": rows})
+        ran = run(q("scan", STAR_TEXT, "7,13", k_max=1))
+        report = Report(
+            command=ran.command,
+            generators=ran.generators,
+            canonical=ran.canonical,
+            input=ran.input,
+            result={"rows": rows},
+            solver_used=ran.solver_used,
+            exit_code=ran.exit_code,
+        )
         assert render_json(report) == json.dumps(_scan_payload(report), indent=2)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [{"a": math.inf}]])
