@@ -104,6 +104,22 @@ MUTANTS = [
         "if False:",
         ["test_factorization.py"],
     ),
+    # The per-point multiply-back of the listed line skipped
+    # (test_solve3.py::TestMember3General::test_rejects_a_corrupted_line).
+    (
+        "solve3.py",
+        "if pv * a + pw * c != x or pu + pv * b + pw * d != y:",
+        "if False:",
+        ["test_solve3.py"],
+    ),
+    # A multiplicity of -1 let through: the constructor's sign check off by one
+    # (test_solve3.py::TestMember3General::test_rejects_a_corrupted_line[past-J]).
+    (
+        "factorization.py",
+        "if min(self.mults) < 0:",
+        "if min(self.mults) < -1:",
+        ["test_solve3.py"],
+    ),
     # A non-member of a two-generator monoid reports "not computed".
     (
         "solve2.py",
@@ -123,6 +139,22 @@ MUTANTS = [
         "cli.py",
         '{i}"gap": {_json_str(r["gap"])}',
         '{i}"gap":{_json_str(r["gap"])}',
+        ["test_cli.py"],
+    ),
+    # The factorization writer's key separator without its space
+    # (test_cli.py::TestJsonText::test_factorization_lists_equal_json_dumps).
+    (
+        "cli.py",
+        '{i}"length": {f["length"]}',
+        '{i}"length":{f["length"]}',
+        ["test_cli.py"],
+    ),
+    # The factorization writer's multiplicities one indent level short
+    # (test_cli.py::TestJsonText::test_factorization_lists_equal_json_dumps).
+    (
+        "cli.py",
+        'sep = ",\\n          "',
+        'sep = ",\\n        "',
         ["test_cli.py"],
     ),
     # The JSON writer prints false as true.

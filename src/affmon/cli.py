@@ -17,9 +17,13 @@ byte: two-space indent, ASCII escapes, keys in insertion order.
 ``_json_text`` writes it directly, because given an indent ``json`` drops to
 its pure-Python encoder, which took almost half of a ``large_x`` benchmark
 pass; the writer renders the benchmark's reports in 0.5-0.6x its time.
-Scan rows all have one shape, so ``render_json`` writes each of them with
-one f-string, its strings escaped by ``encode_basestring_ascii``, and only
-the rest of a scan report through ``_json_text``.
+Scan rows and listed factorizations (``factorize --all``, ``oracle``) each
+have one shape, so ``render_json`` writes every element of a ``"rows"`` or
+``"factorizations"`` list with one f-string, its strings escaped by
+``encode_basestring_ascii``, and ``_splice`` puts the list into what
+``_json_text`` writes for the rest of the report.  Every listed
+factorization shares one payload, ``_fact_payload``, whose ``"length"`` the
+``"lengths"`` list reuses.
 
 Imports: the solvers (``solve2``, ``solve3``), ``monoids``, ``argparse`` and
 ``json`` load with this module.  ``oracle`` is imported by the ``oracle``
@@ -211,6 +215,7 @@ class Report(_Frozen):
 
 
 def _fact_payload(fact: Factorization) -> dict:
+    """A factorization in every report; a list's ``"lengths"`` reuse its lengths."""
     return {"mults": list(fact.mults), "length": fact.length}
 
 
@@ -228,12 +233,12 @@ def _factorize(m: Monoid, cs: Optional[Vec2], mode: str) -> dict:
     if mode == "one":
         return {"member": True, "factorization": _fact_payload(mem.factorization)}
     if mode == "all":
-        facts = mem.factorizations
+        facts = [_fact_payload(f) for f in mem.factorizations]
         return {
             "member": True,
             "count": len(facts),
-            "factorizations": [_fact_payload(f) for f in facts],
-            "lengths": sorted(f.length for f in facts),
+            "factorizations": facts,
+            "lengths": sorted([p["length"] for p in facts]),
         }
     if dim2:
         # Two generators: the factorization is unique.
@@ -296,12 +301,13 @@ def _oracle(gens: tuple[Vec2, ...], vec: Vec2, approx: bool) -> dict:
     from .oracle import enumerate_factorizations
 
     fs = enumerate_factorizations(gens, vec)
-    lengths = fs.lengths  # sorted on every read
+    facts = [_fact_payload(f) for f in fs.facts]
+    lengths = sorted([p["length"] for p in facts])
     result: dict = {
         "member": fs.member,
-        "count": len(fs.facts),
-        "factorizations": [_fact_payload(f) for f in fs.facts],
-        "lengths": list(lengths),
+        "count": len(facts),
+        "factorizations": facts,
+        "lengths": lengths,
     }
     if fs.member and not vec.is_zero:
         rho = ExtRat(lengths[-1], lengths[0])
@@ -375,20 +381,32 @@ def render_json(report: Report) -> str:
         "result": result,
         "solver_used": report.solver_used,
     }
-    rows = result.get("rows")
-    if not rows:
-        return _json_text(payload)
-    # Scan rows all have one shape, so each is written with one f-string;
-    # the rest of the report goes through _json_text with the rows left empty.
+    # Scan rows and factorizations each have one shape, so each element is
+    # written with one f-string; the rest goes through _json_text.
     i = "\n        "
-    text = ",\n      ".join(
-        f'{{{i}"k": {r["k"]},{i}"rho_exact": {_json_str(r["rho_exact"])},'
-        f'{i}"rho_limit": {_json_str(r["rho_limit"])},{i}"gap": {_json_str(r["gap"])}\n      }}'
-        for r in rows
-    )
-    empty = _json_text({**payload, "result": {**result, "rows": []}})
-    head, _, tail = empty.partition('"rows": []')
-    return f'{head}"rows": [\n      {text}\n    ]{tail}'
+    if rows := result.get("rows"):
+        return _splice(payload, "rows", (
+            f'{{{i}"k": {r["k"]},{i}"rho_exact": {_json_str(r["rho_exact"])},'
+            f'{i}"rho_limit": {_json_str(r["rho_limit"])},{i}"gap": {_json_str(r["gap"])}\n      }}'
+            for r in rows
+        ))
+    if facts := result.get("factorizations"):
+        sep = ",\n          "
+        return _splice(payload, "factorizations", (
+            f'{{{i}"mults": [\n          {sep.join(map(str, f["mults"]))}{i}],'
+            f'{i}"length": {f["length"]}\n      }}'
+            for f in facts
+        ))
+    return _json_text(payload)
+
+
+def _splice(payload: dict, key: str, items) -> str:
+    """``payload`` as JSON with ``result[key]`` written as the given element
+    texts, each already indented for its place in the report."""
+    empty = _json_text({**payload, "result": {**payload["result"], key: []}})
+    head, _, tail = empty.partition(f'"{key}": []')
+    text = ",\n      ".join(items)
+    return f'{head}"{key}": [\n      {text}\n    ]{tail}'
 
 
 def _json_text(value, newline: str = "\n") -> str:
@@ -437,8 +455,7 @@ def render_csv(report: Report) -> str:
 
 
 def _fact_line(payload: dict) -> str:
-    mults = ", ".join(str(v) for v in payload["mults"])
-    return f"({mults})  length={payload['length']}"
+    return f"({', '.join(map(str, payload['mults']))})  length={payload['length']}"
 
 
 def render_human(report: Report) -> str:

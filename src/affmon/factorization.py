@@ -32,7 +32,7 @@ class Factorization(_Frozen):
     def __post_init__(self):
         if len(self.mults) < 1:
             raise ValueError("a factorization needs at least one multiplicity")
-        if any(m < 0 for m in self.mults):
+        if min(self.mults) < 0:
             raise ValueError(f"multiplicities must be nonnegative: {self.mults}")
 
     @property

@@ -24,7 +24,9 @@ start = (delta0, alpha0, beta0), step = (-D/g, c/g, -a/g) and count = J + 1,
 so the length moves by sum(step) per step.  It is computed on ints, from the
 constants g, c/g, a/g, D/g and (a/g)^-1 mod c/g that
 ``CanonicalMonoid3.line_consts`` computes once per monoid.  Every
-factorization handed out is multiplied back by ``Factorization.checked``;
+factorization handed out is multiplied back to s: by
+``Factorization.checked`` in ``member3`` and ``extreme_factorizations``, and
+on ints, point by point, in ``member3_general``, which lists the whole line.
 ``asymptotics.scan_multiples`` reads the two ends of the line itself and
 checks them on ints.
 """
@@ -128,12 +130,16 @@ def member3_general(m: CanonicalMonoid3, s: Vec2) -> Membership:
     if isinstance(line, Membership):
         return line
     (u, v, w), (du, dv, dw), count = line
-    gens = m.gens
-    facts = tuple(
-        Factorization.checked((u + j * du, v + j * dv, w + j * dw), gens, s)
-        for j in range(count - 1, -1, -1)
-    )
-    return Membership(member=True, factorization=facts[0], factorizations=facts)
+    x, y, a, b, c, d = s.x, s.y, m.a, m.b, m.c, m.d
+    facts = []
+    for j in range(count - 1, -1, -1):
+        point = pu, pv, pw = u + j * du, v + j * dv, w + j * dw
+        # Multiplied back on ints against (0, 1), (a, b), (c, d); the
+        # Factorization constructor then rejects a negative multiplicity.
+        if pv * a + pw * c != x or pu + pv * b + pw * d != y:
+            raise ValueError(f"{point} is not a factorization of ({x}, {y})")
+        facts.append(Factorization(point))
+    return Membership(member=True, factorization=facts[0], factorizations=tuple(facts))
 
 
 class ExtremeFactorizations(_Frozen):

@@ -45,7 +45,7 @@ from affmon.errors import (
 )
 from affmon.asymptotics import SCAN_CSV_HEADER, scan_multiples
 from affmon.intlin import IDENTITY
-from affmon.monoids import canonical_coords
+from affmon.monoids import CanonicalMonoid3, canonical_coords
 from affmon.rationals import ExtRat, Vec2
 
 from conftest import members3, star_monoids
@@ -593,6 +593,43 @@ def _scan_payload(report):
     }
 
 
+def _report_payload(report):
+    """The JSON payload of any report whose values are in float range, built
+    here from its fields."""
+    m = report.canonical
+    return {
+        "command": report.command,
+        "monoid": {
+            "generators": [[g.x, g.y] for g in report.generators],
+            "canonical": None if m is None else [[g.x, g.y] for g in m.gens],
+            "star": m.star if isinstance(m, CanonicalMonoid3) else None,
+            "transform": None if m is None else [list(r) for r in m.transform.as_rows()],
+        },
+        "input": [report.input.x, report.input.y],
+        "result": report.result,
+        "solver_used": report.solver_used,
+    }
+
+
+# Factorization lists of every size the JSON writer sees, with their counts:
+# (3N, 6N) has N + 1 factorizations in STAR_TEXT, and (4000, 8000) has 2,001
+# in the non-star <(0,1), (1,2), (2,1)>.
+FACT_LIST_QUERIES = [
+    pytest.param("factorize", WORKED_TEXT, "199,119", 0, id="all-non-member"),
+    pytest.param("factorize", STAR_TEXT, "0,1", 1, id="all-one"),
+    pytest.param("factorize", STAR_TEXT, "6,13", 3, id="all-readme"),
+    pytest.param("factorize", STAR_TEXT, f"{3 * 2047},{6 * 2047}", 2048, id="all-star-2048"),
+    pytest.param("factorize", "0,1;1,2;2,1", "4000,8000", 2001, id="all-non-star-2001"),
+    pytest.param("factorize", DIM2_TEXT, "6,5", 1, id="all-dim2"),
+    pytest.param("factorize", STAR_TEXT, "0,0", 1, id="all-zero"),
+    pytest.param("oracle", STAR_TEXT, "6,13", 3, id="oracle-3-gens"),
+    pytest.param("oracle", "0,1;1,2;3,5;2,1", "6,13", 7, id="oracle-4-gens"),
+    pytest.param("oracle", "1,2;2,1;1,1;1,3;3,1", "20,20", 78, id="oracle-5-gens"),
+    pytest.param("oracle", STAR_TEXT, "6,9", 0, id="oracle-non-member"),
+    pytest.param("oracle", STAR_TEXT, "0,0", 1, id="oracle-zero"),
+]
+
+
 class TestJsonText:
     """``render_json`` prints exactly what ``json.dumps(payload, indent=2)`` does."""
 
@@ -634,6 +671,15 @@ class TestJsonText:
             exit_code=ran.exit_code,
         )
         assert render_json(report) == json.dumps(_scan_payload(report), indent=2)
+
+    @pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])
+    @pytest.mark.parametrize("command, monoid, vector, count", FACT_LIST_QUERIES)
+    def test_factorization_lists_equal_json_dumps(self, command, monoid, vector, count, approx):
+        # Each factorization is written with one f-string, the rest by _json_text.
+        report = run(q(command, monoid, vector, mode="all", output="json", approx=approx))
+        assert report.result.get("count", 0) == count
+        assert len(report.result.get("factorizations", ())) == count
+        assert render_json(report) == json.dumps(_report_payload(report), indent=2)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [{"a": math.inf}]])
     def test_non_finite_float_raises(self, value):

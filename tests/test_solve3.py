@@ -243,6 +243,29 @@ class TestMember3General:
         assert even.member
         assert [f.mults for f in even.factorizations] == [(0, 3, 0), (1, 1, 1)]
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            # delta0 + 1: the first point listed, (2, 6, 0), misses y = 13.
+            (lambda start, step, count: ((start[0] + 1, *start[1:]), step, count),
+             r"\(2, 6, 0\) is not a factorization of \(6, 13\)"),
+            # A step outside the kernel: (1, 4, 0) misses x = 6.
+            (lambda start, step, count: (start, (-1, 2, -1), count),
+             r"\(1, 4, 0\) is not a factorization of \(6, 13\)"),
+            # One point past J: (0, 9, -1) multiplies back, but beta < 0.
+            (lambda start, step, count: (start, step, count + 1),
+             r"nonnegative: \(0, 9, -1\)"),
+        ],
+        ids=["start-off-target", "step-outside-kernel", "past-J"],
+    )
+    def test_rejects_a_corrupted_line(self, monkeypatch, corrupt, message):
+        # Every point of the line is multiplied back and sign-checked as it is listed.
+        line = solve3._line
+        assert line(STAR, 6, 13) == ((3, 0, 2), (-1, 3, -1), 3)
+        monkeypatch.setattr(solve3, "_line", lambda m, x, y: corrupt(*line(m, x, y)))
+        with pytest.raises(ValueError, match=message):
+            member3_general(STAR, Vec2(6, 13))
+
     @given(m=star_monoids(max_a=5, max_b=5, max_extra=2), s=vecs(max_coord=35))
     def test_matches_exhaustive_search(self, m, s):
         res = member3_general(m, s)
