@@ -206,6 +206,48 @@ MUTANTS = [
         "check_minimality: bool = False,",
         ["test_values.py"],
     ),
+    # The elasticity of a three-generator member inverted: min length over max.
+    (
+        "solve3.py",
+        "return Fraction(hi, lo)",
+        "return Fraction(lo, hi)",
+        ["test_solve3.py"],
+    ),
+    # The limit's tau = +1 and tau = -1 forms swapped.
+    (
+        "asymptotics.py",
+        "return Fraction(num, den) if self.tau == 1 else Fraction(den, num)",
+        "return Fraction(den, num) if self.tau == 1 else Fraction(num, den)",
+        ["test_asymptotics.py"],
+    ),
+    # The oracle command's rho inverted.
+    (
+        "cli.py",
+        "rho = Fraction(lengths[-1], lengths[0])",
+        "rho = Fraction(lengths[0], lengths[-1])",
+        ["test_cli.py"],
+    ),
+    # The elasticity of a two-generator member is not 1.
+    (
+        "solve2.py",
+        "return Fraction(1)",
+        "return Fraction(2)",
+        ["test_solve2.py"],
+    ),
+    # The oracle's elasticity inverted.
+    (
+        "oracle.py",
+        "return Fraction(lengths[-1], lengths[0])",
+        "return Fraction(lengths[0], lengths[-1])",
+        ["test_oracle.py"],
+    ),
+    # A scan's k_max too large for the row list ends in MemoryError, not InputTooLarge.
+    (
+        "asymptotics.py",
+        "except (OverflowError, MemoryError):",
+        "except OverflowError:",
+        ["test_asymptotics.py"],
+    ),
 ]
 
 

@@ -28,7 +28,7 @@ _HOMES = {
         "StarRequiredError NotMemberError ZeroElementError PeriodicityViolatedError "
         "WrongBranchError ZeroGeneratorError DuplicateGeneratorError "
         "NotMinimallyGeneratedError MonoidParseError InputTooLargeError",
-        "rationals": "Vec2 ExtRat ONE slope_compare is_phi_minimal",
+        "rationals": "Vec2 ExtRat slope_compare is_phi_minimal",
         "factorization": "Factorization Membership PHI_OUT_OF_RANGE DIVISIBILITY_FAILS "
         "X_NOT_REPRESENTABLE",
         "intlin": "UniMat2 ext_gcd row_swapped_hnf det_divisors d2_test D2_NOT_MEMBER "
@@ -39,9 +39,9 @@ _HOMES = {
         "solve2": "member2 elasticity2",
         "solve3": "BRANCH_LOW BRANCH_HIGH ExtremeFactorizations canonical_rep member3 "
         "member3_general extreme_factorizations elasticity3",
-        "asymptotics": "LimitLFT SCAN_CSV_HEADER tau rho_special_ac rho_special_c rho_limit "
+        "asymptotics": "LimitLFT tau rho_special_ac rho_special_c rho_limit "
         "scan_multiples",
-        "cli": "Query Report parse_monoid parse_vector run main",
+        "cli": "Query Report SCAN_CSV_HEADER parse_monoid parse_vector run main",
     }.items()
     for name in names.split()
 }

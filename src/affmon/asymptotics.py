@@ -10,9 +10,11 @@ constant and given by a ratio of linear forms in x and y:
 where tau = sign(c - a - 1) and the exponent -1 means the reciprocal, which
 keeps every value >= 1.  The k -> infinity limit of the elasticity equals the
 same expressions, so it is a linear fractional transformation of (x, y),
-exposed here as ``LimitLFT``.  ``scan_multiples`` tabulates exact values
-against the limit for empirical convergence studies, and ``affmon scan``
-prints its rows.  It computes the limit once and each row on plain ints.
+exposed here as ``LimitLFT``.  Every value is a plain ``fractions.Fraction``.
+``scan_multiples`` tabulates exact values against the limit for empirical
+convergence studies, and ``affmon scan`` prints its rows.  It computes the
+limit once and each row on plain ints, into one list allocated up front; a
+k_max no list can hold is refused (InputTooLarge) before any row.
 The two ends (delta, alpha, beta) of the factorization line of k*s, at j = 0
 and j = J, are linear in k on each residue class mod P = (c/g)*lcm(a/g, D/g),
 which is a*c on a star monoid: alpha0 depends on k only mod c/g, and J is
@@ -27,10 +29,12 @@ value and its gap are then each reduced by one ``gcd``.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 from operator import sub
 
 from .errors import (
+    InputTooLargeError,
     NotMemberError,
     PeriodicityViolatedError,
     StarRequiredError,
@@ -38,20 +42,17 @@ from .errors import (
     ZeroElementError,
 )
 from .monoids import CanonicalMonoid3
-from .rationals import ONE, ExtRat, Vec2, _Frozen
+from .rationals import Vec2, _Frozen
 from .solve3 import _line, member3
 
 __all__ = [
     "LimitLFT",
-    "SCAN_CSV_HEADER",
     "tau",
     "rho_special_ac",
     "rho_special_c",
     "rho_limit",
     "scan_multiples",
 ]
-
-SCAN_CSV_HEADER = "k,rho_exact,rho_limit,gap"
 
 
 def tau(m: CanonicalMonoid3) -> int:
@@ -81,14 +82,14 @@ class LimitLFT(_Frozen):
         if self.tau not in (-1, 0, 1):
             raise ValueError("tau must be -1, 0, or +1")
 
-    def evaluate(self, s: Vec2) -> ExtRat:
+    def evaluate(self, s: Vec2) -> Fraction:
         num = self.p * s.x + self.q * s.y
         den = self.r * s.x + self.t * s.y
         if num <= 0 or den <= 0:
             raise ValueError(f"linear forms not positive at {s}; not a nonzero member")
         if self.tau == 0:
-            return ONE
-        return ExtRat(num, den) if self.tau == 1 else ExtRat(den, num)
+            return Fraction(1)
+        return Fraction(num, den) if self.tau == 1 else Fraction(den, num)
 
 
 def _lft_low(m: CanonicalMonoid3) -> LimitLFT:
@@ -126,7 +127,7 @@ def _check_multiple_args(m: CanonicalMonoid3, s: Vec2, k: int, period: int, name
         raise NotMemberError(f"{s} is not in the monoid")
 
 
-def rho_special_ac(m: CanonicalMonoid3, s: Vec2, k: int) -> ExtRat:
+def rho_special_ac(m: CanonicalMonoid3, s: Vec2, k: int) -> Fraction:
     """Exact elasticity of k*s when a*c divides k and slope(s) <= a/b.
 
     The value does not depend on k beyond the divisibility requirement.
@@ -137,7 +138,7 @@ def rho_special_ac(m: CanonicalMonoid3, s: Vec2, k: int) -> ExtRat:
     return _lft_low(m).evaluate(s)
 
 
-def rho_special_c(m: CanonicalMonoid3, s: Vec2, k: int) -> ExtRat:
+def rho_special_c(m: CanonicalMonoid3, s: Vec2, k: int) -> Fraction:
     """Exact elasticity of k*s when c divides k and slope(s) >= a/b.
 
     The value does not depend on k beyond the divisibility requirement.
@@ -148,7 +149,7 @@ def rho_special_c(m: CanonicalMonoid3, s: Vec2, k: int) -> ExtRat:
     return _lft_high(m).evaluate(s)
 
 
-def rho_limit(m: CanonicalMonoid3, s: Vec2) -> tuple[LimitLFT, ExtRat]:
+def rho_limit(m: CanonicalMonoid3, s: Vec2) -> tuple[LimitLFT, Fraction]:
     """Limit of the elasticity of k*s as k grows, with its LFT form.
 
     The branch follows the slope comparison with a/b; on the boundary both
@@ -181,7 +182,7 @@ def _ends(m: CanonicalMonoid3, x: int, y: int) -> tuple[int, ...]:
     return u, v, w, u + j * du, v + j * dv, w + j * dw
 
 
-def scan_multiples(m: CanonicalMonoid3, s: Vec2, k_max: int) -> tuple[ExtRat, list[tuple]]:
+def scan_multiples(m: CanonicalMonoid3, s: Vec2, k_max: int) -> tuple[Fraction, list[tuple]]:
     """Exact elasticity of k*s for k = 1..k_max, with gaps to the limit.
 
     Returns the limit and, for each k, the row (k, p, q, n, d) with
@@ -195,7 +196,10 @@ def scan_multiples(m: CanonicalMonoid3, s: Vec2, k_max: int) -> tuple[ExtRat, li
     m_a, m_b, m_c, m_d = m.a, m.b, m.c, m.d
     _, c_g, a_g, d_g, _ = m.line_consts
     period = c_g * lcm(a_g, d_g)
-    rows: list = [None] * k_max
+    try:
+        rows: list = [None] * k_max
+    except (OverflowError, MemoryError):
+        raise InputTooLargeError("k_max is more rows than a list can hold") from None
     for r in range(1, min(period, k_max) + 1):
         u, v, w, uj, vj, wj = start = _ends(m, r * x, r * y)
         # On the class of r every end multiplicity is linear in k, so the

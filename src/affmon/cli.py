@@ -31,13 +31,15 @@ command alone (in ``_oracle``), and ``asymptotics`` by ``limit`` and ``scan``
 alone, after the star check (in ``_solve``), so ``check``, ``factorize`` and
 ``elasticity`` never load either.
 
-Values are exact ``ExtRat``s (``fractions.Fraction``s) and print as "7/5"
-or "3".  ``--approx`` adds ``float(value)``, made here and nowhere else in
-the package; beyond float range it prints ``(~ inf)``, or ``null`` in JSON.
+Values are exact ``fractions.Fraction``s and print as "7/5" or "3".
+``--approx`` adds ``float(value)``, made here and nowhere else in the
+package; beyond float range it prints ``(~ inf)``, or ``null`` in JSON.
 
 A coordinate longer than ``MAX_DIGITS`` digits is refused (InputTooLarge)
 before any work.  Canonical entries then stay near 2,000 digits and LFT
-coefficients near 4,000, under CPython's 4,300-digit int-to-str limit.
+coefficients near 4,000, under CPython's 4,300-digit int-to-str limit.  A
+``--k-max`` with more rows than a list can hold is refused the same way,
+before any row is computed.
 
 Exit codes: 0 when the query succeeded (member / value computed), 1 when the
 result says "member": False or a NotMember error is raised, 2 for input errors,
@@ -51,6 +53,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional, Sequence
@@ -74,11 +77,11 @@ from .monoids import (
     canonicalize,
     validate_minimal_generation,
 )
-from .rationals import ExtRat, Vec2, _Frozen
+from .rationals import Vec2, _Frozen
 from .solve2 import elasticity2, member2
 from .solve3 import elasticity3, extreme_factorizations, member3, member3_general
 
-__all__ = ["Query", "Report", "parse_monoid", "parse_vector", "run", "main"]
+__all__ = ["Query", "Report", "SCAN_CSV_HEADER", "parse_monoid", "parse_vector", "run", "main"]
 
 SOLVER_DIM2 = "dim2-theorem"
 SOLVER_DIM3 = "dim3-line"
@@ -87,9 +90,7 @@ SOLVER_ORACLE = "oracle"
 
 MAX_DIGITS = 1000  # per input coordinate
 
-# asymptotics.SCAN_CSV_HEADER, spelled out so that rendering a scan report
-# imports nothing; tests check that the two agree.
-_SCAN_CSV_HEADER = "k,rho_exact,rho_limit,gap"
+SCAN_CSV_HEADER = "k,rho_exact,rho_limit,gap"
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +311,7 @@ def _oracle(gens: tuple[Vec2, ...], vec: Vec2, approx: bool) -> dict:
         "lengths": lengths,
     }
     if fs.member and not vec.is_zero:
-        rho = ExtRat(lengths[-1], lengths[0])
+        rho = Fraction(lengths[-1], lengths[0])
         result["rho"] = str(rho)
         if approx:
             result["approx"] = _approx(rho)
@@ -449,7 +450,7 @@ def render_csv(report: Report) -> str:
     rows = report.result.get("rows")
     if rows is None:
         raise ValueError("CSV output is only defined for scan reports")
-    lines = [_SCAN_CSV_HEADER]
+    lines = [SCAN_CSV_HEADER]
     lines.extend(f"{r['k']},{r['rho_exact']},{r['rho_limit']},{r['gap']}" for r in rows)
     return "\n".join(lines)
 
@@ -492,7 +493,7 @@ def render_human(report: Report) -> str:
     return "\n".join(lines)
 
 
-def _approx(value: ExtRat) -> float:
+def _approx(value: Fraction) -> float:
     """The ``--approx`` value: inf beyond float range, which the human
     report prints as ``(~ inf)`` and JSON as ``null``."""
     try:

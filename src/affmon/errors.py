@@ -108,6 +108,7 @@ class MonoidParseError(AffmonError):
 
 
 class InputTooLargeError(AffmonError):
-    """An input coordinate has more digits than the CLI accepts."""
+    """An input is too large to work on: a coordinate with more digits than
+    the CLI accepts, or a scan's k_max with more rows than a list can hold."""
 
     code = "InputTooLarge"

@@ -16,11 +16,12 @@ could have succeeded.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import NotMemberError, ZeroElementError, ZeroGeneratorError
 from .factorization import Factorization
-from .rationals import ExtRat, Vec2, _Frozen
+from .rationals import Vec2, _Frozen
 
 __all__ = ["FactorizationSet", "enumerate_factorizations", "elasticity_oracle"]
 
@@ -129,7 +130,7 @@ def enumerate_factorizations(gens: Sequence[Vec2], s: Vec2) -> FactorizationSet:
     )
 
 
-def elasticity_oracle(gens: Sequence[Vec2], s: Vec2) -> ExtRat:
+def elasticity_oracle(gens: Sequence[Vec2], s: Vec2) -> Fraction:
     """max length / min length over the enumerated factorization set."""
     if s.is_zero:
         raise ZeroElementError("elasticity of the zero element is undefined")
@@ -137,4 +138,4 @@ def elasticity_oracle(gens: Sequence[Vec2], s: Vec2) -> ExtRat:
     if not fs.member:
         raise NotMemberError(f"{s} has no factorization")
     lengths = fs.lengths
-    return ExtRat(lengths[-1], lengths[0])
+    return Fraction(lengths[-1], lengths[0])

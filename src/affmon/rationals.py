@@ -1,13 +1,12 @@
-"""Exact nonnegative rationals, and slopes of lattice points.
+"""Lattice points of N0^2 and their slopes.
 
-``ExtRat`` models Q>=0 as a ``fractions.Fraction`` subclass that adds only
-the Q>=0 check and ``abs_diff``: the standard library keeps it in lowest
-terms and supplies equality, hashing, order and ``str`` ("7/5", "3").
-Arithmetic on it returns a plain ``Fraction``.  This module makes no
-approximations; ``cli`` converts a value for ``--approx`` display.
 ``Vec2`` is a point of N0^2; two nonzero points are ordered by their slope
 x/y, compared on the cross product.  ``_Frozen`` is the private base of every
-value type in the package.
+value type in the package.  Every exact value the program computes (an
+elasticity, a limit, a gap) is a plain ``fractions.Fraction``, which keeps it
+in lowest terms and supplies equality, hashing, order and ``str`` ("7/5",
+"3").  Nothing here approximates; ``cli`` converts a value for ``--approx``
+display.
 
 Everything in this module is immutable and pure.
 """
@@ -17,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-__all__ = ["Vec2", "ExtRat", "ONE", "slope_compare", "is_phi_minimal"]
+__all__ = ["Vec2", "ExtRat", "slope_compare", "is_phi_minimal"]
 
 
 class _Frozen:
@@ -88,31 +87,10 @@ class Vec2(_Frozen):
         return f"({self.x}, {self.y})"
 
 
-class ExtRat(Fraction):
-    """An element of Q>=0: a ``Fraction`` whose constructor takes only ints,
-    with a denominator >= 1 and a numerator >= 0.  Every value the program
-    computes (an elasticity, a limit, a gap) is one of these."""
-
-    __slots__ = ()
-
-    def __new__(cls, num: int, den: int = 1) -> "ExtRat":
-        if not isinstance(num, int) or not isinstance(den, int):
-            raise TypeError("numerator and denominator must be integers")
-        if num < 0 or den < 1:
-            raise ValueError(f"not a nonnegative rational: {num}/{den}")
-        return super().__new__(cls, num, den)
-
-    def __reduce__(self):
-        # Fraction.__reduce__ may pass str(self), which __new__ refuses.
-        return (type(self), (self.numerator, self.denominator))
-
-    def abs_diff(self, other: "ExtRat") -> "ExtRat":
-        """Exact |self - other|, as an ExtRat."""
-        p, q = self.numerator, self.denominator
-        return ExtRat(abs(p * other.denominator - other.numerator * q), q * other.denominator)
-
-
-ONE = ExtRat(1)
+# The exact values the program computes are plain Fractions.  The old name
+# stays only because bench/test_bench.py and bench/tracing.py still read it;
+# it goes once ROADMAP item 1 drops it from both.
+ExtRat = Fraction
 
 
 def slope_compare(u: Vec2, v: Vec2) -> int:

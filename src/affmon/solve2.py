@@ -8,10 +8,12 @@ k = x/a copies of (a,b), so every member has elasticity 1.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import NotMemberError, ZeroElementError
 from .factorization import DIVISIBILITY_FAILS, PHI_OUT_OF_RANGE, Factorization, Membership
 from .monoids import CanonicalMonoid2
-from .rationals import ONE, ExtRat, Vec2
+from .rationals import Vec2
 
 __all__ = ["member2", "elasticity2"]
 
@@ -31,10 +33,10 @@ def member2(m: CanonicalMonoid2, s: Vec2) -> Membership:
     return Membership(member=True, factorization=fact, factorizations=(fact,))
 
 
-def elasticity2(m: CanonicalMonoid2, s: Vec2) -> ExtRat:
+def elasticity2(m: CanonicalMonoid2, s: Vec2) -> Fraction:
     """Elasticity of a nonzero member; always exactly 1 in this dimension."""
     if s.is_zero:
         raise ZeroElementError("elasticity of the zero element is undefined")
     if not member2(m, s).member:
         raise NotMemberError(f"{s} is not in the monoid")
-    return ONE
+    return Fraction(1)

@@ -33,6 +33,7 @@ checks them on ints.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
@@ -44,7 +45,7 @@ from .factorization import (
     Membership,
 )
 from .monoids import CanonicalMonoid3
-from .rationals import ExtRat, Vec2, _Frozen
+from .rationals import Vec2, _Frozen
 
 __all__ = [
     "BRANCH_LOW",
@@ -189,10 +190,10 @@ def extreme_factorizations(m: CanonicalMonoid3, s: Vec2) -> ExtremeFactorization
     )
 
 
-def elasticity3(m: CanonicalMonoid3, s: Vec2) -> ExtRat:
+def elasticity3(m: CanonicalMonoid3, s: Vec2) -> Fraction:
     """Elasticity (max length / min length) of a nonzero member."""
     if s.is_zero:
         raise ZeroElementError("elasticity of the zero element is undefined")
     ext = extreme_factorizations(m, s)
     lo, hi = sorted((ext.len_t0, ext.len_tmax))
-    return ExtRat(hi, lo)
+    return Fraction(hi, lo)

@@ -17,6 +17,7 @@ from hypothesis import given, strategies as st
 import affmon
 from affmon import cli
 from affmon.cli import (
+    SCAN_CSV_HEADER,
     SOLVER_DIM2,
     SOLVER_DIM3,
     SOLVER_DIM3_STAR,
@@ -43,10 +44,10 @@ from affmon.errors import (
     StarRequiredError,
     ZeroGeneratorError,
 )
-from affmon.asymptotics import SCAN_CSV_HEADER, scan_multiples
+from affmon.asymptotics import scan_multiples
 from affmon.intlin import IDENTITY
 from affmon.monoids import CanonicalMonoid3, canonical_coords
-from affmon.rationals import ExtRat, Vec2
+from affmon.rationals import Vec2
 
 from conftest import members3, star_monoids
 
@@ -283,6 +284,9 @@ class TestRunScan:
         assert lines[1] == "1,5/4,15/11,5/44"
         assert lines[3] == "3,15/11,15/11,0"
 
+    def test_csv_header(self):
+        assert SCAN_CSV_HEADER == "k,rho_exact,rho_limit,gap"
+
     @given(data=st.data())
     def test_rows_are_scan_multiples_through_a_transform(self, data):
         # The star monoid is presented sheared, (x, y) -> (x + t*y, y), so
@@ -436,6 +440,18 @@ class TestMain:
             assert exc.value.code == 2
             assert "argument --k-max: must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k_max", [2**63, 10**20, sys.maxsize // 4])
+    def test_k_max_no_row_list_can_hold_is_too_large(self, capsys, k_max):
+        argv = ["scan", STAR_TEXT, "6,13", "--k-max", str(k_max)]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error[InputTooLarge]: ")
+        assert str(k_max) not in out.err
+        assert main([*argv, "--json"]) == 2
+        out = capsys.readouterr()
+        assert json.loads(out.out)["error"]["code"] == "InputTooLarge"
+        assert str(k_max) not in out.out and out.err == ""
+
     def test_parse_error_exit_two(self, capsys):
         assert main(["check", STAR_TEXT, "x,2"]) == 2
         err = capsys.readouterr().err
@@ -512,9 +528,9 @@ HUGE_ARGS = [f"0,1;1,1;{HUGE},{HUGE - 1}", f"{HUGE},{HUGE}", "--approx"]
 
 class TestApproxBeyondFloatRange:
     def test_approx(self):
-        assert _approx(ExtRat(7, 5)) == pytest.approx(1.4)
-        assert _approx(ExtRat(10**400, 3)) == math.inf  # beyond float range
-        assert _approx(ExtRat(10**400, 10**399)) == pytest.approx(10.0)
+        assert _approx(Fraction(7, 5)) == pytest.approx(1.4)
+        assert _approx(Fraction(10**400, 3)) == math.inf  # beyond float range
+        assert _approx(Fraction(10**400, 10**399)) == pytest.approx(10.0)
 
     def test_human_output_reads_inf(self, capsys):
         assert main(["elasticity", *HUGE_ARGS]) == 0
@@ -692,7 +708,7 @@ class TestJsonText:
             _json_text(value)
 
     @pytest.mark.parametrize(
-        "value", [(1, 2), {1, 2}, ExtRat(7, 5), Vec2(1, 2), b"x", ["ok", (1,)]]
+        "value", [(1, 2), {1, 2}, Fraction(7, 5), Vec2(1, 2), b"x", ["ok", (1,)]]
     )
     def test_unsupported_type_raises(self, value):
         with pytest.raises(TypeError, match="is not a JSON type"):
@@ -833,7 +849,7 @@ def test_public_surface_and_error_codes_are_pinned():
         "DuplicateGeneratorError", "ExtRat", "ExtremeFactorizations", "Factorization",
         "FactorizationSet", "InputTooLargeError", "LimitLFT", "Membership", "Monoid",
         "MonoidParseError", "NegativeResultError", "NotMemberError",
-        "NotMinimallyGeneratedError", "NotPhiMinimalError", "ONE", "PHI_OUT_OF_RANGE",
+        "NotMinimallyGeneratedError", "NotPhiMinimalError", "PHI_OUT_OF_RANGE",
         "PeriodicityViolatedError", "Query", "Report", "SCAN_CSV_HEADER", "StarRequiredError",
         "UniMat2", "Vec2", "WrongBranchError", "X_NOT_REPRESENTABLE", "ZeroElementError",
         "ZeroGeneratorError", "canonical_coords", "canonical_rep", "canonicalize", "d2_test",

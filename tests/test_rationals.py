@@ -1,19 +1,27 @@
-"""Exact rational arithmetic and the slope order."""
+"""Lattice points, the slope order, and the type of every exact value."""
 
-import copy
-import operator
-import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from affmon import ONE, ExtRat, Vec2, is_phi_minimal, slope_compare
+import affmon
+from affmon import (
+    CanonicalMonoid2,
+    CanonicalMonoid3,
+    Vec2,
+    elasticity2,
+    elasticity3,
+    elasticity_oracle,
+    is_phi_minimal,
+    rho_limit,
+    rho_special_ac,
+    rho_special_c,
+    scan_multiples,
+    slope_compare,
+)
+from affmon.intlin import IDENTITY
 from conftest import nonzero_vecs
-
-
-def ext_rats(max_val: int = 200) -> st.SearchStrategy[ExtRat]:
-    return st.tuples(st.integers(0, max_val), st.integers(1, max_val)).map(lambda p: ExtRat(*p))
 
 
 def slope_order(u: Vec2, v: Vec2) -> int:
@@ -44,74 +52,20 @@ class TestVec2:
         assert str(Vec2(6, 13)) == "(6, 13)"
 
 
-class TestExtRat:
-    def test_stored_in_lowest_terms(self):
-        assert ExtRat(21, 15) == ExtRat(7, 5)
-        assert ExtRat(21, 15).numerator == 7
-        assert ExtRat(4, 2) == ExtRat(2, 1)
-
-    def test_zero_denominator_is_rejected(self):
-        with pytest.raises(ValueError):
-            ExtRat(5, 0)
-
-    def test_rejects_zero_over_zero_and_negatives(self):
-        with pytest.raises(ValueError):
-            ExtRat(0, 0)
-        with pytest.raises(ValueError):
-            ExtRat(-1, 2)
-        with pytest.raises(ValueError):
-            ExtRat(1, -2)
-
-    def test_cross_multiplied_order(self):
-        assert ExtRat(6, 13) < ExtRat(1, 2)  # 12 < 13
-        assert ExtRat(0, 7) < ONE < ExtRat(10, 3)
-        assert not ONE < ExtRat(3, 3)
-
-    def test_abs_diff(self):
-        assert ExtRat(7, 5).abs_diff(ExtRat(4, 3)) == ExtRat(1, 15)
-        assert ExtRat(4, 3).abs_diff(ExtRat(7, 5)) == ExtRat(1, 15)
-        assert ExtRat(7, 5).abs_diff(ExtRat(7, 5)) == ExtRat(0, 1)
-
-    def test_rejects_non_integers(self):
-        with pytest.raises(TypeError):
-            ExtRat(1.5)
-        with pytest.raises(TypeError):
-            ExtRat(Fraction(1, 2))
-
-    def test_pickle_and_deepcopy_keep_the_type(self):
-        value = ExtRat(7, 5)
-        pickled = [pickle.loads(pickle.dumps(value, n)) for n in range(pickle.HIGHEST_PROTOCOL + 1)]
-        for copied in (*pickled, copy.copy(value), copy.deepcopy(value)):
-            assert copied == value
-            assert type(copied) is ExtRat
-
-    @given(st.integers(0, 10**6), st.integers(1, 10**6), st.integers(0, 10**6), st.integers(1, 10**6))
-    def test_behaves_like_fraction(self, p, q, r, s):
-        a, b = ExtRat(p, q), ExtRat(r, s)
-        fa, fb = Fraction(p, q), Fraction(r, s)
-        assert a == fa and str(a) == str(fa) and hash(a) == hash(fa)
-        ops = (operator.lt, operator.le, operator.eq, operator.ge, operator.gt)
-        assert [op(a, b) for op in ops] == [op(fa, fb) for op in ops]
-        assert a.abs_diff(b) == abs(a - b)
-        assert type(a.abs_diff(b)) is ExtRat
-
-    def test_str_and_parse(self):
-        # str prints "p/q" in lowest terms, or "p" for an integer, which
-        # fractions.Fraction parses back.
-        assert str(ExtRat(7, 5)) == "7/5"
-        assert str(ExtRat(3, 1)) == "3"
-        assert str(ExtRat(0, 4)) == "0"
-        assert Fraction(str(ExtRat(14, 10))) == Fraction(7, 5)
-
-    @given(ext_rats())
-    def test_parse_round_trips(self, value):
-        assert Fraction(str(value)) == Fraction(value.numerator, value.denominator)
-
-    @given(ext_rats(), ext_rats(), ext_rats())
-    def test_total_order(self, p, q, r):
-        assert (p < q) + (p == q) + (p > q) == 1
-        if p <= q and q <= r:
-            assert p <= r
+def test_every_value_is_a_plain_fraction():
+    assert affmon.ExtRat is Fraction
+    star = CanonicalMonoid3(a=1, b=2, c=3, d=5, transform=IDENTITY)
+    s = Vec2(6, 13)
+    values = [
+        elasticity2(CanonicalMonoid2(a=3, b=2, transform=IDENTITY), Vec2(6, 5)),
+        elasticity3(star, s),
+        rho_limit(star, s)[1],
+        rho_special_ac(star, s, 3),
+        rho_special_c(star, Vec2(3, 6), 3),
+        elasticity_oracle(star.gens, s),
+        scan_multiples(star, s, 2)[0],
+    ]
+    assert [type(value) for value in values] == [Fraction] * 7
 
 
 class TestPhi:

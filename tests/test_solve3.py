@@ -1,5 +1,6 @@
 """Tests for three-generator membership, extremes, and elasticity."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -12,7 +13,7 @@ from affmon.factorization import PHI_OUT_OF_RANGE, X_NOT_REPRESENTABLE, Membersh
 from affmon.intlin import D2_INCONCLUSIVE, IDENTITY, d2_test
 from affmon.monoids import CanonicalMonoid3
 from affmon.oracle import elasticity_oracle, enumerate_factorizations
-from affmon.rationals import ONE, ExtRat, Vec2
+from affmon.rationals import Vec2
 from affmon.solve3 import (
     BRANCH_HIGH,
     BRANCH_LOW,
@@ -339,17 +340,17 @@ class TestExtremeFactorizations:
 
 class TestElasticity3:
     def test_pinned_values(self):
-        assert elasticity3(STAR, Vec2(6, 13)) == ExtRat(7, 5)
-        assert elasticity3(STAR, Vec2(6, 11)) == ExtRat(4, 3)
-        assert elasticity3(STAR, Vec2(3, 6)) == ExtRat(3, 2)
+        assert elasticity3(STAR, Vec2(6, 13)) == Fraction(7, 5)
+        assert elasticity3(STAR, Vec2(6, 11)) == Fraction(4, 3)
+        assert elasticity3(STAR, Vec2(3, 6)) == Fraction(3, 2)
 
     def test_lengths_can_shrink_with_t(self):
         ext = extreme_factorizations(TAU_NEG, Vec2(6, 13))
         assert (ext.len_t0, ext.len_tmax) == (7, 5)
-        assert elasticity3(TAU_NEG, Vec2(6, 13)) == ExtRat(7, 5)
+        assert elasticity3(TAU_NEG, Vec2(6, 13)) == Fraction(7, 5)
 
     def test_constant_length_monoid_is_fully_elastic_free(self):
-        assert elasticity3(SINGLE_LEN, Vec2(3, 5)) == ONE
+        assert elasticity3(SINGLE_LEN, Vec2(3, 5)) == Fraction(1)
 
     def test_zero_element_rejected(self):
         with pytest.raises(ZeroElementError):
@@ -362,8 +363,8 @@ class TestElasticity3:
     def test_non_star_monoid_gets_the_oracle_answer(self):
         # The paper's worked example: (199,120) has the single factorization
         # (0,9,10), and (199,119) is representable but not a member.
-        assert elasticity3(WORKED, Vec2(199, 120)) == ONE
-        assert elasticity_oracle(WORKED.gens, Vec2(199, 120)) == ONE
+        assert elasticity3(WORKED, Vec2(199, 120)) == Fraction(1)
+        assert elasticity_oracle(WORKED.gens, Vec2(199, 120)) == Fraction(1)
         with pytest.raises(NotMemberError):
             elasticity3(WORKED, Vec2(199, 119))
 
@@ -377,7 +378,7 @@ class TestElasticity3:
     def test_at_least_one(self, data):
         m = data.draw(star_monoids(max_a=6, max_b=6, max_extra=2))
         s = data.draw(members3(m, max_mult=8))
-        assert elasticity3(m, s) >= ONE
+        assert elasticity3(m, s) >= Fraction(1)
 
     @given(data=st.data())
     def test_small_beta_forces_unique_length_on_the_low_branch(self, data):
@@ -387,7 +388,7 @@ class TestElasticity3:
         beta = ext.fact_t0.mults[2]
         if ext.branch == BRANCH_LOW and beta < m.a:
             assert ext.t_max == 0
-            assert elasticity3(m, s) == ONE
+            assert elasticity3(m, s) == Fraction(1)
 
     @given(data=st.data())
     def test_members_closed_under_addition(self, data):
