@@ -1,6 +1,9 @@
 """Lattice points, the slope order, and the type of every exact value."""
 
+import copy
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +24,7 @@ from affmon import (
     slope_compare,
 )
 from affmon.intlin import IDENTITY
-from conftest import nonzero_vecs
+from conftest import members3, nonzero_vecs, star_monoids
 
 
 def slope_order(u: Vec2, v: Vec2) -> int:
@@ -66,6 +69,53 @@ def test_every_value_is_a_plain_fraction():
         scan_multiples(star, s, 2)[0],
     ]
     assert [type(value) for value in values] == [Fraction] * 7
+
+
+class TestExactValues:
+    # The values the solvers return, and the str the CLI prints for them.
+    STAR = CanonicalMonoid3(a=1, b=2, c=3, d=5, transform=IDENTITY)
+    SINGLE_LEN = CanonicalMonoid3(a=1, b=2, c=2, d=3, transform=IDENTITY)
+
+    def test_stored_in_lowest_terms(self):
+        # Lengths 20 and 15 at 4 * (7, 13) give 4/3, not 20/15.
+        value = elasticity3(self.STAR, Vec2(28, 52))
+        assert (value.numerator, value.denominator) == (4, 3)
+        limit, rows = scan_multiples(self.STAR, Vec2(7, 13), 3)
+        gap = abs(limit - elasticity3(self.STAR, Vec2(21, 39)))
+        assert (gap.numerator, gap.denominator) == (0, 1)
+        assert rows[2][3:] == (0, 1)
+
+    def test_str_is_p_over_q_or_p(self):
+        assert str(elasticity3(self.STAR, Vec2(6, 13))) == "7/5"
+        assert str(rho_special_ac(self.SINGLE_LEN, Vec2(1, 3), 2)) == "1"
+        limit, _ = scan_multiples(self.STAR, Vec2(6, 13), 1)
+        assert str(abs(limit - elasticity3(self.STAR, Vec2(6, 13)))) == "0"
+
+    @given(st.data())
+    def test_str_parses_back_in_lowest_terms(self, data):
+        m = data.draw(star_monoids(max_a=6, max_b=6, max_extra=2))
+        s = data.draw(members3(m, max_mult=6))
+        value = elasticity3(m, s)
+        text = str(value)
+        assert Fraction(text) == value
+        n, d = value.numerator, value.denominator
+        assert text == (f"{n}/{d}" if d > 1 else str(n))
+        assert gcd(n, d) == 1
+
+    @given(st.data())
+    def test_order_matches_cross_multiplication(self, data):
+        m = data.draw(star_monoids(max_a=6, max_b=6, max_extra=2))
+        a = elasticity3(m, data.draw(members3(m, max_mult=6)))
+        b = elasticity3(m, data.draw(members3(m, max_mult=6)))
+        lhs, rhs = a.numerator * b.denominator, b.numerator * a.denominator
+        assert (a < b, a == b, a > b) == (lhs < rhs, lhs == rhs, lhs > rhs)
+
+    def test_pickle_and_deepcopy_keep_the_type(self):
+        value = elasticity3(self.STAR, Vec2(6, 13))
+        pickled = [pickle.loads(pickle.dumps(value, n)) for n in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in (*pickled, copy.copy(value), copy.deepcopy(value)):
+            assert copied == value
+            assert type(copied) is Fraction
 
 
 class TestPhi:
