@@ -113,12 +113,28 @@ MUTANTS = [
         ["test_solve3.py"],
     ),
     # A multiplicity of -1 let through: the constructor's sign check off by one
-    # (test_solve3.py::TestMember3General::test_rejects_a_corrupted_line[past-J]).
+    # (test_factorization.py::test_rejects_a_negative_multiplicity; the listed
+    # line's own sign check in solve3._points now rejects a past-J point first).
     (
         "factorization.py",
         "if min(self.mults) < 0:",
         "if min(self.mults) < -1:",
-        ["test_solve3.py"],
+        ["test_factorization.py"],
+    ),
+    # The listed line's sign check skipped: factorize --all prints a point
+    # past J (test_cli.py::TestRunFactorize::test_all_rejects_a_corrupted_line).
+    (
+        "solve3.py",
+        "if pu < 0 or pv < 0 or pw < 0:",
+        "if False:",
+        ["test_cli.py"],
+    ),
+    # The length of a factorization listed by --all drops the (0, 1) count.
+    (
+        "cli.py",
+        "n = u + v + w",
+        "n = v + w",
+        ["test_cli.py"],
     ),
     # A non-member of a two-generator monoid reports "not computed".
     (
@@ -155,6 +171,14 @@ MUTANTS = [
         "cli.py",
         'sep = ",\\n          "',
         'sep = ",\\n        "',
+        ["test_cli.py"],
+    ),
+    # Every spliced JSON list ("rows", "factorizations", "lengths") one
+    # indent level short (test_cli.py::TestJsonText).
+    (
+        "cli.py",
+        'text = ",\\n      ".join(items)',
+        'text = ",\\n    ".join(items)',
         ["test_cli.py"],
     ),
     # The JSON writer prints false as true.
@@ -247,6 +271,39 @@ MUTANTS = [
         "except (OverflowError, MemoryError):",
         "except OverflowError:",
         ["test_asymptotics.py"],
+    ),
+    # On the slope-a/b boundary the limit reports the high-slope LFT
+    # (test_cli.py::TestRunLimit::test_slope_boundary_prints_the_low_slope_lft).
+    (
+        "asymptotics.py",
+        "if low <= high:",
+        "if low < high:",
+        ["test_cli.py"],
+    ),
+    # An LFT numerator of exactly 0 accepted as positive
+    # (test_asymptotics.py::TestLimitLFT::test_rejects_a_form_that_is_exactly_zero).
+    (
+        "asymptotics.py",
+        "if num <= 0 or",
+        "if num < 0 or",
+        ["test_asymptotics.py"],
+    ),
+    # An LFT denominator of exactly 0 accepted as positive (the same test).
+    (
+        "asymptotics.py",
+        "or den <= 0:",
+        "or den < 0:",
+        ["test_asymptotics.py"],
+    ),
+    # The normal form's shift taken as -cy, the least one only when cy = -1
+    # (test_intlin.py::TestRowSwappedHnf::test_shift_is_the_least_that_repairs_the_second_row).
+    # Rounding changes such as "(-cy + cx) // cx" changed no shift on any pair
+    # of columns with entries <= 40: there -cy < cx / 2, so the shift is 0 or 1.
+    (
+        "intlin.py",
+        "(-cy + cx - 1) // cx",
+        "-cy",
+        ["test_intlin.py"],
     ),
 ]
 

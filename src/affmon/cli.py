@@ -21,9 +21,11 @@ Scan rows and listed factorizations (``factorize --all``, ``oracle``) each
 have one shape, so ``render_json`` writes every element of a ``"rows"`` or
 ``"factorizations"`` list with one f-string, its strings escaped by
 ``encode_basestring_ascii``, and ``_splice`` puts the list into what
-``_json_text`` writes for the rest of the report.  Every listed
-factorization shares one payload, ``_fact_payload``, whose ``"length"`` the
-``"lengths"`` list reuses.
+``_json_text`` writes for the rest of the report; the ``"lengths"`` list
+beside it is spliced in the same way, as one join of its ints.
+``factorize --all`` on three generators builds each listed payload straight
+from the int triples of ``solve3._points``, with its length, in one pass;
+``_fact_payload`` serves every other factorization in a report.
 
 Imports: the solvers (``solve2``, ``solve3``), ``monoids``, ``argparse`` and
 ``json`` load with this module.  ``oracle`` is imported by the ``oracle``
@@ -68,7 +70,7 @@ from .errors import (
     StarRequiredError,
     ZeroGeneratorError,
 )
-from .factorization import PHI_OUT_OF_RANGE, Factorization
+from .factorization import PHI_OUT_OF_RANGE, Factorization, Membership
 from .monoids import (
     CanonicalMonoid2,
     CanonicalMonoid3,
@@ -79,7 +81,7 @@ from .monoids import (
 )
 from .rationals import Vec2, _Frozen
 from .solve2 import elasticity2, member2
-from .solve3 import elasticity3, extreme_factorizations, member3, member3_general
+from .solve3 import _points, elasticity3, extreme_factorizations, member3
 
 __all__ = ["Query", "Report", "SCAN_CSV_HEADER", "parse_monoid", "parse_vector", "run", "main"]
 
@@ -216,7 +218,8 @@ class Report(_Frozen):
 
 
 def _fact_payload(fact: Factorization) -> dict:
-    """A factorization in every report; a list's ``"lengths"`` reuse its lengths."""
+    """A factorization in every report but a three-generator ``--all``; a
+    list's ``"lengths"`` reuse its lengths."""
     return {"mults": list(fact.mults), "length": fact.length}
 
 
@@ -228,7 +231,19 @@ def _factorize(m: Monoid, cs: Optional[Vec2], mode: str) -> dict:
     if cs is None:
         return {"member": False, "reason": PHI_OUT_OF_RANGE}
     dim2 = isinstance(m, CanonicalMonoid2)
-    mem = member2(m, cs) if dim2 else (member3_general if mode == "all" else member3)(m, cs)
+    if mode == "all" and not dim2:
+        points = _points(m, cs.x, cs.y)
+        if isinstance(points, Membership):
+            return {"member": False, "reason": points.reason}
+        # Each checked triple of the line becomes its payload and its length at once.
+        facts, lengths = [], []
+        for u, v, w in points:
+            n = u + v + w
+            facts.append({"mults": [u, v, w], "length": n})
+            lengths.append(n)
+        lengths.sort()
+        return {"member": True, "count": len(facts), "factorizations": facts, "lengths": lengths}
+    mem = member2(m, cs) if dim2 else member3(m, cs)
     if not mem.member:
         return {"member": False, "reason": mem.reason}
     if mode == "one":
@@ -386,28 +401,37 @@ def render_json(report: Report) -> str:
     # written with one f-string; the rest goes through _json_text.
     i = "\n        "
     if rows := result.get("rows"):
-        return _splice(payload, "rows", (
+        return _splice(payload, {"rows": (
             f'{{{i}"k": {r["k"]},{i}"rho_exact": {_json_str(r["rho_exact"])},'
             f'{i}"rho_limit": {_json_str(r["rho_limit"])},{i}"gap": {_json_str(r["gap"])}\n      }}'
             for r in rows
-        ))
+        )})
     if facts := result.get("factorizations"):
+        # A nonempty list has as many lengths, so "lengths" is nonempty too.
         sep = ",\n          "
-        return _splice(payload, "factorizations", (
-            f'{{{i}"mults": [\n          {sep.join(map(str, f["mults"]))}{i}],'
-            f'{i}"length": {f["length"]}\n      }}'
-            for f in facts
-        ))
+        return _splice(payload, {
+            "factorizations": (
+                f'{{{i}"mults": [\n          {sep.join(map(str, f["mults"]))}{i}],'
+                f'{i}"length": {f["length"]}\n      }}'
+                for f in facts
+            ),
+            "lengths": map(str, result["lengths"]),
+        })
     return _json_text(payload)
 
 
-def _splice(payload: dict, key: str, items) -> str:
-    """``payload`` as JSON with ``result[key]`` written as the given element
-    texts, each already indented for its place in the report."""
-    empty = _json_text({**payload, "result": {**payload["result"], key: []}})
-    head, _, tail = empty.partition(f'"{key}": []')
-    text = ",\n      ".join(items)
-    return f'{head}"{key}": [\n      {text}\n    ]{tail}'
+def _splice(payload: dict, lists: dict) -> str:
+    """``payload`` as JSON with each nonempty ``result[key]`` written as the
+    element texts ``lists[key]``, each already indented for its place in the
+    report; the keys come in the order the result holds them."""
+    empty = _json_text({**payload, "result": {**payload["result"], **dict.fromkeys(lists, [])}})
+    parts, rest = [], empty
+    for key, items in lists.items():
+        head, _, rest = rest.partition(f'"{key}": []')
+        text = ",\n      ".join(items)
+        parts.append(f'{head}"{key}": [\n      {text}\n    ]')
+    parts.append(rest)
+    return "".join(parts)
 
 
 def _json_text(value, newline: str = "\n") -> str:
@@ -472,9 +496,13 @@ def render_human(report: Report) -> str:
         lines.append("factorization: " + _fact_line(res["factorization"]))
     if "factorizations" in res:
         lines.append(f"factorizations ({res['count']}):")
-        lines.extend("  " + _fact_line(p) for p in res["factorizations"])
+        # _fact_line's text, indented, as one f-string per listed line.
+        lines.extend(
+            f"  ({', '.join(map(str, p['mults']))})  length={p['length']}"
+            for p in res["factorizations"]
+        )
     if "lengths" in res:
-        lines.append("lengths: " + " ".join(str(n) for n in res["lengths"]))
+        lines.append("lengths: " + " ".join(map(str, res["lengths"])))
     if "branch" in res:
         lines.append(f"branch: {res['branch']}")
         lines.append(f"t_max: {res['t_max']}")

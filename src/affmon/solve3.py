@@ -26,9 +26,11 @@ constants g, c/g, a/g, D/g and (a/g)^-1 mod c/g that
 ``CanonicalMonoid3.line_consts`` computes once per monoid.  Every
 factorization handed out is multiplied back to s: by
 ``Factorization.checked`` in ``member3`` and ``extreme_factorizations``, and
-on ints, point by point, in ``member3_general``, which lists the whole line.
-``asymptotics.scan_multiples`` reads the two ends of the line itself and
-checks them on ints.
+in ``_points``, the one walk that lists the whole line, on ints, point by
+point, with each point's sign checked too.  ``member3_general`` wraps its
+triples as ``Factorization``s; ``cli`` reads them directly for
+``factorize --all``.  ``asymptotics.scan_multiples`` reads the two ends of
+the line itself and checks them on ints.
 """
 
 from __future__ import annotations
@@ -121,26 +123,37 @@ def member3(m: CanonicalMonoid3, s: Vec2) -> Membership:
     return Membership(member=True, factorization=Factorization.checked(start, m.gens, s))
 
 
+def _points(m: CanonicalMonoid3, x: int, y: int) -> Union[Membership, list[tuple[int, int, int]]]:
+    """Every factorization of (x, y) as an int triple, j = count - 1 down to
+    0, or the non-member verdict.  Each point is multiplied back against
+    (0, 1), (a, b), (c, d) and sign-checked on ints before it is listed."""
+    line = _line(m, x, y)
+    if isinstance(line, Membership):
+        return line
+    (u, v, w), (du, dv, dw), count = line
+    a, b, c, d = m.a, m.b, m.c, m.d
+    points = []
+    for j in range(count - 1, -1, -1):
+        point = pu, pv, pw = u + j * du, v + j * dv, w + j * dw
+        if pv * a + pw * c != x or pu + pv * b + pw * d != y:
+            raise ValueError(f"{point} is not a factorization of ({x}, {y})")
+        if pu < 0 or pv < 0 or pw < 0:
+            raise ValueError(f"multiplicities must be nonnegative: {point}")
+        points.append(point)
+    return points
+
+
 def member3_general(m: CanonicalMonoid3, s: Vec2) -> Membership:
     """Decide s in S and list every factorization, sorted by multiplicities.
 
     Sorted order is j = count - 1 down to 0, because delta falls as j grows;
     the witness is the first of them.
     """
-    line = _line(m, s.x, s.y)
-    if isinstance(line, Membership):
-        return line
-    (u, v, w), (du, dv, dw), count = line
-    x, y, a, b, c, d = s.x, s.y, m.a, m.b, m.c, m.d
-    facts = []
-    for j in range(count - 1, -1, -1):
-        point = pu, pv, pw = u + j * du, v + j * dv, w + j * dw
-        # Multiplied back on ints against (0, 1), (a, b), (c, d); the
-        # Factorization constructor then rejects a negative multiplicity.
-        if pv * a + pw * c != x or pu + pv * b + pw * d != y:
-            raise ValueError(f"{point} is not a factorization of ({x}, {y})")
-        facts.append(Factorization(point))
-    return Membership(member=True, factorization=facts[0], factorizations=tuple(facts))
+    points = _points(m, s.x, s.y)
+    if isinstance(points, Membership):
+        return points
+    facts = tuple(map(Factorization, points))
+    return Membership(member=True, factorization=facts[0], factorizations=facts)
 
 
 class ExtremeFactorizations(_Frozen):

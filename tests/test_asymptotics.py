@@ -75,6 +75,15 @@ class TestLimitLFT:
         with pytest.raises(ValueError):
             lft.evaluate(Vec2(6, 0))
 
+    @pytest.mark.parametrize("tau_", [-1, 0, 1])
+    @pytest.mark.parametrize(
+        "coeffs", [(1, -1, 1, 1), (1, 1, 1, -1)], ids=["numerator-zero", "denominator-zero"]
+    )
+    def test_rejects_a_form_that_is_exactly_zero(self, coeffs, tau_):
+        # At (2, 2) one form is 2 - 2 = 0 and the other 4: zero is not positive.
+        with pytest.raises(ValueError, match="not positive"):
+            LimitLFT(*coeffs, tau_).evaluate(Vec2(2, 2))
+
     def test_reciprocal_orientation(self):
         # (0*x + 1*y) / (0*x + 2*y) = 1/2 at (0, 1), raised to tau.
         for tau_, expected in [(-1, Fraction(2, 1)), (0, Fraction(1)), (1, Fraction(1, 2))]:

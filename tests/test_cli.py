@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import affmon
-from affmon import cli
+from affmon import cli, solve3
 from affmon.cli import (
     SCAN_CSV_HEADER,
     SOLVER_DIM2,
@@ -228,6 +228,30 @@ class TestRunFactorize:
         report = run(q("factorize", DIM2_TEXT, "5,5", mode="extremes"))
         assert report.result == {"member": False, "reason": "DivisibilityFails"}
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            # delta0 + 1: the first point listed, (2, 6, 0), misses y = 13.
+            (lambda start, step, count: ((start[0] + 1, *start[1:]), step, count),
+             r"\(2, 6, 0\) is not a factorization of \(6, 13\)"),
+            # A step outside the kernel: (1, 4, 0) misses x = 6.
+            (lambda start, step, count: (start, (-1, 2, -1), count),
+             r"\(1, 4, 0\) is not a factorization of \(6, 13\)"),
+            # One point past J: (0, 9, -1) multiplies back, but beta < 0.
+            (lambda start, step, count: (start, step, count + 1),
+             r"nonnegative: \(0, 9, -1\)"),
+        ],
+        ids=["start-off-target", "step-outside-kernel", "past-J"],
+    )
+    def test_all_rejects_a_corrupted_line(self, monkeypatch, corrupt, message):
+        # --all lists the line's points without Factorization objects, so
+        # the walk itself multiplies back and sign-checks every point.
+        line = solve3._line
+        monkeypatch.setattr(solve3, "_line", lambda m, x, y: corrupt(*line(m, x, y)))
+        for output in ("human", "json"):
+            with pytest.raises(ValueError, match=message):
+                run(q("factorize", STAR_TEXT, "6,13", mode="all", output=output))
+
 
 class TestRunElasticity:
     def test_star_monoid(self):
@@ -260,6 +284,14 @@ class TestRunLimit:
         assert report.result["rho_limit"] == "7/5"
         assert report.result["tau"] == 1
         assert report.result["lft"] == {"p": -3, "q": 3, "r": -4, "t": 3}
+
+    def test_slope_boundary_prints_the_low_slope_lft(self, capsys):
+        # (2, 4) lies on slope a/b = 1/2, where both forms give 3/2; the
+        # low-slope one is reported (the high-slope one is (-9x+6y) / (-4x+3y)).
+        assert main(["limit", STAR_TEXT, "2,4"]) == 0
+        out = capsys.readouterr().out
+        assert "lft: (-3x+3y) / (-4x+3y)\n" in out
+        assert "rho_limit = 3/2\n" in out
 
     def test_requires_a_star_monoid(self):
         with pytest.raises(StarRequiredError):

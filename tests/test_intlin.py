@@ -1,5 +1,6 @@
 """Integer linear algebra: extended gcd, row-swapped normal form, d1/d2."""
 
+from itertools import product
 from math import gcd
 
 import pytest
@@ -90,6 +91,26 @@ class TestRowSwappedHnf:
         assert m2 == ((0, 1), (4, 3))
         assert u.det == 1
         assert tuple(u.apply(*c) for c in m) == m2
+
+    def test_shift_is_the_least_that_repairs_the_second_row(self):
+        # Every slope-ordered pair of phi-minimal columns with entries <= 7
+        # whose Bezout row sends the second column below zero.  A shift one
+        # smaller subtracts the first row, (0, 1) -> (0, 1) and
+        # (x, y) -> (x, y - x), so y - x must then be negative.
+        cols = [(x, y) for x, y in product(range(8), repeat=2) if gcd(x, y) == 1]
+        shifted = 0
+        for c1, c2 in product(cols, repeat=2):
+            if c1[0] * c2[1] >= c2[0] * c1[1]:
+                continue
+            _, s, t = ext_gcd(*c1)
+            if s * c2[0] + t * c2[1] >= 0:
+                continue
+            shifted += 1
+            u, (first, (x, y)) = row_swapped_hnf([c1, c2])
+            assert first == (0, 1) and u.apply(*c2) == (x, y)
+            assert y >= 0, (c1, c2)
+            assert y - x < 0, (c1, c2)
+        assert shifted == 204
 
     @given(
         st.lists(
