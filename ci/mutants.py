@@ -55,11 +55,26 @@ MUTANTS = [
         "or False",
         ["test_asymptotics.py"],
     ),
+    # The start check off by one: alpha = c/g exactly passes as j = 0
+    # (test_asymptotics.py::TestScanMultiples::test_rejects_a_corrupted_line).
+    (
+        "asymptotics.py",
+        "or v >= c_g",
+        "or v > c_g",
+        ["test_asymptotics.py"],
+    ),
     # A scan row's end not checked to be j = J (delta < D/g or beta < a/g).
     (
         "asymptotics.py",
         "or (uj >= d_g and wj >= a_g)",
         "or False",
+        ["test_asymptotics.py"],
+    ),
+    # The end check off by one: beta = a/g exactly passes as j = J (the same test).
+    (
+        "asymptotics.py",
+        "wj >= a_g)",
+        "wj > a_g)",
         ["test_asymptotics.py"],
     ),
     # The per-class step never applied: past k = P every row repeats its class's first.
@@ -129,6 +144,14 @@ MUTANTS = [
         "if False:",
         ["test_cli.py"],
     ),
+    # The listed line walked with its step's sign flipped: every point after
+    # the j = J one leaves the line's range.
+    (
+        "solve3.py",
+        "pu, pv, pw = pu - du, pv - dv, pw - dw",
+        "pu, pv, pw = pu + du, pv + dv, pw + dw",
+        ["test_solve3.py"],
+    ),
     # The length of a factorization listed by --all drops the (0, 1) count.
     (
         "cli.py",
@@ -161,16 +184,33 @@ MUTANTS = [
     # (test_cli.py::TestJsonText::test_factorization_lists_equal_json_dumps).
     (
         "cli.py",
-        '{i}"length": {f["length"]}',
-        '{i}"length":{f["length"]}',
+        '{i}],{i}"length": \'',
+        '{i}],{i}"length":\'',
+        ["test_cli.py"],
+    ),
+    # The block writer's multiplicity-count check skipped: a mixed list
+    # whose values fill the slots prints silently
+    # (test_cli.py::TestFactBlock::test_mixed_multiplicity_counts_raise).
+    (
+        "cli.py",
+        'if len(f["mults"]) != k:',
+        "if False:",
+        ["test_cli.py"],
+    ),
+    # A literal % in the block writer's fixed pieces read as a conversion
+    # (test_cli.py::TestFactBlock::test_literal_percent_signs_print_as_given).
+    (
+        "cli.py",
+        '[p.replace("%", "%%") for p in',
+        "[p for p in",
         ["test_cli.py"],
     ),
     # The factorization writer's multiplicities one indent level short
     # (test_cli.py::TestJsonText::test_factorization_lists_equal_json_dumps).
     (
         "cli.py",
-        'sep = ",\\n          "',
-        'sep = ",\\n        "',
+        '",\\n          ", f',
+        '",\\n        ", f',
         ["test_cli.py"],
     ),
     # Every spliced JSON list ("rows", "factorizations", "lengths") one
@@ -279,6 +319,21 @@ MUTANTS = [
         "if low <= high:",
         "if low < high:",
         ["test_cli.py"],
+    ),
+    # k = 1 refused by the periodic formulas, though a*c = 1 divides it
+    # (test_asymptotics.py::TestAgainstEachOther::test_specials_at_k_one).
+    (
+        "asymptotics.py",
+        "if k < 1:",
+        "if k <= 1:",
+        ["test_asymptotics.py"],
+    ),
+    # The same, with the bound raised to 2.
+    (
+        "asymptotics.py",
+        "if k < 1:",
+        "if k < 2:",
+        ["test_asymptotics.py"],
     ),
     # An LFT numerator of exactly 0 accepted as positive
     # (test_asymptotics.py::TestLimitLFT::test_rejects_a_form_that_is_exactly_zero).

@@ -18,14 +18,11 @@ byte: two-space indent, ASCII escapes, keys in insertion order.
 its pure-Python encoder, which took almost half of a ``large_x`` benchmark
 pass; the writer renders the benchmark's reports in 0.5-0.6x its time.
 Scan rows and listed factorizations (``factorize --all``, ``oracle``) each
-have one shape, so ``render_json`` writes every element of a ``"rows"`` or
-``"factorizations"`` list with one f-string, its strings escaped by
-``encode_basestring_ascii``, and ``_splice`` puts the list into what
-``_json_text`` writes for the rest of the report; the ``"lengths"`` list
-beside it is spliced in the same way, as one join of its ints.
-``factorize --all`` on three generators builds each listed payload straight
-from the int triples of ``solve3._points``, with its length, in one pass;
-``_fact_payload`` serves every other factorization in a report.
+have one shape: ``render_json`` writes each ``"rows"`` element with one
+f-string, its strings escaped by ``encode_basestring_ascii``, and
+``_fact_block`` writes a whole factorization list, human or JSON, with one
+``%`` operation; ``_splice`` puts these lists and ``"lengths"`` (one join of
+its ints) into what ``_json_text`` writes for the rest of the report.
 
 Imports: the solvers (``solve2``, ``solve3``), ``monoids``, ``argparse`` and
 ``json`` load with this module.  ``oracle`` is imported by the ``oracle``
@@ -218,9 +215,14 @@ class Report(_Frozen):
 
 
 def _fact_payload(fact: Factorization) -> dict:
-    """A factorization in every report but a three-generator ``--all``; a
-    list's ``"lengths"`` reuse its lengths."""
+    """A factorization in every report but a three-generator ``--all``."""
     return {"mults": list(fact.mults), "length": fact.length}
+
+
+def _listing(member: bool, facts: list, lengths: list) -> dict:
+    """The result of ``factorize --all`` or ``oracle``; sorts ``lengths`` in place."""
+    lengths.sort()
+    return {"member": member, "count": len(facts), "factorizations": facts, "lengths": lengths}
 
 
 def _factorize(m: Monoid, cs: Optional[Vec2], mode: str) -> dict:
@@ -235,14 +237,13 @@ def _factorize(m: Monoid, cs: Optional[Vec2], mode: str) -> dict:
         points = _points(m, cs.x, cs.y)
         if isinstance(points, Membership):
             return {"member": False, "reason": points.reason}
-        # Each checked triple of the line becomes its payload and its length at once.
+        # One loop for payloads and lengths: faster than comprehensions at every size.
         facts, lengths = [], []
         for u, v, w in points:
             n = u + v + w
             facts.append({"mults": [u, v, w], "length": n})
             lengths.append(n)
-        lengths.sort()
-        return {"member": True, "count": len(facts), "factorizations": facts, "lengths": lengths}
+        return _listing(True, facts, lengths)
     mem = member2(m, cs) if dim2 else member3(m, cs)
     if not mem.member:
         return {"member": False, "reason": mem.reason}
@@ -250,12 +251,7 @@ def _factorize(m: Monoid, cs: Optional[Vec2], mode: str) -> dict:
         return {"member": True, "factorization": _fact_payload(mem.factorization)}
     if mode == "all":
         facts = [_fact_payload(f) for f in mem.factorizations]
-        return {
-            "member": True,
-            "count": len(facts),
-            "factorizations": facts,
-            "lengths": sorted([p["length"] for p in facts]),
-        }
+        return _listing(True, facts, [p["length"] for p in facts])
     if dim2:
         # Two generators: the factorization is unique.
         fact = _fact_payload(mem.factorization)
@@ -318,13 +314,8 @@ def _oracle(gens: tuple[Vec2, ...], vec: Vec2, approx: bool) -> dict:
 
     fs = enumerate_factorizations(gens, vec)
     facts = [_fact_payload(f) for f in fs.facts]
-    lengths = sorted([p["length"] for p in facts])
-    result: dict = {
-        "member": fs.member,
-        "count": len(facts),
-        "factorizations": facts,
-        "lengths": lengths,
-    }
+    lengths = [p["length"] for p in facts]
+    result = _listing(fs.member, facts, lengths)
     if fs.member and not vec.is_zero:
         rho = Fraction(lengths[-1], lengths[0])
         result["rho"] = str(rho)
@@ -397,8 +388,8 @@ def render_json(report: Report) -> str:
         "result": result,
         "solver_used": report.solver_used,
     }
-    # Scan rows and factorizations each have one shape, so each element is
-    # written with one f-string; the rest goes through _json_text.
+    # Each scan row is one f-string and each factorization list one
+    # _fact_block; the rest goes through _json_text.
     i = "\n        "
     if rows := result.get("rows"):
         return _splice(payload, {"rows": (
@@ -408,15 +399,9 @@ def render_json(report: Report) -> str:
         )})
     if facts := result.get("factorizations"):
         # A nonempty list has as many lengths, so "lengths" is nonempty too.
-        sep = ",\n          "
-        return _splice(payload, {
-            "factorizations": (
-                f'{{{i}"mults": [\n          {sep.join(map(str, f["mults"]))}{i}],'
-                f'{i}"length": {f["length"]}\n      }}'
-                for f in facts
-            ),
-            "lengths": map(str, result["lengths"]),
-        })
+        head, sep, mid = f'{{{i}"mults": [\n          ', ",\n          ", f'{i}],{i}"length": '
+        block = _fact_block(facts, head, sep, mid, "\n      }", ",\n      ")
+        return _splice(payload, {"factorizations": [block], "lengths": map(str, result["lengths"])})
     return _json_text(payload)
 
 
@@ -479,6 +464,23 @@ def render_csv(report: Report) -> str:
     return "\n".join(lines)
 
 
+def _fact_block(facts: list, head: str, sep: str, mid: str, end: str, joiner: str) -> str:
+    """Each payload of ``facts`` as head, its multiplicities joined by sep, mid,
+    its length and end, the elements joined by ``joiner``: one ``%`` for the
+    whole list.  Every payload must have as many multiplicities as the first."""
+    k = len(facts[0]["mults"])
+    args = []
+    for f in facts:
+        if len(f["mults"]) != k:
+            raise ValueError(f"listed factorizations have {k} and {len(f['mults'])} multiplicities")
+        args += f["mults"]
+        args.append(f["length"])
+    if "%" in head + sep + mid + end + joiner:  # cheaper than doubling when no piece has a %
+        head, sep, mid, end, joiner = [p.replace("%", "%%") for p in (head, sep, mid, end, joiner)]
+    one = head + sep.join(["%s"] * k) + mid + "%s" + end
+    return joiner.join([one] * len(facts)) % tuple(args)
+
+
 def _fact_line(payload: dict) -> str:
     return f"({', '.join(map(str, payload['mults']))})  length={payload['length']}"
 
@@ -496,11 +498,8 @@ def render_human(report: Report) -> str:
         lines.append("factorization: " + _fact_line(res["factorization"]))
     if "factorizations" in res:
         lines.append(f"factorizations ({res['count']}):")
-        # _fact_line's text, indented, as one f-string per listed line.
-        lines.extend(
-            f"  ({', '.join(map(str, p['mults']))})  length={p['length']}"
-            for p in res["factorizations"]
-        )
+        if res["factorizations"]:  # _fact_line's text, indented
+            lines.append(_fact_block(res["factorizations"], "  (", ", ", ")  length=", "", "\n"))
     if "lengths" in res:
         lines.append("lengths: " + " ".join(map(str, res["lengths"])))
     if "branch" in res:

@@ -26,11 +26,11 @@ constants g, c/g, a/g, D/g and (a/g)^-1 mod c/g that
 ``CanonicalMonoid3.line_consts`` computes once per monoid.  Every
 factorization handed out is multiplied back to s: by
 ``Factorization.checked`` in ``member3`` and ``extreme_factorizations``, and
-in ``_points``, the one walk that lists the whole line, on ints, point by
-point, with each point's sign checked too.  ``member3_general`` wraps its
-triples as ``Factorization``s; ``cli`` reads them directly for
-``factorize --all``.  ``asymptotics.scan_multiples`` reads the two ends of
-the line itself and checks them on ints.
+in ``_points``, the one walk that lists the whole line on ints: it starts at
+j = J and subtracts step from point to point, checking each point's sign
+too.  ``member3_general`` wraps its triples as ``Factorization``s; ``cli``
+reads them directly for ``factorize --all``.  ``asymptotics.scan_multiples``
+reads the two ends of the line itself and checks them on ints.
 """
 
 from __future__ import annotations
@@ -124,22 +124,23 @@ def member3(m: CanonicalMonoid3, s: Vec2) -> Membership:
 
 
 def _points(m: CanonicalMonoid3, x: int, y: int) -> Union[Membership, list[tuple[int, int, int]]]:
-    """Every factorization of (x, y) as an int triple, j = count - 1 down to
-    0, or the non-member verdict.  Each point is multiplied back against
-    (0, 1), (a, b), (c, d) and sign-checked on ints before it is listed."""
+    """Every factorization of (x, y) as an int triple, from j = count - 1 down
+    to 0 by subtracting step, or the non-member verdict.  Each point is
+    multiplied back against (0, 1), (a, b), (c, d) and sign-checked on ints."""
     line = _line(m, x, y)
     if isinstance(line, Membership):
         return line
     (u, v, w), (du, dv, dw), count = line
-    a, b, c, d = m.a, m.b, m.c, m.d
+    a, b, c, d, j = m.a, m.b, m.c, m.d, count - 1
+    pu, pv, pw = u + j * du, v + j * dv, w + j * dw
     points = []
-    for j in range(count - 1, -1, -1):
-        point = pu, pv, pw = u + j * du, v + j * dv, w + j * dw
+    for _ in range(count):
         if pv * a + pw * c != x or pu + pv * b + pw * d != y:
-            raise ValueError(f"{point} is not a factorization of ({x}, {y})")
+            raise ValueError(f"{(pu, pv, pw)} is not a factorization of ({x}, {y})")
         if pu < 0 or pv < 0 or pw < 0:
-            raise ValueError(f"multiplicities must be nonnegative: {point}")
-        points.append(point)
+            raise ValueError(f"multiplicities must be nonnegative: {(pu, pv, pw)}")
+        points.append((pu, pv, pw))
+        pu, pv, pw = pu - du, pv - dv, pw - dw
     return points
 
 

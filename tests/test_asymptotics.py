@@ -241,35 +241,51 @@ class TestScanMultiples:
     # Each corruption of the line fails one check of the row: both ends
     # nonnegative and multiplied back, the start first (alpha < c/g) and the
     # end last (delta < D/g or beta < a/g).  At k = 1, s = (7, 13), the line
-    # is (1, 1, 2) + j*(-1, 3, -1) for j = 0, 1.
+    # is (1, 1, 2) + j*(-1, 3, -1) for j = 0, 1; at s = (6, 13) it is
+    # (3, 0, 2) + j*(-1, 3, -1) for j = 0, 1, 2, whose start has alpha = 0
+    # and whose j = 1 point has beta = a/g = 1 and delta >= D/g = 1.
     @pytest.mark.parametrize(
-        "corrupt, message",
+        "corrupt, message, s",
         [
             # Start one step before j = 0: alpha0 - c/g < 0 at the j = 0 end only.
-            (lambda start, step, count: (_shift(start, step, -1), step, count), r"\(2, -2, 3\)"),
+            (lambda start, step, count: (_shift(start, step, -1), step, count), r"\(2, -2, 3\)",
+             Vec2(7, 13)),
             # One step past J: negative at the j = count - 1 end only.
-            (lambda start, step, count: (start, step, count + 1), r"\(-1, 7, 0\)"),
+            (lambda start, step, count: (start, step, count + 1), r"\(-1, 7, 0\)", Vec2(7, 13)),
             # delta0 + 1: nonnegative at both ends, but off the target.
-            (lambda start, step, count: (_shift(start, (1, 0, 0), 1), step, count), r"\(2, 1, 2\)"),
+            (lambda start, step, count: (_shift(start, (1, 0, 0), 1), step, count), r"\(2, 1, 2\)",
+             Vec2(7, 13)),
             # Start one step inward, end kept: two factorizations, but the
             # start has a point before it (alpha = 4 >= c/g = 3).
             (
                 lambda start, step, count: (_shift(start, step, 1), step, count - 1),
                 r"\(0, 4, 1\) and \(0, 4, 1\)",
+                Vec2(7, 13),
             ),
             # count one short, start kept: the end has a point after it.
-            (lambda start, step, count: (start, step, count - 1), r"\(1, 1, 2\) and \(1, 1, 2\)"),
+            (lambda start, step, count: (start, step, count - 1), r"\(1, 1, 2\) and \(1, 1, 2\)",
+             Vec2(7, 13)),
             # A step off the line: the end is nonnegative and last, but off
             # the target.
-            (lambda start, step, count: (start, (-1, 2, -1), count), r"\(0, 3, 1\)"),
+            (lambda start, step, count: (start, (-1, 2, -1), count), r"\(0, 3, 1\)", Vec2(7, 13)),
+            # Start one step inward from alpha0 = 0: alpha = c/g exactly.
+            (
+                lambda start, step, count: (_shift(start, step, 1), step, count - 1),
+                r"\(2, 3, 1\) and \(1, 6, 0\)",
+                Vec2(6, 13),
+            ),
+            # count one short: the end has beta = a/g exactly and delta >= D/g.
+            (lambda start, step, count: (start, step, count - 1), r"\(3, 0, 2\) and \(2, 3, 1\)",
+             Vec2(6, 13)),
         ],
-        ids=["before-j0", "past-J", "off-target", "start-inward", "count-short", "end-off-target"],
+        ids=["before-j0", "past-J", "off-target", "start-inward", "count-short", "end-off-target",
+             "start-alpha-is-c-over-g", "end-beta-is-a-over-g"],
     )
-    def test_rejects_a_corrupted_line(self, monkeypatch, corrupt, message):
+    def test_rejects_a_corrupted_line(self, monkeypatch, corrupt, message, s):
         line = asymptotics._line
         monkeypatch.setattr(asymptotics, "_line", lambda m, x, y: corrupt(*line(m, x, y)))
         with pytest.raises(ValueError, match=message):
-            scan_multiples(STAR, Vec2(7, 13), 1)
+            scan_multiples(STAR, s, 1)
 
     @given(data=st.data())
     def test_every_row_matches_elasticity3_and_the_oracle(self, data):
@@ -289,6 +305,16 @@ class TestScanMultiples:
 
 
 class TestAgainstEachOther:
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_specials_at_k_one(self, b):
+        # <(0,1), (1,b), (1,b-1)> is star with a = c = 1, so k = 1 lies in
+        # both residue classes.  It is not minimally generated, which
+        # rho_special_* does not check, so k = 1 is reachable.
+        m = CanonicalMonoid3(a=1, b=b, c=1, d=b - 1, transform=IDENTITY)
+        low, high = Vec2(2, 2 * b + 1), Vec2(2, 2 * b - 1)
+        assert rho_special_ac(m, low, 1) == elasticity_oracle(m.gens, low) == Fraction(5, 3)
+        assert rho_special_c(m, high, 1) == elasticity_oracle(m.gens, high) == Fraction(3, 2)
+
     @given(data=st.data())
     def test_special_values_equal_exact_and_limit(self, data):
         m = data.draw(star_monoids(max_a=5, max_b=5, max_extra=2))

@@ -25,6 +25,8 @@ from affmon.cli import (
     Query,
     Report,
     _approx,
+    _fact_block,
+    _fact_line,
     _json_text,
     _ratio_text,
     main,
@@ -745,6 +747,45 @@ class TestJsonText:
     def test_unsupported_type_raises(self, value):
         with pytest.raises(TypeError, match="is not a JSON type"):
             _json_text(value)
+
+
+class TestFactBlock:
+    """``_fact_block`` writes a whole factorization list with one ``%``."""
+
+    @pytest.mark.parametrize("command, monoid, vector, count", FACT_LIST_QUERIES)
+    def test_human_listing_is_each_fact_line_indented(self, command, monoid, vector, count):
+        report = run(q(command, monoid, vector, mode="all"))
+        lines = render_human(report).splitlines()
+        if "factorizations" not in report.result:  # a non-member of --all
+            assert count == 0 and not any(line.startswith("factorizations") for line in lines)
+            return
+        at = lines.index(f"factorizations ({count}):") + 1
+        expected = ["  " + _fact_line(p) for p in report.result["factorizations"]]
+        assert lines[at : at + count] == expected
+        assert lines[at + count].startswith("lengths:")
+
+    def test_mixed_multiplicity_counts_raise(self):
+        # 3, 2 and 4 multiplicities: with their lengths as many values as three
+        # triples fill, so only the count check stops a silent misprint.
+        facts = [{"mults": [1, 6, 0], "length": 7}, {"mults": [2, 3], "length": 5},
+                 {"mults": [3, 0, 2, 0], "length": 5}]
+        ran = run(q("oracle", STAR_TEXT, "6,13"))
+        report = Report(
+            command=ran.command,
+            generators=ran.generators,
+            canonical=ran.canonical,
+            input=ran.input,
+            result={**ran.result, "factorizations": facts},
+            solver_used=ran.solver_used,
+            exit_code=ran.exit_code,
+        )
+        for render in (render_human, render_json):
+            with pytest.raises(ValueError, match="have 3 and 2 multiplicities"):
+                render(report)
+
+    def test_literal_percent_signs_print_as_given(self):
+        facts = [{"mults": [1, 2], "length": 3}, {"mults": [4, 5], "length": 9}]
+        assert _fact_block(facts, "%(", "%s", "%d", "%%", "|%") == "%(1%s2%d3%%|%%(4%s5%d9%%"
 
 
 # The largest X with every coordinate of <(0,1), (1,2), (X, 2X-1)> and of
