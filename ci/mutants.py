@@ -169,8 +169,8 @@ MUTANTS = [
     # The JSON writer's key separator without its space.
     (
         "cli.py",
-        '_json_str(k) + ": " + _json_text(v, inner)',
-        '_json_str(k) + ":" + _json_text(v, inner)',
+        'put(sep + _json_str(k) + ": ")',
+        'put(sep + _json_str(k) + ":")',
         ["test_cli.py"],
     ),
     # The scan row writer's key separator without its space.
@@ -213,19 +213,19 @@ MUTANTS = [
         '",\\n        ", f',
         ["test_cli.py"],
     ),
-    # Every spliced JSON list ("rows", "factorizations", "lengths") one
+    # Every pre-written JSON list ("rows", "factorizations", "lengths") one
     # indent level short (test_cli.py::TestJsonText).
     (
         "cli.py",
-        'text = ",\\n      ".join(items)',
-        'text = ",\\n    ".join(items)',
+        'put("[" + inner + ("," + inner).join(value) + newline + "]")',
+        'put("[" + newline + ("," + newline).join(value) + newline + "]")',
         ["test_cli.py"],
     ),
     # The JSON writer prints false as true.
     (
         "cli.py",
-        'return "true" if value else "false"',
-        'return "true"',
+        'put("true" if value else "false")',
+        'put("true")',
         ["test_cli.py"],
     ),
     # An integer ratio printed as "p/1".
@@ -359,6 +359,71 @@ MUTANTS = [
         "(-cy + cx - 1) // cx",
         "-cy",
         ["test_intlin.py"],
+    ),
+    # A canonical monoid with a = 0 accepted
+    # (test_monoids.py::TestConstructorInvariants::test_dim3_validates_its_entries).
+    (
+        "monoids.py",
+        "if self.a < 1 or self.b < 0 or self.c < 1 or self.d < 0:",
+        "if False:",
+        ["test_monoids.py"],
+    ),
+    # A three-generator canonical monoid's (a, b) not checked for gcd 1 (the same test).
+    (
+        "monoids.py",
+        "if gcd(self.a, self.b) != 1:\n"
+        '            raise NotPhiMinimalError(f"({self.a}, {self.b}) has coordinate gcd > 1")\n'
+        "        if gcd(self.c, self.d)",
+        "if False:\n            pass\n        if gcd(self.c, self.d)",
+        ["test_monoids.py"],
+    ),
+    # A matrix of determinant 0 accepted as unimodular
+    # (test_intlin.py::test_unimat_rejects_a_determinant_other_than_plus_or_minus_one).
+    (
+        "intlin.py",
+        "if self.det not in (1, -1):",
+        "if False:",
+        ["test_intlin.py"],
+    ),
+    # A column sent to (0, y < 0) divides by zero instead of raising NegativeResult
+    # (test_intlin.py::TestRowSwappedHnf::test_rejects_a_column_sent_below_the_first_axis).
+    (
+        "intlin.py",
+        "if cx == 0:",
+        "if False:",
+        ["test_intlin.py"],
+    ),
+    # A factorization with no multiplicities accepted
+    # (test_factorization.py::test_rejects_an_empty_factorization).
+    (
+        "factorization.py",
+        "if len(self.mults) < 1:",
+        "if False:",
+        ["test_factorization.py"],
+    ),
+    # elasticity, limit and scan go on with a vector outside the cone
+    # (test_cli.py::test_vector_outside_the_cone_is_not_a_member).
+    (
+        "cli.py",
+        "if cs is None:\n        raise NotMemberError",
+        "if False:\n        raise NotMemberError",
+        ["test_cli.py"],
+    ),
+    # An in-process scan without a positive k_max reaches scan_multiples
+    # (test_cli.py::TestRunScan::test_in_process_scan_needs_a_positive_k_max).
+    (
+        "cli.py",
+        "if query.k_max is None or query.k_max < 1:",
+        "if False:",
+        ["test_cli.py"],
+    ),
+    # The human report of a scan is not its CSV
+    # (test_cli.py::TestRunScan::test_human_output_is_the_csv).
+    (
+        "cli.py",
+        'if report.command == "scan":',
+        "if False:",
+        ["test_cli.py"],
     ),
 ]
 

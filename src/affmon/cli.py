@@ -14,15 +14,14 @@ answer is printed as a human-readable report, a JSON report (--json), or
 CSV for ``scan``.
 The JSON report is what ``json.dumps(payload, indent=2)`` prints, byte for
 byte: two-space indent, ASCII escapes, keys in insertion order.
-``_json_text`` writes it directly, because given an indent ``json`` drops to
-its pure-Python encoder, which took almost half of a ``large_x`` benchmark
-pass; the writer renders the benchmark's reports in 0.5-0.6x its time.
-Scan rows and listed factorizations (``factorize --all``, ``oracle``) each
-have one shape: ``render_json`` writes each ``"rows"`` element with one
-f-string, its strings escaped by ``encode_basestring_ascii``, and
-``_fact_block`` writes a whole factorization list, human or JSON, with one
-``%`` operation; ``_splice`` puts these lists and ``"lengths"`` (one join of
-its ints) into what ``_json_text`` writes for the rest of the report.
+``_json_text`` writes it directly, in one pass into one list joined once,
+because given an indent ``json`` drops to its pure-Python encoder, which took
+almost half of a ``large_x`` benchmark pass.  Scan rows and listed
+factorizations (``factorize --all``, ``oracle``) each have one shape:
+``render_json`` writes each ``"rows"`` element with one f-string, its strings
+escaped by ``encode_basestring_ascii``, ``_fact_block`` a whole factorization
+list, human or JSON, with one ``%`` operation, and ``"lengths"`` as one join
+of its ints; the writer places these ``_Items`` texts as it places any list.
 
 Imports: the solvers (``solve2``, ``solve3``), ``monoids``, ``argparse`` and
 ``json`` load with this module.  ``oracle`` is imported by the ``oracle``
@@ -52,10 +51,10 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Optional, Sequence
 
 from .errors import (
     AffmonError,
@@ -166,7 +165,7 @@ class Query(_Frozen):
         command: str,
         monoid_text: str,
         vector_text: str,
-        k_max: Optional[int] = None,
+        k_max: int | None = None,
         mode: str = "one",  # factorize: one | all | extremes
         check_minimality: bool = True,
         output: str = "human",  # human | json | csv
@@ -193,7 +192,7 @@ class Report(_Frozen):
         self,
         command: str,
         generators: tuple[Vec2, ...],
-        canonical: Optional[Monoid],
+        canonical: Monoid | None,
         input: Vec2,
         result: dict,
         solver_used: str,
@@ -208,7 +207,7 @@ class Report(_Frozen):
         object.__setattr__(self, "exit_code", exit_code)
 
     @property
-    def star(self) -> Optional[bool]:
+    def star(self) -> bool | None:
         if isinstance(self.canonical, CanonicalMonoid3):
             return self.canonical.star
         return None
@@ -225,7 +224,7 @@ def _listing(member: bool, facts: list, lengths: list) -> dict:
     return {"member": member, "count": len(facts), "factorizations": facts, "lengths": lengths}
 
 
-def _factorize(m: Monoid, cs: Optional[Vec2], mode: str) -> dict:
+def _factorize(m: Monoid, cs: Vec2 | None, mode: str) -> dict:
     """Factorize in one of three modes; ``check`` is mode "one".  cs is None
     when the transform already put the vector outside the monoid's cone."""
     if mode not in ("one", "all", "extremes"):
@@ -267,7 +266,7 @@ def _factorize(m: Monoid, cs: Optional[Vec2], mode: str) -> dict:
     }
 
 
-def _solve(query: Query, m: Monoid, cs: Optional[Vec2]) -> dict:
+def _solve(query: Query, m: Monoid, cs: Vec2 | None) -> dict:
     """``elasticity``, ``limit`` or ``scan``: each needs the vector in the
     cone, and ``limit`` and ``scan`` a star monoid, checked first."""
     command = query.command
@@ -329,7 +328,7 @@ def run(query: Query) -> Report:
     and exit code as in the module docstring)."""
     gens = parse_monoid(query.monoid_text)
     vec = parse_vector(query.vector_text)
-    m: Optional[Monoid] = None
+    m: Monoid | None = None
     if query.command == "oracle":
         result, solver = _oracle(gens, vec, query.approx), SOLVER_ORACLE
     else:
@@ -377,82 +376,90 @@ def _monoid_json(report: Report) -> dict:
     }
 
 
+class _Items(list):
+    """JSON list elements already written as text, each indented for its
+    place in the report; ``_json_text`` copies them as they are."""
+
+    __slots__ = ()
+
+
 def render_json(report: Report) -> str:
     result = report.result
     if result.get("approx") == math.inf:
         result = {**result, "approx": None}  # strict JSON has no Infinity
-    payload = {
+    # Each scan row is one f-string, a factorization list one _fact_block and
+    # its lengths one join; the writer puts each list in its place.
+    i = "\n        "
+    if rows := result.get("rows"):
+        result = {**result, "rows": _Items(
+            f'{{{i}"k": {r["k"]},{i}"rho_exact": {_json_str(r["rho_exact"])},'
+            f'{i}"rho_limit": {_json_str(r["rho_limit"])},{i}"gap": {_json_str(r["gap"])}\n      }}'
+            for r in rows
+        )}
+    elif facts := result.get("factorizations"):
+        # A nonempty list has as many lengths, so "lengths" is nonempty too.
+        head, sep, mid = f'{{{i}"mults": [\n          ', ",\n          ", f'{i}],{i}"length": '
+        block = _fact_block(facts, head, sep, mid, "\n      }", ",\n      ")
+        result = {**result, "factorizations": _Items([block]),
+                  "lengths": _Items(map(str, result["lengths"]))}
+    return _json_text({
         "command": report.command,
         "monoid": _monoid_json(report),
         "input": [report.input.x, report.input.y],
         "result": result,
         "solver_used": report.solver_used,
-    }
-    # Each scan row is one f-string and each factorization list one
-    # _fact_block; the rest goes through _json_text.
-    i = "\n        "
-    if rows := result.get("rows"):
-        return _splice(payload, {"rows": (
-            f'{{{i}"k": {r["k"]},{i}"rho_exact": {_json_str(r["rho_exact"])},'
-            f'{i}"rho_limit": {_json_str(r["rho_limit"])},{i}"gap": {_json_str(r["gap"])}\n      }}'
-            for r in rows
-        )})
-    if facts := result.get("factorizations"):
-        # A nonempty list has as many lengths, so "lengths" is nonempty too.
-        head, sep, mid = f'{{{i}"mults": [\n          ', ",\n          ", f'{i}],{i}"length": '
-        block = _fact_block(facts, head, sep, mid, "\n      }", ",\n      ")
-        return _splice(payload, {"factorizations": [block], "lengths": map(str, result["lengths"])})
-    return _json_text(payload)
+    })
 
 
-def _splice(payload: dict, lists: dict) -> str:
-    """``payload`` as JSON with each nonempty ``result[key]`` written as the
-    element texts ``lists[key]``, each already indented for its place in the
-    report; the keys come in the order the result holds them."""
-    empty = _json_text({**payload, "result": {**payload["result"], **dict.fromkeys(lists, [])}})
-    parts, rest = [], empty
-    for key, items in lists.items():
-        head, _, rest = rest.partition(f'"{key}": []')
-        text = ",\n      ".join(items)
-        parts.append(f'{head}"{key}": [\n      {text}\n    ]')
-    parts.append(rest)
-    return "".join(parts)
-
-
-def _json_text(value, newline: str = "\n") -> str:
+def _json_text(value) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for the types a report
-    holds; anything else raises rather than printing differently.  ``newline``
-    is a line break plus the indent of the line ``value`` starts on."""
+    holds, and ``_Items`` lists; anything else raises rather than printing
+    differently.  The whole text is written into one list and joined once."""
+    out: list[str] = []
+    _write(value, "\n", out.append)
+    return "".join(out)
+
+
+def _write(value, newline: str, put) -> None:
+    """Write ``value`` by ``put``; ``newline`` is a line break plus the indent
+    of the line ``value`` starts on."""
     kind = type(value)
     if kind is int:
-        return int.__repr__(value)
-    if kind is str:
-        return _json_str(value)
-    if kind is list:
-        if not value:
-            return "[]"
+        put(int.__repr__(value))
+    elif kind is str:
+        put(_json_str(value))
+    elif kind is dict or kind is list or kind is _Items:
         inner = newline + "  "
-        items = [_json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if kind is dict:
         if not value:
-            return "{}"
-        inner = newline + "  "
-        items = []
-        for k, v in value.items():
-            if type(k) is not str:
-                raise TypeError(f"JSON keys must be str, not {type(k).__name__}")
-            items.append(_json_str(k) + ": " + _json_text(v, inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is float:
-        if math.isfinite(value):
-            return float.__repr__(value)
-        raise ValueError(f"{value!r} has no strict JSON form")
-    raise TypeError(f"{kind.__name__} is not a JSON type")
+            put("{}" if kind is dict else "[]")
+        elif kind is _Items:
+            put("[" + inner + ("," + inner).join(value) + newline + "]")
+        elif kind is list:
+            sep = "[" + inner
+            for v in value:
+                put(sep)
+                _write(v, inner, put)
+                sep = "," + inner
+            put(newline + "]")
+        else:
+            sep = "{" + inner
+            for k, v in value.items():
+                if type(k) is not str:
+                    raise TypeError(f"JSON keys must be str, not {type(k).__name__}")
+                put(sep + _json_str(k) + ": ")
+                _write(v, inner, put)
+                sep = "," + inner
+            put(newline + "}")
+    elif value is None:
+        put("null")
+    elif kind is bool:
+        put("true" if value else "false")
+    elif kind is float:
+        if not math.isfinite(value):
+            raise ValueError(f"{value!r} has no strict JSON form")
+        put(float.__repr__(value))
+    else:
+        raise TypeError(f"{kind.__name__} is not a JSON type")
 
 
 def render_csv(report: Report) -> str:
@@ -602,7 +609,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     query = Query(**vars(_build_parser().parse_args(argv)))
     try:
         report = run(query)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .rationals import Vec2, _Frozen
 
@@ -70,9 +70,9 @@ class Membership(_Frozen):
     def __init__(
         self,
         member: bool,
-        factorization: Optional[Factorization] = None,
-        factorizations: Optional[tuple[Factorization, ...]] = None,
-        reason: Optional[str] = None,
+        factorization: Factorization | None = None,
+        factorizations: tuple[Factorization, ...] | None = None,
+        reason: str | None = None,
     ) -> None:
         object.__setattr__(self, "member", member)
         object.__setattr__(self, "factorization", factorization)

@@ -10,9 +10,9 @@ column is an (x, y) pair of ints, checked once on entry to
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import combinations
 from math import gcd
-from typing import Sequence
 
 from .errors import BothZeroError, NegativeResultError, NotPhiMinimalError
 from .rationals import Vec2, _Frozen

@@ -14,8 +14,8 @@ mapped through the transform.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from math import gcd
-from typing import Optional, Sequence, Union
 
 from .errors import DuplicateGeneratorError, NotPhiMinimalError, ZeroGeneratorError
 from .intlin import UniMat2, row_swapped_hnf
@@ -41,6 +41,8 @@ class CanonicalMonoid2(_Frozen):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "transform", transform)
         self.__post_init__()
+        # Not a field, so equality and hashing ignore it.
+        object.__setattr__(self, "gens", (Vec2(0, 1), Vec2(a, b)))
 
     def __post_init__(self) -> None:
         if self.a < 1 or self.b < 0:
@@ -48,18 +50,15 @@ class CanonicalMonoid2(_Frozen):
         if gcd(self.a, self.b) != 1:
             raise NotPhiMinimalError(f"({self.a}, {self.b}) has coordinate gcd > 1")
 
-    @functools.cached_property
-    def gens(self) -> tuple[Vec2, Vec2]:
-        """Built once per monoid; not a field, so equality and hashing ignore it."""
-        return (Vec2(0, 1), Vec2(self.a, self.b))
-
 
 class CanonicalMonoid3(_Frozen):
     """Monoid generated by (0, 1), (a, b), (c, d), in canonical coordinates.
 
     Slope order is part of the invariant: 0 < a/b < c/d (compared by
-    cross-multiplication, so d = 0 meaning infinite slope is fine).  It
-    caches ``gens`` and ``line_consts``, the constants of ``solve3``'s line.
+    cross-multiplication, so d = 0 meaning infinite slope is fine).  Its
+    constructor also sets ``gens`` and ``line_consts``, (g, c/g, a/g, D/g,
+    (a/g)^-1 mod c/g) for g = gcd(a, c) and D = b*c - a*d, the constants of
+    ``solve3``'s line; neither is a field, so equality and hashing ignore both.
     """
 
     _fields = ("a", "b", "c", "d", "transform")
@@ -71,6 +70,11 @@ class CanonicalMonoid3(_Frozen):
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "transform", transform)
         self.__post_init__()
+        object.__setattr__(self, "gens", (Vec2(0, 1), Vec2(a, b), Vec2(c, d)))
+        g = gcd(a, c)
+        c_g, a_g = c // g, a // g
+        consts = g, c_g, a_g, (self.b * self.c - self.a * self.d) // g, pow(a_g, -1, c_g)
+        object.__setattr__(self, "line_consts", consts)
 
     def __post_init__(self) -> None:
         if self.a < 1 or self.b < 0 or self.c < 1 or self.d < 0:
@@ -87,21 +91,8 @@ class CanonicalMonoid3(_Frozen):
         """Whether b*c - a*d = 1, the hypothesis behind the limit formulas."""
         return self.b * self.c - self.a * self.d == 1
 
-    @functools.cached_property
-    def gens(self) -> tuple[Vec2, Vec2, Vec2]:
-        """Built once per monoid; not a field, so equality and hashing ignore it."""
-        return (Vec2(0, 1), Vec2(self.a, self.b), Vec2(self.c, self.d))
 
-    @functools.cached_property
-    def line_consts(self) -> tuple[int, int, int, int, int]:
-        """(g, c/g, a/g, D/g, (a/g)^-1 mod c/g) for g = gcd(a, c), D = b*c - a*d;
-        built once per monoid and, like ``gens``, ignored by equality and hashing."""
-        g = gcd(self.a, self.c)
-        c_g, a_g = self.c // g, self.a // g
-        return g, c_g, a_g, (self.b * self.c - self.a * self.d) // g, pow(a_g, -1, c_g)
-
-
-Monoid = Union[CanonicalMonoid2, CanonicalMonoid3]
+Monoid = CanonicalMonoid2 | CanonicalMonoid3
 
 
 def _validate_raw(gens: Sequence[Vec2]) -> tuple[Vec2, ...]:
@@ -138,7 +129,7 @@ def canonicalize(gens: Sequence[Vec2]) -> Monoid:
     return CanonicalMonoid3(*cols[1], *cols[2], transform=transform)
 
 
-def canonical_coords(m: Monoid, s: Vec2) -> Optional[Vec2]:
+def canonical_coords(m: Monoid, s: Vec2) -> Vec2 | None:
     """Map a vector given in original coordinates through the transform.
 
     Returns None when the image leaves N0^2; such a vector cannot belong to

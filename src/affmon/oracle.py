@@ -16,8 +16,8 @@ could have succeeded.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .errors import NotMemberError, ZeroElementError, ZeroGeneratorError
 from .factorization import Factorization
@@ -52,7 +52,7 @@ def _bound(rx: int, ry: int, gx: int, gy: int) -> int:
     return rx // gx if gx else ry // gy
 
 
-def _solve_single(rx: int, ry: int, gx: int, gy: int) -> Optional[int]:
+def _solve_single(rx: int, ry: int, gx: int, gy: int) -> int | None:
     # The unique m with m * (gx, gy) == (rx, ry), if it exists; rx, ry >= 0.
     m = _bound(rx, ry, gx, gy)
     return m if m * gx == rx and m * gy == ry else None

@@ -28,7 +28,7 @@ class _Frozen:
     where the class has one.  Equality and hashing go by the field tuple,
     within one class only; ``repr`` names every field; a field can be neither
     set nor deleted.  Instances keep their ``__dict__``, so
-    ``functools.cached_property``, pickle and copy work as on any object.
+    pickle and copy work as on any object.
     """
 
     _fields: tuple[str, ...] = ()

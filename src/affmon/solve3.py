@@ -23,7 +23,7 @@ factorizations are start + j*step for 0 <= j < count, with
 start = (delta0, alpha0, beta0), step = (-D/g, c/g, -a/g) and count = J + 1,
 so the length moves by sum(step) per step.  It is computed on ints, from the
 constants g, c/g, a/g, D/g and (a/g)^-1 mod c/g that
-``CanonicalMonoid3.line_consts`` computes once per monoid.  Every
+the ``CanonicalMonoid3`` constructor sets once, as ``line_consts``.  Every
 factorization handed out is multiplied back to s: by
 ``Factorization.checked`` in ``member3`` and ``extreme_factorizations``, and
 in ``_points``, the one walk that lists the whole line on ints: it starts at
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
 
 from .errors import NotMemberError, ZeroElementError
 from .factorization import (
@@ -65,7 +64,7 @@ BRANCH_LOW = "low-slope"  # x*b <= y*a: J = beta0 div (a/g)
 BRANCH_HIGH = "high-slope"  # x*b >= y*a: J = delta0 div (D/g)
 
 
-def canonical_rep(a: int, c: int, x: int) -> Optional[tuple[int, int]]:
+def canonical_rep(a: int, c: int, x: int) -> tuple[int, int] | None:
     """Solve x = alpha*a + beta*c with 0 <= alpha < c/g for g = gcd(a, c).
 
     Returns the pair (alpha, beta).  alpha is unique, and it is the least
@@ -80,7 +79,7 @@ def canonical_rep(a: int, c: int, x: int) -> Optional[tuple[int, int]]:
     return _canonical_rep(a, c, g, c // g, pow(a // g, -1, c // g), x)
 
 
-def _canonical_rep(a: int, c: int, g: int, c_g: int, inv: int, x: int) -> Optional[tuple[int, int]]:
+def _canonical_rep(a: int, c: int, g: int, c_g: int, inv: int, x: int) -> tuple[int, int] | None:
     """``canonical_rep`` given g, c/g and inv = (a/g)^-1 mod c/g, unchecked."""
     if x % g:
         return None
@@ -93,7 +92,7 @@ def _canonical_rep(a: int, c: int, g: int, c_g: int, inv: int, x: int) -> Option
 _Line = tuple[tuple[int, int, int], tuple[int, int, int], int]
 
 
-def _line(m: CanonicalMonoid3, x: int, y: int) -> Union[Membership, _Line]:
+def _line(m: CanonicalMonoid3, x: int, y: int) -> Membership | _Line:
     """The factorization line of (x, y), or the non-member verdict with its reason."""
     if x * m.d > y * m.c:
         return Membership(member=False, factorizations=(), reason=PHI_OUT_OF_RANGE)
@@ -123,7 +122,7 @@ def member3(m: CanonicalMonoid3, s: Vec2) -> Membership:
     return Membership(member=True, factorization=Factorization.checked(start, m.gens, s))
 
 
-def _points(m: CanonicalMonoid3, x: int, y: int) -> Union[Membership, list[tuple[int, int, int]]]:
+def _points(m: CanonicalMonoid3, x: int, y: int) -> Membership | list[tuple[int, int, int]]:
     """Every factorization of (x, y) as an int triple, from j = count - 1 down
     to 0 by subtracting step, or the non-member verdict.  Each point is
     multiplied back against (0, 1), (a, b), (c, d) and sign-checked on ints."""

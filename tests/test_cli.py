@@ -32,6 +32,7 @@ from affmon.cli import (
     main,
     parse_monoid,
     parse_vector,
+    render,
     render_csv,
     render_human,
     render_json,
@@ -147,6 +148,17 @@ def test_run_derives_the_solver_and_exit_code(command, monoid, vector, fields, e
     else:
         report = run(q(command, monoid, vector, **fields))
         assert (report.solver_used, report.exit_code) == expected
+
+
+@pytest.mark.parametrize("command", ["elasticity", "limit", "scan"])
+def test_vector_outside_the_cone_is_not_a_member(command, capsys):
+    # The sheared star monoid's transform sends (0, 1) outside N0^2.
+    monoid, vector = "1,1;3,2;8,5", "0,1"
+    with pytest.raises(NotMemberError, match="outside the monoid's cone"):
+        run(q(command, monoid, vector, k_max=2))
+    k_max = ["--k-max", "2"] if command == "scan" else []
+    assert main([command, monoid, vector, *k_max]) == 1
+    assert capsys.readouterr().err == "error[NotMember]: vector is outside the monoid's cone\n"
 
 
 class TestRunCheck:
@@ -350,6 +362,16 @@ class TestRunScan:
         pairs = [(0, 1), (1, 1), (7, 5), (5, 1), (big_p, 1), (big_p, big_q), (big_q, big_p)]
         for num, den in pairs:
             assert _ratio_text(num, den) == str(Fraction(num, den))
+
+    @pytest.mark.parametrize("k_max", [None, 0])
+    def test_in_process_scan_needs_a_positive_k_max(self, k_max):
+        # argparse refuses both; run checks a Query built in-process itself.
+        with pytest.raises(ValueError, match="scan needs --k-max >= 1"):
+            run(q("scan", STAR_TEXT, "7,13", k_max=k_max))
+
+    def test_human_output_is_the_csv(self):
+        report = run(q("scan", STAR_TEXT, "7,13", k_max=3))
+        assert render(report, "human") == render_csv(report)
 
     def test_csv_refused_for_other_commands(self):
         report = run(q("check", STAR_TEXT, "6,13"))
@@ -688,20 +710,21 @@ class TestJsonText:
         assert _json_text(value) == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize("command, monoid, vector, fields", JSON_QUERIES)
-    def test_every_report_equals_json_dumps(self, monkeypatch, command, monoid, vector, fields):
+    def test_every_report_equals_json_dumps(self, command, monoid, vector, fields):
         report = run(q(command, monoid, vector, output="json", **fields))
         text = render_json(report)
-        monkeypatch.setattr(cli, "_json_text", lambda value: json.dumps(value, indent=2))
-        assert text == render_json(report)
-        if vector == HUGE_ARGS[1]:  # rho is beyond float range
-            assert '"approx": null' in text
+        payload = _report_payload(report)
+        if vector == HUGE_ARGS[1]:  # rho is beyond float range: strict JSON has no Infinity
+            assert payload["result"]["approx"] == math.inf
+            payload["result"] = {**payload["result"], "approx": None}
+        assert text == json.dumps(payload, indent=2)
 
     @pytest.mark.parametrize("k_max", [1, 2, 5, 2000])
     @pytest.mark.parametrize(
         "monoid, vector", [(STAR_TEXT, "7,13"), ("1,1;3,2;8,5", "12,8")], ids=["identity", "sheared"]
     )
     def test_scan_reports_equal_json_dumps(self, monoid, vector, k_max):
-        # The rows are written one f-string each, the rest by _json_text.
+        # The rows are written one f-string each, the rest value by value.
         report = run(q("scan", monoid, vector, k_max=k_max, output="json"))
         assert (report.canonical.transform == IDENTITY) == (monoid == STAR_TEXT)
         assert len(report.result["rows"]) == k_max
@@ -725,11 +748,37 @@ class TestJsonText:
     @pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])
     @pytest.mark.parametrize("command, monoid, vector, count", FACT_LIST_QUERIES)
     def test_factorization_lists_equal_json_dumps(self, command, monoid, vector, count, approx):
-        # Each factorization is written with one f-string, the rest by _json_text.
+        # The whole list is one _fact_block %-format and the lengths one join.
         report = run(q(command, monoid, vector, mode="all", output="json", approx=approx))
         assert report.result.get("count", 0) == count
         assert len(report.result.get("factorizations", ())) == count
         assert render_json(report) == json.dumps(_report_payload(report), indent=2)
+
+    @pytest.mark.parametrize(
+        "command, vector, order",
+        [
+            ("factorize", "6,13", ["lengths", "count", "factorizations", "member"]),
+            ("oracle", "6,13", ["approx", "rho", "lengths", "factorizations", "count", "member"]),
+            ("scan", "7,13", ["before", "rows", "after"]),
+        ],
+        ids=["factorize-all", "oracle", "scan"],
+    )
+    def test_list_keys_in_any_order_equal_json_dumps(self, command, vector, order):
+        # Pre-written lists are placed wherever the result holds them.
+        ran = run(q(command, STAR_TEXT, vector, mode="all", k_max=3, approx=True))
+        extra = {"before": [], "after": {"k": [1, 2]}}
+        report = Report(
+            command=ran.command,
+            generators=ran.generators,
+            canonical=ran.canonical,
+            input=ran.input,
+            result={key: ran.result[key] if key in ran.result else extra[key] for key in order},
+            solver_used=ran.solver_used,
+            exit_code=ran.exit_code,
+        )
+        text = render_json(report)
+        assert list(json.loads(text)["result"]) == order
+        assert text == json.dumps(_report_payload(report), indent=2)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [{"a": math.inf}]])
     def test_non_finite_float_raises(self, value):

@@ -25,6 +25,12 @@ def test_rejects_a_wrong_number_of_multiplicities(mults):
         Factorization.checked(mults, GENS, Vec2(1, 3))
 
 
+def test_rejects_an_empty_factorization():
+    # min(()) would raise ValueError too, so the message is what is checked.
+    with pytest.raises(ValueError, match="at least one multiplicity"):
+        Factorization(())
+
+
 def test_rejects_a_negative_multiplicity():
     # -1*(0, 1) + 1*(1, 2) is (1, 1): the target matches, the sign does not.
     with pytest.raises(ValueError, match="nonnegative"):

@@ -18,13 +18,13 @@ import affmon
 HEAVY = ("dataclasses", "inspect", "affmon.oracle", "affmon.asymptotics")
 
 
-def _child(code: str):
-    """Run ``code`` in a fresh interpreter on this affmon; return what it
-    printed as JSON on its last line."""
+def _child(code: str, *flags: str):
+    """Run ``code`` in a fresh interpreter, started with ``flags``, on this
+    affmon; return what it printed as JSON on its last line."""
     src = str(Path(affmon.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import json, sys\nbefore = set(sys.modules)\n" + code],
+        [sys.executable, *flags, "-c", "import json, sys\nbefore = set(sys.modules)\n" + code],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
@@ -46,6 +46,12 @@ def test_import_cli_skips_dataclasses_the_oracle_and_asymptotics():
     new = _new_modules("import affmon.cli")
     assert "affmon.cli" in new and "affmon.solve3" in new
     assert [m for m in HEAVY if m in new] == []
+
+
+def test_import_cli_loads_no_typing():
+    # Annotations are never evaluated; -S, because a site .pth file may import
+    # typing before any affmon code runs.
+    assert _child("import affmon.cli\nprint(json.dumps('typing' in sys.modules))", "-S") is False
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,12 @@ unimats = st.one_of(
 )
 
 
+@pytest.mark.parametrize("entries", [(1, 1, 1, 1), (2, 0, 0, 1)], ids=["det-0", "det-2"])
+def test_unimat_rejects_a_determinant_other_than_plus_or_minus_one(entries):
+    with pytest.raises(ValueError, match="determinant must be"):
+        UniMat2(*entries)
+
+
 class TestExtGcd:
     def test_pinned(self):
         g, s, t = ext_gcd(11, 10)
@@ -81,6 +87,11 @@ class TestRowSwappedHnf:
         # transform leaves the nonnegative quadrant.
         with pytest.raises(NegativeResultError):
             row_swapped_hnf([(1, 1), (0, 1)])
+
+    def test_rejects_a_column_sent_below_the_first_axis(self):
+        # (-1, -2) maps to (0, -1), which no shift by the first row repairs.
+        with pytest.raises(NegativeResultError, match=r"column maps to \(0, -1\)"):
+            row_swapped_hnf([(1, 2), (-1, -2)])
 
     def test_repairs_negative_second_row(self):
         # The raw Bezout row for (5,3) is (-1, 2), which sends (3,1) to

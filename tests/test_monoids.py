@@ -194,6 +194,13 @@ class TestConstructorInvariants:
         with pytest.raises(NotPhiMinimalError):
             CanonicalMonoid3(a=1, b=2, c=2, d=4, transform=IDENTITY)
 
+    def test_dim3_validates_its_entries(self):
+        # Both in slope order, so only the range and gcd checks refuse them.
+        with pytest.raises(ValueError, match="need a >= 1"):
+            CanonicalMonoid3(0, 1, 1, 1, IDENTITY)
+        with pytest.raises(NotPhiMinimalError, match=r"\(2, 4\) has coordinate gcd > 1"):
+            CanonicalMonoid3(a=2, b=4, c=1, d=1, transform=IDENTITY)
+
     @pytest.mark.parametrize(
         "make",
         [
