@@ -197,12 +197,14 @@ MUTANTS = [
         "if False:",
         ["test_cli.py"],
     ),
-    # A literal % in the block writer's fixed pieces read as a conversion
-    # (test_cli.py::TestFactBlock::test_literal_percent_signs_print_as_given).
+    # The block writer's length conversion put before the piece that names it
+    # (test_cli.py::TestFactBlock::test_human_listing_is_each_fact_line_indented).
+    # It pointed at the doubling of a literal % in the pieces until that went:
+    # both callers pass literals that hold no %.
     (
         "cli.py",
-        '[p.replace("%", "%%") for p in',
-        "[p for p in",
+        '+ mid + "%s" + end',
+        '+ "%s" + mid + end',
         ["test_cli.py"],
     ),
     # The factorization writer's multiplicities one indent level short
@@ -350,15 +352,15 @@ MUTANTS = [
         "or den < 0:",
         ["test_asymptotics.py"],
     ),
-    # The normal form's shift taken as -cy, the least one only when cy = -1
-    # (test_intlin.py::TestRowSwappedHnf::test_shift_is_the_least_that_repairs_the_second_row).
-    # Rounding changes such as "(-cy + cx) // cx" changed no shift on any pair
-    # of columns with entries <= 40: there -cy < cx / 2, so the shift is 0 or 1.
+    # The canonical form's shift taken as -y, the least one only when y = -1
+    # (test_monoids.py::TestCanonicalize::test_shift_is_the_least_that_repairs_the_second_row).
+    # Rounding changes such as "(-y + x) // x" changed no shift on any pair
+    # of generators with entries <= 40: there -y < x / 2, so the shift is 0 or 1.
     (
-        "intlin.py",
-        "(-cy + cx - 1) // cx",
-        "-cy",
-        ["test_intlin.py"],
+        "monoids.py",
+        "(-y + x - 1) // x",
+        "-y",
+        ["test_monoids.py"],
     ),
     # A canonical monoid with a = 0 accepted
     # (test_monoids.py::TestConstructorInvariants::test_dim3_validates_its_entries).
@@ -385,13 +387,14 @@ MUTANTS = [
         "if False:",
         ["test_intlin.py"],
     ),
-    # A column sent to (0, y < 0) divides by zero instead of raising NegativeResult
-    # (test_intlin.py::TestRowSwappedHnf::test_rejects_a_column_sent_below_the_first_axis).
+    # A two-generator canonical monoid with a = 0 accepted: the one check that
+    # keeps a two-generator image in the quadrant
+    # (test_monoids.py::TestConstructorInvariants::test_dim2_validates).
     (
-        "intlin.py",
-        "if cx == 0:",
+        "monoids.py",
+        "if self.a < 1 or self.b < 0:",
         "if False:",
-        ["test_intlin.py"],
+        ["test_monoids.py"],
     ),
     # A factorization with no multiplicities accepted
     # (test_factorization.py::test_rejects_an_empty_factorization).

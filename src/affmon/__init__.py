@@ -24,15 +24,14 @@ __version__ = "0.1.0"
 _HOMES = {
     name: module
     for module, names in {
-        "errors": "AffmonError BothZeroError NotPhiMinimalError NegativeResultError "
-        "StarRequiredError NotMemberError ZeroElementError PeriodicityViolatedError "
-        "WrongBranchError ZeroGeneratorError DuplicateGeneratorError "
-        "NotMinimallyGeneratedError MonoidParseError InputTooLargeError",
+        "errors": "AffmonError BothZeroError NotPhiMinimalError StarRequiredError "
+        "NotMemberError ZeroElementError PeriodicityViolatedError WrongBranchError "
+        "ZeroGeneratorError DuplicateGeneratorError NotMinimallyGeneratedError "
+        "MonoidParseError InputTooLargeError",
         "rationals": "Vec2 ExtRat slope_compare is_phi_minimal",
         "factorization": "Factorization Membership PHI_OUT_OF_RANGE DIVISIBILITY_FAILS "
         "X_NOT_REPRESENTABLE",
-        "intlin": "UniMat2 ext_gcd row_swapped_hnf det_divisors d2_test D2_NOT_MEMBER "
-        "D2_INCONCLUSIVE",
+        "intlin": "UniMat2 ext_gcd det_divisors d2_test D2_NOT_MEMBER D2_INCONCLUSIVE",
         "monoids": "CanonicalMonoid2 CanonicalMonoid3 Monoid canonicalize canonical_coords "
         "validate_minimal_generation",
         "oracle": "FactorizationSet enumerate_factorizations elasticity_oracle",

@@ -474,7 +474,8 @@ def render_csv(report: Report) -> str:
 def _fact_block(facts: list, head: str, sep: str, mid: str, end: str, joiner: str) -> str:
     """Each payload of ``facts`` as head, its multiplicities joined by sep, mid,
     its length and end, the elements joined by ``joiner``: one ``%`` for the
-    whole list.  Every payload must have as many multiplicities as the first."""
+    whole list.  Every payload must have as many multiplicities as the first,
+    and no piece may hold a ``%``: the callers pass literals that hold none."""
     k = len(facts[0]["mults"])
     args = []
     for f in facts:
@@ -482,8 +483,6 @@ def _fact_block(facts: list, head: str, sep: str, mid: str, end: str, joiner: st
             raise ValueError(f"listed factorizations have {k} and {len(f['mults'])} multiplicities")
         args += f["mults"]
         args.append(f["length"])
-    if "%" in head + sep + mid + end + joiner:  # cheaper than doubling when no piece has a %
-        head, sep, mid, end, joiner = [p.replace("%", "%%") for p in (head, sep, mid, end, joiner)]
     one = head + sep.join(["%s"] * k) + mid + "%s" + end
     return joiner.join([one] * len(facts)) % tuple(args)
 

@@ -11,7 +11,6 @@ __all__ = [
     "AffmonError",
     "BothZeroError",
     "NotPhiMinimalError",
-    "NegativeResultError",
     "StarRequiredError",
     "NotMemberError",
     "ZeroElementError",
@@ -41,12 +40,6 @@ class NotPhiMinimalError(AffmonError):
     """A generator's coordinates share a common factor greater than 1."""
 
     code = "NotPhiMinimal"
-
-
-class NegativeResultError(AffmonError):
-    """A normalized column left the nonnegative quadrant."""
-
-    code = "NegativeResult"
 
 
 class StarRequiredError(AffmonError):

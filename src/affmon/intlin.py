@@ -1,11 +1,10 @@
 """Integer linear algebra on 2 x p matrices, passed as sequences of columns.
 
-Just enough machinery to normalize generator matrices: extended gcd, a
-row-swapped Hermite form whose first column becomes (0, 1), and the two
+The unimodular 2 x 2 matrices that change coordinates, the extended gcd
+whose Bezout row ``monoids.canonicalize`` builds them from, and the two
 determinantal divisors d1 (gcd of entries) and d2 (gcd of 2 x 2 minors).
 The d2 comparison gives a sound but incomplete non-membership test.  Each
-column is an (x, y) pair of ints, checked once on entry to
-``row_swapped_hnf`` and ``det_divisors``.
+column is an (x, y) pair of ints, checked once on entry to ``det_divisors``.
 """
 
 from __future__ import annotations
@@ -14,13 +13,12 @@ from collections.abc import Sequence
 from itertools import combinations
 from math import gcd
 
-from .errors import BothZeroError, NegativeResultError, NotPhiMinimalError
+from .errors import BothZeroError
 from .rationals import Vec2, _Frozen
 
 __all__ = [
     "UniMat2",
     "ext_gcd",
-    "row_swapped_hnf",
     "det_divisors",
     "d2_test",
     "D2_NOT_MEMBER",
@@ -88,40 +86,6 @@ def _columns(cols: Sequence[_Col]) -> tuple[_Col, ...]:
     ):
         raise ValueError(f"a matrix needs one or more columns of integer pairs, got {out!r}")
     return out
-
-
-def row_swapped_hnf(cols: Sequence[_Col]) -> tuple[UniMat2, tuple[_Col, ...]]:
-    """Normalize so the first column becomes (0, 1).
-
-    Returns (u, cols2) with u unimodular and u * cols = cols2, column by
-    column.  The first column must have coprime entries.  After zeroing its
-    top entry with a Bezout row, any negative second-row entries are repaired
-    by adding multiples of the first row; that is always possible when the
-    first column has the strictly smallest slope, and NegativeResult is
-    raised when it is not.
-    """
-    cols = _columns(cols)
-    x1, y1 = cols[0]
-    if gcd(x1, y1) != 1:
-        raise NotPhiMinimalError(f"first column {(x1, y1)} has gcd {gcd(x1, y1)}")
-    _, s, t = ext_gcd(x1, y1)
-    u = UniMat2(y1, -x1, s, t)
-    cols = [u.apply(cx, cy) for cx, cy in cols]
-
-    shift = 0
-    for cx, cy in cols[1:]:
-        if cx < 0:
-            raise NegativeResultError(f"column maps to {(cx, cy)}, outside N0^2")
-        if cy < 0:
-            if cx == 0:
-                raise NegativeResultError(f"column maps to {(cx, cy)}, outside N0^2")
-            shift = max(shift, (-cy + cx - 1) // cx)
-    if shift:
-        u = UniMat2(u.m00, u.m01, u.m10 + shift * u.m00, u.m11 + shift * u.m01)
-        cols = [(cx, cy + shift * cx) for cx, cy in cols]
-    if any(cx < 0 or cy < 0 for cx, cy in cols):
-        raise NegativeResultError("normalization left the nonnegative quadrant")
-    return u, tuple(cols)
 
 
 def det_divisors(cols: Sequence[_Col]) -> tuple[int, int]:

@@ -1,14 +1,14 @@
 """Canonical form for affine submonoids of N0^2 with 2 or 3 generators.
 
 A monoid is described by a list of generators.  Canonicalization sorts them
-by slope once and applies a determinant-one change of coordinates (computed
-by ``row_swapped_hnf`` on their plain (x, y) columns) that sends the
-generator of least slope to (0, 1).  A determinant of +1 keeps every cross
-product x1*y2 - x2*y1, so the images stay in strictly increasing slope order
-and need no second sort.  Because the transform is unimodular, all
-membership and factorization questions can be answered in the canonical
-coordinates: multiplicity vectors are untouched, only the query vector is
-mapped through the transform.
+by slope once and applies a determinant-one change of coordinates, built
+from the Bezout row of the generator of least slope, that sends that
+generator to (0, 1) and the others into N0^2.  A determinant of +1 keeps
+every cross product x1*y2 - x2*y1, so the images stay in strictly
+increasing slope order and need no second sort.  Because the transform is
+unimodular, all membership and factorization questions can be answered in
+the canonical coordinates: multiplicity vectors are untouched, only the
+query vector is mapped through the transform.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from math import gcd
 
 from .errors import DuplicateGeneratorError, NotPhiMinimalError, ZeroGeneratorError
-from .intlin import UniMat2, row_swapped_hnf
+from .intlin import UniMat2, ext_gcd
 from .rationals import Vec2, _Frozen, is_phi_minimal, slope_compare
 
 __all__ = [
@@ -114,19 +114,29 @@ def _validate_raw(gens: Sequence[Vec2]) -> tuple[Vec2, ...]:
 def canonicalize(gens: Sequence[Vec2]) -> Monoid:
     """Sort the generators by slope and change coordinates to canonical form.
 
-    The one sort is enough: ``row_swapped_hnf`` sends the first generator to
-    (0, 1) by a transform of determinant +1, which keeps the slope order of
-    the rest.  The returned monoid records that transform, so callers can
-    map query vectors into canonical coordinates with ``canonical_coords``.
-    Generators that already are canonical come back unchanged with the
-    identity transform.
+    The rows (y1, -x1) and (s, t), with s*x1 + t*y1 = 1 from ``ext_gcd``,
+    send the first generator (x1, y1) to (0, 1).  Every other generator
+    (x, y) has a larger slope, so its image has first coordinate
+    y1*x - x1*y >= 1.  Adding the least multiple of the first row to the
+    second that makes every image's second coordinate nonnegative completes
+    the transform.  Its determinant is +1, so it keeps the slope order of the
+    images: one sort is enough.  The returned monoid records the transform,
+    so callers can map query vectors into canonical coordinates with
+    ``canonical_coords``.  Generators that already are canonical come back
+    unchanged with the identity transform.
     """
     # Distinct phi-minimal vectors never share a slope, so the order is strict.
-    ordered = sorted(_validate_raw(gens), key=functools.cmp_to_key(slope_compare))
-    transform, cols = row_swapped_hnf(tuple((g.x, g.y) for g in ordered))
-    if len(cols) == 2:
-        return CanonicalMonoid2(*cols[1], transform=transform)
-    return CanonicalMonoid3(*cols[1], *cols[2], transform=transform)
+    first, *rest = sorted(_validate_raw(gens), key=functools.cmp_to_key(slope_compare))
+    x1, y1 = first.x, first.y
+    _, s, t = ext_gcd(x1, y1)
+    images = [(y1 * g.x - x1 * g.y, s * g.x + t * g.y) for g in rest]
+    # ceil(-y / x) is the least k with y + k*x >= 0.
+    shift = max(0, *((-y + x - 1) // x for x, y in images))
+    transform = UniMat2(y1, -x1, s + shift * y1, t - shift * x1)
+    (a, b), *more = [(x, y + shift * x) for x, y in images]
+    if not more:
+        return CanonicalMonoid2(a, b, transform)
+    return CanonicalMonoid3(a, b, *more[0], transform)
 
 
 def canonical_coords(m: Monoid, s: Vec2) -> Vec2 | None:

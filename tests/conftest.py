@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 from hypothesis import settings, strategies as st
@@ -63,6 +64,18 @@ def canonical_triples(max_entry: int) -> list[tuple[int, int, int, int]]:
         for d in range(max_entry + 1)
         if gcd(a, b) == 1 and gcd(c, d) == 1 and a * d < b * c
     ]
+
+
+def rho_bound(m: CanonicalMonoid3) -> Fraction:
+    """rho(S) = max(c, a + D) / min(c, a + D) with D = b*c - a*d.
+
+    c and a + D are the lengths of the two sides of the kernel step
+    (c/g)*(a, b) = (D/g)*(0, 1) + (a/g)*(c, d), g = gcd(a, c), so every
+    elasticity of a nonzero member lies in [1, rho(S)].  Computed from the
+    generators alone, with neither the solvers' line nor the oracle.
+    """
+    D = m.b * m.c - m.a * m.d
+    return Fraction(max(m.c, m.a + D), min(m.c, m.a + D))
 
 
 def canonical_monoids3(max_entry: int = 6) -> st.SearchStrategy[CanonicalMonoid3]:

@@ -29,9 +29,9 @@ from affmon.intlin import IDENTITY
 from affmon.monoids import CanonicalMonoid3
 from affmon.oracle import elasticity_oracle
 from affmon.rationals import Vec2
-from affmon.solve3 import elasticity3
+from affmon.solve3 import elasticity3, member3
 
-from conftest import canonical_triples, members3, star_monoids
+from conftest import canonical_triples, members3, rho_bound, star_monoids
 
 
 STAR = CanonicalMonoid3(a=1, b=2, c=3, d=5, transform=IDENTITY)
@@ -346,3 +346,23 @@ class TestAgainstEachOther:
         s = data.draw(members3(m, max_mult=6))
         _, limit = rho_limit(m, s)
         assert limit >= Fraction(1)
+
+
+def test_limits_and_scan_rows_stay_within_the_elasticity_bound():
+    # rho_limit and each row of a 12-row scan, for every member with
+    # coordinates < 25 of the 20 minimally generated canonical star monoids
+    # with entries <= 5: none exceeds rho(S) (``conftest.rho_bound``).
+    limits = 0
+    for t in canonical_triples(5):
+        m = CanonicalMonoid3(*t, transform=IDENTITY)
+        if not m.star or m.a % m.c == 0:
+            continue
+        bound = rho_bound(m)
+        for x, y in product(range(25), repeat=2):
+            s = Vec2(x, y)
+            if s.is_zero or not member3(m, s).member:
+                continue
+            assert 1 <= rho_limit(m, s)[1] <= bound, (m, s)
+            assert all(1 <= Fraction(p, q) <= bound for _, p, q, _, _ in scan_multiples(m, s, 12)[1])
+            limits += 1
+    assert limits == 6862

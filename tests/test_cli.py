@@ -25,7 +25,6 @@ from affmon.cli import (
     Query,
     Report,
     _approx,
-    _fact_block,
     _fact_line,
     _json_text,
     _ratio_text,
@@ -832,10 +831,6 @@ class TestFactBlock:
             with pytest.raises(ValueError, match="have 3 and 2 multiplicities"):
                 render(report)
 
-    def test_literal_percent_signs_print_as_given(self):
-        facts = [{"mults": [1, 2], "length": 3}, {"mults": [4, 5], "length": 9}]
-        assert _fact_block(facts, "%(", "%s", "%d", "%%", "|%") == "%(1%s2%d3%%|%%(4%s5%d9%%"
-
 
 # The largest X with every coordinate of <(0,1), (1,2), (X, 2X-1)> and of
 # s = (X, 2X-1) within the 1,000-digit bound: 2X - 1 = 10**1000 - 3.  Its LFT
@@ -970,16 +965,16 @@ def test_public_surface_and_error_codes_are_pinned():
         "CanonicalMonoid3", "D2_INCONCLUSIVE", "D2_NOT_MEMBER", "DIVISIBILITY_FAILS",
         "DuplicateGeneratorError", "ExtRat", "ExtremeFactorizations", "Factorization",
         "FactorizationSet", "InputTooLargeError", "LimitLFT", "Membership", "Monoid",
-        "MonoidParseError", "NegativeResultError", "NotMemberError",
-        "NotMinimallyGeneratedError", "NotPhiMinimalError", "PHI_OUT_OF_RANGE",
+        "MonoidParseError", "NotMemberError", "NotMinimallyGeneratedError",
+        "NotPhiMinimalError", "PHI_OUT_OF_RANGE",
         "PeriodicityViolatedError", "Query", "Report", "SCAN_CSV_HEADER", "StarRequiredError",
         "UniMat2", "Vec2", "WrongBranchError", "X_NOT_REPRESENTABLE", "ZeroElementError",
         "ZeroGeneratorError", "canonical_coords", "canonical_rep", "canonicalize", "d2_test",
         "det_divisors", "elasticity2", "elasticity3",
         "elasticity_oracle", "enumerate_factorizations", "ext_gcd", "extreme_factorizations",
         "is_phi_minimal", "main", "member2", "member3", "member3_general", "parse_monoid",
-        "parse_vector", "rho_limit", "rho_special_ac", "rho_special_c", "row_swapped_hnf",
-        "run", "scan_multiples", "slope_compare", "tau", "validate_minimal_generation",
+        "parse_vector", "rho_limit", "rho_special_ac", "rho_special_c", "run",
+        "scan_multiples", "slope_compare", "tau", "validate_minimal_generation",
     ]
     error_classes = [
         obj
@@ -991,7 +986,6 @@ def test_public_surface_and_error_codes_are_pinned():
         "AffmonError": "Error",
         "BothZeroError": "BothZero",
         "NotPhiMinimalError": "NotPhiMinimal",
-        "NegativeResultError": "NegativeResult",
         "StarRequiredError": "StarRequired",
         "NotMemberError": "NotMember",
         "ZeroElementError": "ZeroElement",

@@ -1,6 +1,5 @@
-"""Integer linear algebra: extended gcd, row-swapped normal form, d1/d2."""
+"""Integer linear algebra: unimodular matrices, extended gcd, d1/d2."""
 
-from itertools import product
 from math import gcd
 
 import pytest
@@ -8,17 +7,14 @@ from hypothesis import given, strategies as st
 
 from affmon import (
     BothZeroError,
-    NegativeResultError,
-    NotPhiMinimalError,
     UniMat2,
     Vec2,
     d2_test,
     det_divisors,
     enumerate_factorizations,
     ext_gcd,
-    row_swapped_hnf,
 )
-from affmon.intlin import D2_INCONCLUSIVE, D2_NOT_MEMBER, IDENTITY
+from affmon.intlin import D2_INCONCLUSIVE, D2_NOT_MEMBER
 
 
 # Shears and swaps cover a useful slice of the unimodular group.
@@ -55,98 +51,6 @@ class TestExtGcd:
         g, s, t = ext_gcd(a, b)
         assert g == gcd(a, b) > 0
         assert s * a + t * b == g
-
-
-class TestRowSwappedHnf:
-    def test_already_canonical_is_identity(self):
-        m = ((0, 1), (11, 10), (10, 3))
-        u, m2 = row_swapped_hnf(m)
-        assert u == IDENTITY
-        assert m2 == m
-
-    def test_pinned_two_generator_example(self):
-        m = [(2, 1), (3, 1)]
-        u, m2 = row_swapped_hnf(m)
-        assert m2 == ((0, 1), (1, 1))
-        assert u.as_rows() == ((1, -2), (0, 1))
-        assert u.det == 1
-        assert tuple(u.apply(*c) for c in m) == m2
-
-    def test_single_column(self):
-        u, m2 = row_swapped_hnf([(3, 2)])
-        assert m2 == ((0, 1),)
-        assert abs(u.det) == 1
-        assert u.apply(3, 2) == (0, 1)
-
-    def test_rejects_non_coprime_first_column(self):
-        with pytest.raises(NotPhiMinimalError):
-            row_swapped_hnf([(2, 4), (1, 1)])
-
-    def test_rejects_columns_of_smaller_slope(self):
-        # (0,1) has smaller slope than (1,1); with the wrong column first the
-        # transform leaves the nonnegative quadrant.
-        with pytest.raises(NegativeResultError):
-            row_swapped_hnf([(1, 1), (0, 1)])
-
-    def test_rejects_a_column_sent_below_the_first_axis(self):
-        # (-1, -2) maps to (0, -1), which no shift by the first row repairs.
-        with pytest.raises(NegativeResultError, match=r"column maps to \(0, -1\)"):
-            row_swapped_hnf([(1, 2), (-1, -2)])
-
-    def test_repairs_negative_second_row(self):
-        # The raw Bezout row for (5,3) is (-1, 2), which sends (3,1) to
-        # second coordinate -1; a shift by the first row must repair that
-        # while keeping the transform unimodular.
-        m = [(5, 3), (3, 1)]
-        u, m2 = row_swapped_hnf(m)
-        assert m2 == ((0, 1), (4, 3))
-        assert u.det == 1
-        assert tuple(u.apply(*c) for c in m) == m2
-
-    def test_shift_is_the_least_that_repairs_the_second_row(self):
-        # Every slope-ordered pair of phi-minimal columns with entries <= 7
-        # whose Bezout row sends the second column below zero.  A shift one
-        # smaller subtracts the first row, (0, 1) -> (0, 1) and
-        # (x, y) -> (x, y - x), so y - x must then be negative.
-        cols = [(x, y) for x, y in product(range(8), repeat=2) if gcd(x, y) == 1]
-        shifted = 0
-        for c1, c2 in product(cols, repeat=2):
-            if c1[0] * c2[1] >= c2[0] * c1[1]:
-                continue
-            _, s, t = ext_gcd(*c1)
-            if s * c2[0] + t * c2[1] >= 0:
-                continue
-            shifted += 1
-            u, (first, (x, y)) = row_swapped_hnf([c1, c2])
-            assert first == (0, 1) and u.apply(*c2) == (x, y)
-            assert y >= 0, (c1, c2)
-            assert y - x < 0, (c1, c2)
-        assert shifted == 204
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 30), st.integers(0, 30)).filter(
-                lambda p: gcd(p[0], p[1]) == 1
-            ),
-            min_size=1,
-            max_size=4,
-            unique=True,
-        )
-    )
-    def test_preserves_column_gcds(self, pairs):
-        pairs = sorted(pairs, key=lambda p: (p[0], -p[1]))
-        # ascending-slope order: sort by cross product
-        import functools
-
-        pairs = sorted(
-            pairs, key=functools.cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1])
-        )
-        try:
-            _, m2 = row_swapped_hnf(pairs)
-        except NegativeResultError:
-            return
-        for col in m2:
-            assert gcd(col[0], col[1]) == 1
 
 
 class TestDetDivisors:
@@ -224,11 +128,6 @@ class TestColumnCheck:
         pytest.param([(0, 1), 5], id="int-column"),
         pytest.param([(0, 1), None], id="none-column"),
     ]
-
-    @pytest.mark.parametrize("cols", BAD)
-    def test_row_swapped_hnf_rejects(self, cols):
-        with pytest.raises(ValueError, match="columns of integer pairs"):
-            row_swapped_hnf(cols)
 
     @pytest.mark.parametrize("cols", BAD)
     def test_det_divisors_rejects(self, cols):

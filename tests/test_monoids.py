@@ -17,6 +17,7 @@ from affmon import (
     canonicalize,
     det_divisors,
     enumerate_factorizations,
+    ext_gcd,
     slope_compare,
     validate_minimal_generation,
 )
@@ -37,10 +38,56 @@ class TestCanonicalize:
         assert m.transform == IDENTITY
 
     def test_two_generator_transform(self):
-        m = canonicalize(vecs((2, 1), (3, 1)))
+        gens = vecs((2, 1), (3, 1))
+        m = canonicalize(gens)
         assert isinstance(m, CanonicalMonoid2)
         assert (m.a, m.b) == (1, 1)
         assert m.transform.as_rows() == ((1, -2), (0, 1))
+        assert m.transform.det == 1
+        assert [m.transform.apply(g.x, g.y) for g in gens] == [(0, 1), (1, 1)]
+
+    def test_repairs_negative_second_row(self):
+        # The raw Bezout row for (5,3) is (-1, 2), which sends (3,1) to
+        # second coordinate -1; a shift by the first row must repair that
+        # while keeping the transform unimodular.
+        gens = vecs((5, 3), (3, 1))
+        m = canonicalize(gens)
+        assert (m.a, m.b) == (4, 3)
+        assert m.transform.det == 1
+        assert [m.transform.apply(g.x, g.y) for g in gens] == [(0, 1), (4, 3)]
+
+    def test_shift_is_the_least_that_repairs_the_second_row(self):
+        # Every slope-ordered pair of phi-minimal generators with entries <= 7
+        # whose Bezout row sends the second below zero.  A shift one smaller
+        # subtracts the first row, (0, 1) -> (0, 1) and (x, y) -> (x, y - x),
+        # so y - x must then be negative.
+        pool = [(x, y) for x in range(8) for y in range(8) if gcd(x, y) == 1]
+        shifted = 0
+        for c1, c2 in itertools.product(pool, repeat=2):
+            if c1[0] * c2[1] >= c2[0] * c1[1]:
+                continue
+            _, s, t = ext_gcd(*c1)
+            if s * c2[0] + t * c2[1] >= 0:
+                continue
+            shifted += 1
+            m = canonicalize(vecs(c1, c2))
+            assert m.transform.apply(*c1) == (0, 1)
+            assert m.transform.apply(*c2) == (m.a, m.b)
+            assert m.b >= 0, (c1, c2)
+            assert m.b - m.a < 0, (c1, c2)
+        assert shifted == 204
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 30), st.integers(0, 30)).filter(lambda p: gcd(*p) == 1),
+            min_size=2,
+            max_size=3,
+            unique=True,
+        )
+    )
+    def test_preserves_generator_gcds(self, pairs):
+        m = canonicalize(vecs(*pairs))
+        assert all(gcd(g.x, g.y) == 1 for g in m.gens)
 
     def test_star_fixture(self):
         m = canonicalize(vecs((0, 1), (1, 2), (3, 5)))

@@ -1,6 +1,7 @@
 """Tests for three-generator membership, extremes, and elasticity."""
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -24,7 +25,14 @@ from affmon.solve3 import (
     member3_general,
 )
 
-from conftest import canonical_monoids3, canonical_triples, members3, star_monoids, vecs
+from conftest import (
+    canonical_monoids3,
+    canonical_triples,
+    members3,
+    rho_bound,
+    star_monoids,
+    vecs,
+)
 
 
 # Star monoid (b*c - a*d = 1) used throughout; lengths grow with t.
@@ -427,3 +435,29 @@ class TestEveryMonoidAgainstTheOracle:
         assert ext.t_max == len(facts.facts) - 1
         assert sorted((ext.len_t0, ext.len_tmax)) == [facts.lengths[0], facts.lengths[-1]]
         assert elasticity3(m, s) == elasticity_oracle(m.gens, s)
+
+
+class TestElasticityBound:
+    """Every elasticity lies in [1, rho(S)] (``conftest.rho_bound``)."""
+
+    def test_every_small_member_of_every_small_monoid(self):
+        # Every member with coordinates < 25 of the 135 minimally generated
+        # canonical monoids with entries <= 5, star or not.  The largest
+        # elasticity reaches rho(S) in 119 of the 135 monoids.
+        monoids = [
+            CanonicalMonoid3(*t, transform=IDENTITY) for t in canonical_triples(5) if t[0] % t[2]
+        ]
+        members = reached = 0
+        for m in monoids:
+            bound, top = rho_bound(m), Fraction(1)
+            for x, y in product(range(25), repeat=2):
+                s = Vec2(x, y)
+                if s.is_zero or not member3(m, s).member:
+                    continue
+                rho = elasticity3(m, s)
+                assert 1 <= rho <= bound, (m, s)
+                assert elasticity_oracle(m.gens, s) <= bound, (m, s)
+                top = max(top, rho)
+                members += 1
+            reached += top == bound
+        assert (len(monoids), members, reached) == (135, 43531, 119)

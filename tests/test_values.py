@@ -141,7 +141,7 @@ class TestValueType:
         assert type(dup) is cls and dup == value and repr(dup) == text
 
 
-def test_copies_keep_cached_properties_out_of_equality():
+def test_copies_keep_gens_and_line_consts():
     m = CanonicalMonoid3(a=1, b=2, c=3, d=5, transform=IDENTITY)
     consts = m.line_consts
     for dup in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
