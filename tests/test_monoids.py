@@ -133,6 +133,57 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             canonicalize(vecs((0, 1), (1, 2), (3, 5), (2, 1)))
 
+    @pytest.mark.parametrize(
+        "pairs, error, message",
+        [
+            pytest.param([], ValueError, "expected 2 or 3 generators, got 0", id="none"),
+            pytest.param([(1, 2)], ValueError, "expected 2 or 3 generators, got 1", id="one"),
+            pytest.param(
+                [(0, 1), (1, 2), (3, 5), (2, 1)],
+                ValueError,
+                "expected 2 or 3 generators, got 4",
+                id="four",
+            ),
+            pytest.param(
+                [(0, 0)], ValueError, "expected 2 or 3 generators, got 1", id="count-first"
+            ),
+            pytest.param(
+                [(0, 1), (0, 0)], ZeroGeneratorError, "(0, 0) is not a valid generator", id="zero"
+            ),
+            pytest.param(
+                [(0, 0), (2, 4)],
+                ZeroGeneratorError,
+                "(0, 0) is not a valid generator",
+                id="zero-first",
+            ),
+            pytest.param(
+                [(2, 4), (0, 0)],
+                NotPhiMinimalError,
+                "generator (2, 4) has coordinate gcd > 1",
+                id="non-phi-minimal-first",
+            ),
+            pytest.param(
+                [(2, 4), (2, 4)],
+                NotPhiMinimalError,
+                "generator (2, 4) has coordinate gcd > 1",
+                id="gcd-before-duplicate",
+            ),
+            pytest.param(
+                [(1, 2), (0, 1), (1, 2)],
+                DuplicateGeneratorError,
+                "generator (1, 2) appears twice",
+                id="duplicate",
+            ),
+        ],
+    )
+    def test_rejects_in_check_order(self, pairs, error, message):
+        # The count is checked first, then each generator in input order:
+        # zero, then phi-minimal, then seen before.
+        with pytest.raises(error) as info:
+            canonicalize(vecs(*pairs))
+        assert type(info.value) is error
+        assert str(info.value) == message
+
     @given(star_monoids())
     def test_idempotent_on_canonical_generators(self, m):
         again = canonicalize(list(m.gens))
@@ -240,6 +291,23 @@ class TestConstructorInvariants:
             CanonicalMonoid3(a=1, b=2, c=1, d=2, transform=IDENTITY)
         with pytest.raises(NotPhiMinimalError):
             CanonicalMonoid3(a=1, b=2, c=2, d=4, transform=IDENTITY)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: CanonicalMonoid2(0, 1, IDENTITY), id="dim2-a"),
+            pytest.param(lambda: CanonicalMonoid2(1, -1, IDENTITY), id="dim2-b"),
+            pytest.param(lambda: CanonicalMonoid3(0, 1, 1, 1, IDENTITY), id="dim3-a"),
+            pytest.param(lambda: CanonicalMonoid3(1, -1, 1, 1, IDENTITY), id="dim3-b"),
+            pytest.param(lambda: CanonicalMonoid3(1, 1, 0, 1, IDENTITY), id="dim3-c"),
+            pytest.param(lambda: CanonicalMonoid3(1, 2, 1, -1, IDENTITY), id="dim3-d"),
+        ],
+    )
+    def test_each_entry_out_of_the_quadrant_is_refused(self, make):
+        # canonicalize relies on these checks alone to keep its images in
+        # the quadrant, so each entry's bound is pinned on its own.
+        with pytest.raises(ValueError, match=r"needs? a >= 1"):
+            make()
 
     def test_dim3_validates_its_entries(self):
         # Both in slope order, so only the range and gcd checks refuse them.
