@@ -152,11 +152,12 @@ MUTANTS = [
         "pu, pv, pw = pu + du, pv + dv, pw + dw",
         ["test_solve3.py"],
     ),
-    # The length of a factorization listed by --all drops the (0, 1) count.
+    # The length of a factorization listed by --all drops the (0, 1) count
+    # (the length is written into the flat list by solve3._points).
     (
-        "cli.py",
-        "n = u + v + w",
-        "n = v + w",
+        "solve3.py",
+        "flat += (pu, pv, pw, pu + pv + pw)",
+        "flat += (pu, pv, pw, pv + pw)",
         ["test_cli.py"],
     ),
     # A non-member of a two-generator monoid reports "not computed".
@@ -176,8 +177,8 @@ MUTANTS = [
     # The scan row writer's key separator without its space.
     (
         "cli.py",
-        '{i}"gap": {_json_str(r["gap"])}',
-        '{i}"gap":{_json_str(r["gap"])}',
+        '{i}"gap": "\'',
+        '{i}"gap":"\'',
         ["test_cli.py"],
     ),
     # The factorization writer's key separator without its space
@@ -188,12 +189,12 @@ MUTANTS = [
         '{i}],{i}"length":\'',
         ["test_cli.py"],
     ),
-    # The block writer's multiplicity-count check skipped: a mixed list
+    # The flattening's multiplicity-count check skipped: a mixed list
     # whose values fill the slots prints silently
     # (test_cli.py::TestFactBlock::test_mixed_multiplicity_counts_raise).
     (
         "cli.py",
-        'if len(f["mults"]) != k:',
+        "if len(mults) != k:",
         "if False:",
         ["test_cli.py"],
     ),
@@ -203,8 +204,8 @@ MUTANTS = [
     # both callers pass literals that hold no %.
     (
         "cli.py",
-        '+ mid + "%s" + end',
-        '+ "%s" + mid + end',
+        '+ mid + "%d" + end',
+        '+ "%d" + mid + end',
         ["test_cli.py"],
     ),
     # The factorization writer's multiplicities one indent level short
@@ -219,8 +220,10 @@ MUTANTS = [
     # indent level short (test_cli.py::TestJsonText).
     (
         "cli.py",
-        'put("[" + inner + ("," + inner).join(value) + newline + "]")',
-        'put("[" + newline + ("," + newline).join(value) + newline + "]")',
+        'sep = "[" + inner\n            for piece in value:\n                put(sep)\n'
+        '                put(piece)\n                sep = "," + inner',
+        'sep = "[" + newline\n            for piece in value:\n                put(sep)\n'
+        '                put(piece)\n                sep = "," + newline',
         ["test_cli.py"],
     ),
     # The JSON writer prints false as true.
@@ -230,12 +233,69 @@ MUTANTS = [
         'put("true")',
         ["test_cli.py"],
     ),
-    # An integer ratio printed as "p/1".
+    # An integer ratio printed as "p/1", in the result and in every render.
     (
         "cli.py",
-        'return str(p) if q == 1 else f"{p}/{q}"',
-        'return f"{p}/{q}"',
+        '_RATIO = ("%d/%d", "%d%.0s")',
+        '_RATIO = ("%d/%d", "%d/%d")',
         ["test_cli.py"],
+    ),
+    # A rendered scan row's gap always takes the "p/q" template, so a gap of
+    # 0 prints "0/1" (test_cli.py::TestRunScan::test_csv_rendering).
+    (
+        "cli.py",
+        "forms[q == 1][d == 1]",
+        "forms[q == 1][0]",
+        ["test_cli.py"],
+    ),
+    # A flat listing that is not whole elements accepted: the last element
+    # is dropped silently
+    # (test_cli.py::TestRunFactorize::test_all_rejects_a_walk_that_is_not_whole_points).
+    (
+        "cli.py",
+        "if rest:",
+        "if False:",
+        ["test_cli.py"],
+    ),
+    # Report.result rebuilt on every read instead of once
+    # (test_cli.py::TestResultBuiltOnRead::test_two_reads_return_the_same_object).
+    (
+        "cli.py",
+        'if "result" not in d:',
+        "if True:",
+        ["test_cli.py"],
+    ),
+    # The digit rule dropped: a non-ASCII digit parses as a coordinate
+    # (test_cli.py::TestParsing::test_coordinates_are_ascii_digits).
+    (
+        "cli.py",
+        "return text.isascii() and text.isdigit()",
+        "return text.isdigit()",
+        ["test_cli.py"],
+    ),
+    # The parser built anew on every call
+    # (test_cli.py::TestMain::test_calls_share_one_parser).
+    (
+        "cli.py",
+        "@cache\ndef _build_parser",
+        "def _build_parser",
+        ["test_cli.py"],
+    ),
+    # The witness of member3 taken at j = J instead of j = 0
+    # (test_solve3.py::TestMember3::test_member_gets_canonical_factorization).
+    (
+        "solve3.py",
+        "start, _, _ = line",
+        "start = tuple(u + (line[2] - 1) * du for u, du in zip(line[0], line[1]))",
+        ["test_solve3.py"],
+    ),
+    # The minimality test flipped: a redundant middle generator passes
+    # (test_monoids.py::TestMinimalGeneration).
+    (
+        "monoids.py",
+        "m.a % m.c != 0",
+        "m.a % m.c == 0",
+        ["test_monoids.py"],
     ),
     # Value equality compares only the first field.
     (

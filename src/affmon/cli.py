@@ -5,23 +5,27 @@ vectors as a single pair ("6,13"); whitespace is ignored.  ``run`` is the
 one place that routes a query and builds its ``Report``: it parses,
 canonicalizes, and sends two generators to ``solve2`` and three to
 ``solve3`` (``limit`` and ``scan`` to ``asymptotics``, for star monoids
-only; ``scan`` takes its rows as plain ints from ``scan_multiples`` and
-prints them with ``_ratio_text``); ``oracle`` alone runs the brute-force
-enumeration, on the raw generators.  The solver label is ``oracle`` for
-``oracle``, ``dim3-star-theorem`` for ``limit`` and ``scan``, else
-``dim2-theorem`` or ``dim3-line`` by the canonical monoid's type.  The
-answer is printed as a human-readable report, a JSON report (--json), or
-CSV for ``scan``.
+only); ``oracle`` alone runs the brute-force enumeration, on the raw
+generators.  The solver label is ``oracle`` for ``oracle``,
+``dim3-star-theorem`` for ``limit`` and ``scan``, else ``dim2-theorem`` or
+``dim3-line`` by the canonical monoid's type.  The answer is printed as a
+human-readable report, a JSON report (--json), or CSV for ``scan``.
+
+List-shaped answers stay the checked ints they were computed as.  A listing
+(``factorize --all``, ``oracle``) is a ``_Flat``: one int tuple of each
+factorization's multiplicities and length in turn, as ``solve3._points``
+returns the line of a three-generator monoid.  A scan is a ``_Rows``: the
+limit's text and the (k, p, q, n, d) rows of ``scan_multiples``.  Each
+renderer writes such a list with one ``%`` of a ``%d`` template repeated per
+element (``_fact_block``, ``_scan_block``, ``_ints_text`` for ``lengths``),
+and ``Report.result`` builds the per-element dicts from the same ints only
+when a caller first reads it.
 The JSON report is what ``json.dumps(payload, indent=2)`` prints, byte for
 byte: two-space indent, ASCII escapes, keys in insertion order.
 ``_json_text`` writes it directly, in one pass into one list joined once,
 because given an indent ``json`` drops to its pure-Python encoder, which took
-almost half of a ``large_x`` benchmark pass.  Scan rows and listed
-factorizations (``factorize --all``, ``oracle``) each have one shape:
-``render_json`` writes each ``"rows"`` element with one f-string, its strings
-escaped by ``encode_basestring_ascii``, ``_fact_block`` a whole factorization
-list, human or JSON, with one ``%`` operation, and ``"lengths"`` as one join
-of its ints; the writer places these ``_Items`` texts as it places any list.
+almost half of a ``large_x`` benchmark pass.  The pre-written lists are
+``_Items``, whose pieces the writer places as it places any list.
 
 Imports: the solvers (``solve2``, ``solve3``), ``monoids``, ``argparse`` and
 ``json`` load with this module.  ``oracle`` is imported by the ``oracle``
@@ -54,6 +58,7 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import (
@@ -182,7 +187,15 @@ class Query(_Frozen):
 
 
 class Report(_Frozen):
-    """The answer to a query, ready for rendering in any output format."""
+    """The answer to a query, ready for rendering in any output format.
+
+    ``run`` keeps a listing's or a scan's elements as checked ints (``_Flat``,
+    ``_Rows``) and the renderers write from those.  ``result`` is the answer
+    as plain values; its per-element dicts are built from the ints on the
+    first read and kept, so a report compares, hashes, prints and pickles
+    alike whether or not it has been read.  Any other answer is ``result``
+    itself.
+    """
 
     _fields = (
         "command", "generators", "canonical", "input", "result", "solver_used", "exit_code",
@@ -202,9 +215,23 @@ class Report(_Frozen):
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "canonical", canonical)
         object.__setattr__(self, "input", input)
-        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "_answer", result)
         object.__setattr__(self, "solver_used", solver_used)
         object.__setattr__(self, "exit_code", exit_code)
+
+    @property
+    def result(self) -> dict:
+        d = self.__dict__
+        if "result" not in d:
+            answer = d["_answer"]
+            if any(isinstance(v, _FORMS) for v in answer.values()):
+                answer = {k: v.dicts() if isinstance(v, _FORMS) else v for k, v in answer.items()}
+            d["result"] = answer
+        return d["result"]
+
+    def _astuple(self) -> tuple:
+        self.result  # built first: a report compares by its result's value
+        return super()._astuple()
 
     @property
     def star(self) -> bool | None:
@@ -214,14 +241,60 @@ class Report(_Frozen):
 
 
 def _fact_payload(fact: Factorization) -> dict:
-    """A factorization in every report but a three-generator ``--all``."""
+    """A factorization as ``check`` and ``--extremes`` report it."""
     return {"mults": list(fact.mults), "length": fact.length}
 
 
-def _listing(member: bool, facts: list, lengths: list) -> dict:
-    """The result of ``factorize --all`` or ``oracle``; sorts ``lengths`` in place."""
-    lengths.sort()
-    return {"member": member, "count": len(facts), "factorizations": facts, "lengths": lengths}
+class _Flat:
+    """A list of factorizations as one flat int tuple: each element's k
+    multiplicities and then its length, u, v, w, n, u, v, w, n, ... for k = 3.
+    The renderers' ``%`` templates take ``ints`` as they are."""
+
+    def __init__(self, k: int, ints: Sequence[int]) -> None:
+        count, rest = divmod(len(ints), k + 1)
+        if rest:
+            raise ValueError(f"{len(ints)} ints are not whole elements of {k} multiplicities")
+        self.k, self.count, self.ints = k, count, tuple(ints)
+
+    def dicts(self) -> list:
+        k, ints = self.k, self.ints
+        return [{"mults": list(ints[i : i + k]), "length": ints[i + k]}
+                for i in range(0, len(ints), k + 1)]
+
+
+def _flatten(pairs: list) -> _Flat:
+    """(multiplicities, length) pairs as one ``_Flat``; every element must
+    have as many multiplicities as the first."""
+    k = len(pairs[0][0]) if pairs else 0
+    ints: list[int] = []
+    for mults, length in pairs:
+        if len(mults) != k:
+            raise ValueError(f"listed factorizations have {k} and {len(mults)} multiplicities")
+        ints += mults
+        ints.append(length)
+    return _Flat(k, ints)
+
+
+def _listing(member: bool, flat: _Flat) -> dict:
+    """The result of ``factorize --all`` or ``oracle``, its list kept as ints."""
+    return {"member": member, "count": flat.count, "factorizations": flat,
+            "lengths": sorted(flat.ints[flat.k :: flat.k + 1])}
+
+
+class _Rows:
+    """Scan rows as ``scan_multiples`` returns them, (k, p, q, n, d) each,
+    with the limit's text."""
+
+    def __init__(self, limit: str, rows: list) -> None:
+        self.limit, self.rows = limit, rows
+
+    def dicts(self) -> list:
+        lim = self.limit
+        return [{"k": k, "rho_exact": _ratio_text(p, q), "rho_limit": lim, "gap": _ratio_text(n, d)}
+                for k, p, q, n, d in self.rows]
+
+
+_FORMS = (_Flat, _Rows)  # the answers' lists that Report.result builds dicts from
 
 
 def _factorize(m: Monoid, cs: Vec2 | None, mode: str) -> dict:
@@ -233,24 +306,17 @@ def _factorize(m: Monoid, cs: Vec2 | None, mode: str) -> dict:
         return {"member": False, "reason": PHI_OUT_OF_RANGE}
     dim2 = isinstance(m, CanonicalMonoid2)
     if mode == "all" and not dim2:
-        points = _points(m, cs.x, cs.y)
-        if isinstance(points, Membership):
-            return {"member": False, "reason": points.reason}
-        # One loop for payloads and lengths: faster than comprehensions at every size.
-        facts, lengths = [], []
-        for u, v, w in points:
-            n = u + v + w
-            facts.append({"mults": [u, v, w], "length": n})
-            lengths.append(n)
-        return _listing(True, facts, lengths)
+        flat = _points(m, cs.x, cs.y)
+        if isinstance(flat, Membership):
+            return {"member": False, "reason": flat.reason}
+        return _listing(True, _Flat(3, flat))
     mem = member2(m, cs) if dim2 else member3(m, cs)
     if not mem.member:
         return {"member": False, "reason": mem.reason}
     if mode == "one":
         return {"member": True, "factorization": _fact_payload(mem.factorization)}
     if mode == "all":
-        facts = [_fact_payload(f) for f in mem.factorizations]
-        return _listing(True, facts, [p["length"] for p in facts])
+        return _listing(True, _flatten([(f.mults, f.length) for f in mem.factorizations]))
     if dim2:
         # Two generators: the factorization is unique.
         fact = _fact_payload(mem.factorization)
@@ -281,13 +347,7 @@ def _solve(query: Query, m: Monoid, cs: Vec2 | None) -> dict:
         if query.k_max is None or query.k_max < 1:
             raise ValueError("scan needs --k-max >= 1")
         limit, rows = scan_multiples(m, cs, query.k_max)
-        lim = str(limit)
-        return {
-            "rows": [
-                {"k": k, "rho_exact": _ratio_text(p, q), "rho_limit": lim, "gap": _ratio_text(n, d)}
-                for k, p, q, n, d in rows
-            ]
-        }
+        return {"rows": _Rows(str(limit), rows)}
     if command == "limit":
         lft, value = rho_limit(m, cs)
         result = {
@@ -303,19 +363,23 @@ def _solve(query: Query, m: Monoid, cs: Vec2 | None) -> dict:
     return result
 
 
+# The %-template of p/q in lowest terms, indexed by q == 1: "%d%.0s" prints
+# p alone and consumes q, as str(Fraction(p, 1)) prints no denominator.
+_RATIO = ("%d/%d", "%d%.0s")
+
+
 def _ratio_text(p: int, q: int) -> str:
     """``str(Fraction(p, q))`` for p/q already in lowest terms."""
-    return str(p) if q == 1 else f"{p}/{q}"
+    return _RATIO[q == 1] % (p, q)
 
 
 def _oracle(gens: tuple[Vec2, ...], vec: Vec2, approx: bool) -> dict:
     from .oracle import enumerate_factorizations
 
     fs = enumerate_factorizations(gens, vec)
-    facts = [_fact_payload(f) for f in fs.facts]
-    lengths = [p["length"] for p in facts]
-    result = _listing(fs.member, facts, lengths)
+    result = _listing(fs.member, _flatten([(f.mults, f.length) for f in fs.facts]))
     if fs.member and not vec.is_zero:
+        lengths = result["lengths"]
         rho = Fraction(lengths[-1], lengths[0])
         result["rho"] = str(rho)
         if approx:
@@ -377,31 +441,35 @@ def _monoid_json(report: Report) -> dict:
 
 
 class _Items(list):
-    """JSON list elements already written as text, each indented for its
-    place in the report; ``_json_text`` copies them as they are."""
+    """A JSON list already written as text: each piece is one or more
+    elements, joined and indented for their place in the report;
+    ``_json_text`` places the pieces as they are."""
 
     __slots__ = ()
 
 
+def _piece(text: str) -> _Items:
+    """A list written as one piece; an empty text is an empty list."""
+    return _Items([text] if text else [])
+
+
 def render_json(report: Report) -> str:
-    result = report.result
+    result = report._answer
     if result.get("approx") == math.inf:
         result = {**result, "approx": None}  # strict JSON has no Infinity
-    # Each scan row is one f-string, a factorization list one _fact_block and
-    # its lengths one join; the writer puts each list in its place.
+    # The scan rows, a factorization list and its lengths are each written
+    # with one %-template; the writer puts each list in its place.  Rows
+    # given as dicts are written value by value.
     i = "\n        "
-    if rows := result.get("rows"):
-        result = {**result, "rows": _Items(
-            f'{{{i}"k": {r["k"]},{i}"rho_exact": {_json_str(r["rho_exact"])},'
-            f'{i}"rho_limit": {_json_str(r["rho_limit"])},{i}"gap": {_json_str(r["gap"])}\n      }}'
-            for r in rows
-        )}
-    elif facts := result.get("factorizations"):
-        # A nonempty list has as many lengths, so "lengths" is nonempty too.
+    if type(rows := result.get("rows")) is _Rows:
+        head = f'{{{i}"k": %d,{i}"rho_exact": "'
+        mid = f'",{i}"rho_limit": {_json_str(rows.limit)},{i}"gap": "'
+        result = {**result, "rows": _piece(_scan_block(rows, head, mid, '"\n      }', ",\n      "))}
+    elif (facts := result.get("factorizations")) is not None:
         head, sep, mid = f'{{{i}"mults": [\n          ', ",\n          ", f'{i}],{i}"length": '
-        block = _fact_block(facts, head, sep, mid, "\n      }", ",\n      ")
-        result = {**result, "factorizations": _Items([block]),
-                  "lengths": _Items(map(str, result["lengths"]))}
+        block = _fact_block(_flat(facts), head, sep, mid, "\n      }", ",\n      ")
+        result = {**result, "factorizations": _piece(block),
+                  "lengths": _piece(_ints_text(result["lengths"], ",\n      "))}
     return _json_text({
         "command": report.command,
         "monoid": _monoid_json(report),
@@ -433,7 +501,12 @@ def _write(value, newline: str, put) -> None:
         if not value:
             put("{}" if kind is dict else "[]")
         elif kind is _Items:
-            put("[" + inner + ("," + inner).join(value) + newline + "]")
+            sep = "[" + inner
+            for piece in value:
+                put(sep)
+                put(piece)
+                sep = "," + inner
+            put(newline + "]")
         elif kind is list:
             sep = "[" + inner
             for v in value:
@@ -463,28 +536,45 @@ def _write(value, newline: str, put) -> None:
 
 
 def render_csv(report: Report) -> str:
-    rows = report.result.get("rows")
+    rows = report._answer.get("rows")
     if rows is None:
         raise ValueError("CSV output is only defined for scan reports")
-    lines = [SCAN_CSV_HEADER]
-    lines.extend(f"{r['k']},{r['rho_exact']},{r['rho_limit']},{r['gap']}" for r in rows)
-    return "\n".join(lines)
+    if type(rows) is _Rows:
+        body = _scan_block(rows, "%d,", f",{rows.limit},", "", "\n")
+    else:
+        body = "\n".join(f"{r['k']},{r['rho_exact']},{r['rho_limit']},{r['gap']}" for r in rows)
+    return SCAN_CSV_HEADER + "\n" + body if body else SCAN_CSV_HEADER
 
 
-def _fact_block(facts: list, head: str, sep: str, mid: str, end: str, joiner: str) -> str:
-    """Each payload of ``facts`` as head, its multiplicities joined by sep, mid,
+def _scan_block(scan: _Rows, head: str, mid: str, end: str, joiner: str) -> str:
+    """Each row as head, its exact value, mid, its gap and end, the rows
+    joined by ``joiner``: one ``%`` for the whole list, k filling head's
+    ``%d``.  A ratio is written by its ``_RATIO`` template.  Only head may
+    hold a ``%``; mid holds the limit's text, digits and "/" only."""
+    forms = [[head + r + mid + g + end for g in _RATIO] for r in _RATIO]
+    rows = scan.rows
+    text = joiner.join([forms[q == 1][d == 1] for _, _, q, _, d in rows])
+    return text % tuple(chain.from_iterable(rows))
+
+
+def _flat(facts) -> _Flat:
+    """A result's factorization list as a ``_Flat``: as ``run`` keeps it, or
+    flattened from the payload dicts of a report built by hand."""
+    return facts if type(facts) is _Flat else _flatten([(f["mults"], f["length"]) for f in facts])
+
+
+def _fact_block(flat: _Flat, head: str, sep: str, mid: str, end: str, joiner: str) -> str:
+    """Each element of ``flat`` as head, its multiplicities joined by sep, mid,
     its length and end, the elements joined by ``joiner``: one ``%`` for the
-    whole list.  Every payload must have as many multiplicities as the first,
-    and no piece may hold a ``%``: the callers pass literals that hold none."""
-    k = len(facts[0]["mults"])
-    args = []
-    for f in facts:
-        if len(f["mults"]) != k:
-            raise ValueError(f"listed factorizations have {k} and {len(f['mults'])} multiplicities")
-        args += f["mults"]
-        args.append(f["length"])
-    one = head + sep.join(["%s"] * k) + mid + "%s" + end
-    return joiner.join([one] * len(facts)) % tuple(args)
+    whole list.  No piece may hold a ``%``: the callers pass literals that
+    hold none."""
+    one = head + sep.join(["%d"] * flat.k) + mid + "%d" + end
+    return joiner.join([one] * flat.count) % flat.ints
+
+
+def _ints_text(ints: list, joiner: str) -> str:
+    """The ints joined by ``joiner``, with one ``%d`` template."""
+    return joiner.join(["%d"] * len(ints)) % tuple(ints)
 
 
 def _fact_line(payload: dict) -> str:
@@ -492,7 +582,7 @@ def _fact_line(payload: dict) -> str:
 
 
 def render_human(report: Report) -> str:
-    res = report.result
+    res = report._answer
     if report.command == "scan":
         return render_csv(report)
     lines: list[str] = []
@@ -504,10 +594,11 @@ def render_human(report: Report) -> str:
         lines.append("factorization: " + _fact_line(res["factorization"]))
     if "factorizations" in res:
         lines.append(f"factorizations ({res['count']}):")
-        if res["factorizations"]:  # _fact_line's text, indented
-            lines.append(_fact_block(res["factorizations"], "  (", ", ", ")  length=", "", "\n"))
+        flat = _flat(res["factorizations"])
+        if flat.count:  # _fact_line's text, indented
+            lines.append(_fact_block(flat, "  (", ", ", ")  length=", "", "\n"))
     if "lengths" in res:
-        lines.append("lengths: " + " ".join(map(str, res["lengths"])))
+        lines.append("lengths: " + _ints_text(res["lengths"], " "))
     if "branch" in res:
         lines.append(f"branch: {res['branch']}")
         lines.append(f"t_max: {res['t_max']}")

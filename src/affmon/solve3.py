@@ -28,8 +28,10 @@ factorization handed out is multiplied back to s: by
 ``Factorization.checked`` in ``member3`` and ``extreme_factorizations``, and
 in ``_points``, the one walk that lists the whole line on ints: it starts at
 j = J and subtracts step from point to point, checking each point's sign
-too.  ``member3_general`` wraps its triples as ``Factorization``s; ``cli``
-reads them directly for ``factorize --all``.  ``asymptotics.scan_multiples``
+too.  It returns one flat int list, each point's three multiplicities and
+its length in turn, which ``cli`` keeps as the listing of ``factorize --all``
+and writes its text from; ``member3_general`` regroups it into
+``Factorization``s.  ``asymptotics.scan_multiples``
 reads the two ends of the line itself and checks them on ints.
 """
 
@@ -122,9 +124,10 @@ def member3(m: CanonicalMonoid3, s: Vec2) -> Membership:
     return Membership(member=True, factorization=Factorization.checked(start, m.gens, s))
 
 
-def _points(m: CanonicalMonoid3, x: int, y: int) -> Membership | list[tuple[int, int, int]]:
-    """Every factorization of (x, y) as an int triple, from j = count - 1 down
-    to 0 by subtracting step, or the non-member verdict.  Each point is
+def _points(m: CanonicalMonoid3, x: int, y: int) -> Membership | list[int]:
+    """Every factorization of (x, y) from j = count - 1 down to 0, by
+    subtracting step, as one flat int list u, v, w, n, u, v, w, n, ... with
+    n = u + v + w its length; or the non-member verdict.  Each point is
     multiplied back against (0, 1), (a, b), (c, d) and sign-checked on ints."""
     line = _line(m, x, y)
     if isinstance(line, Membership):
@@ -132,15 +135,15 @@ def _points(m: CanonicalMonoid3, x: int, y: int) -> Membership | list[tuple[int,
     (u, v, w), (du, dv, dw), count = line
     a, b, c, d, j = m.a, m.b, m.c, m.d, count - 1
     pu, pv, pw = u + j * du, v + j * dv, w + j * dw
-    points = []
+    flat: list[int] = []
     for _ in range(count):
         if pv * a + pw * c != x or pu + pv * b + pw * d != y:
             raise ValueError(f"{(pu, pv, pw)} is not a factorization of ({x}, {y})")
         if pu < 0 or pv < 0 or pw < 0:
             raise ValueError(f"multiplicities must be nonnegative: {(pu, pv, pw)}")
-        points.append((pu, pv, pw))
+        flat += (pu, pv, pw, pu + pv + pw)
         pu, pv, pw = pu - du, pv - dv, pw - dw
-    return points
+    return flat
 
 
 def member3_general(m: CanonicalMonoid3, s: Vec2) -> Membership:
@@ -149,10 +152,10 @@ def member3_general(m: CanonicalMonoid3, s: Vec2) -> Membership:
     Sorted order is j = count - 1 down to 0, because delta falls as j grows;
     the witness is the first of them.
     """
-    points = _points(m, s.x, s.y)
-    if isinstance(points, Membership):
-        return points
-    facts = tuple(map(Factorization, points))
+    flat = _points(m, s.x, s.y)
+    if isinstance(flat, Membership):
+        return flat
+    facts = tuple(map(Factorization, zip(flat[0::4], flat[1::4], flat[2::4])))
     return Membership(member=True, factorization=facts[0], factorizations=facts)
 
 

@@ -2,10 +2,12 @@
 
 import argparse
 import ast
+import copy
 import importlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -264,6 +266,14 @@ class TestRunFactorize:
         for output in ("human", "json"):
             with pytest.raises(ValueError, match=message):
                 run(q("factorize", STAR_TEXT, "6,13", mode="all", output=output))
+
+
+    def test_all_rejects_a_walk_that_is_not_whole_points(self, monkeypatch):
+        # A flat list one int short of whole (u, v, w, n) points is refused
+        # before any report is built.
+        monkeypatch.setattr(cli, "_points", lambda m, x, y: solve3._points(m, x, y)[:-1])
+        with pytest.raises(ValueError, match="11 ints are not whole elements of 3 multiplicities"):
+            run(q("factorize", STAR_TEXT, "6,13", mode="all"))
 
 
 class TestRunElasticity:
@@ -830,6 +840,100 @@ class TestFactBlock:
         for render in (render_human, render_json):
             with pytest.raises(ValueError, match="have 3 and 2 multiplicities"):
                 render(report)
+
+
+# Every listing and scan shape: --all on two and three generators (star and
+# not), oracle on one to five generators, non-members, the zero vector, and
+# scans through an identity and a non-identity transform.
+LISTED_QUERIES = [
+    pytest.param("factorize", STAR_TEXT, "6,13", {"mode": "all"}, id="all-star"),
+    pytest.param("factorize", "0,1;1,2;2,1", "40,80", {"mode": "all"}, id="all-non-star"),
+    pytest.param("factorize", DIM2_TEXT, "6,5", {"mode": "all"}, id="all-dim2"),
+    pytest.param("factorize", WORKED_TEXT, "199,119", {"mode": "all"}, id="all-non-member"),
+    pytest.param("factorize", STAR_TEXT, "0,0", {"mode": "all"}, id="all-zero"),
+    pytest.param("oracle", "1,2", "3,6", {}, id="oracle-1-gen"),
+    pytest.param("oracle", DIM2_TEXT, "6,5", {}, id="oracle-2-gens"),
+    pytest.param("oracle", STAR_TEXT, "6,13", {"approx": True}, id="oracle-3-gens"),
+    pytest.param("oracle", "0,1;1,2;3,5;2,1", "6,13", {}, id="oracle-4-gens"),
+    pytest.param("oracle", "1,2;2,1;1,1;1,3;3,1", "8,8", {}, id="oracle-5-gens"),
+    pytest.param("oracle", STAR_TEXT, "6,9", {}, id="oracle-non-member"),
+    pytest.param("oracle", STAR_TEXT, "0,0", {}, id="oracle-zero"),
+    pytest.param("scan", STAR_TEXT, "7,13", {"k_max": 6}, id="scan"),
+    pytest.param("scan", "1,1;3,2;8,5", "12,8", {"k_max": 5}, id="scan-sheared"),
+]
+
+
+def _renders(report):
+    """Every text the report renders to: CSV for a scan, human and JSON for all."""
+    texts = [render_human(report), render_json(report)]
+    if report.command == "scan":
+        texts.append(render_csv(report))
+    return texts
+
+
+class TestResultBuiltOnRead:
+    """``Report.result`` of a listing or scan is built from its ints on the
+    first read and kept; rendering never builds it."""
+
+    @pytest.mark.parametrize("command, monoid, vector, fields", LISTED_QUERIES)
+    def test_result_is_the_json_result_read_before_or_after_rendering(
+        self, command, monoid, vector, fields
+    ):
+        query = q(command, monoid, vector, **fields)
+        before = run(query)
+        result = before.result
+        texts = _renders(before)
+        assert result == json.loads(texts[1])["result"]
+        after = run(query)
+        assert _renders(after) == texts
+        assert after.result == json.loads(render_json(after))["result"] == result
+        assert _renders(after) == texts
+
+    @pytest.mark.parametrize("command, monoid, vector, fields", LISTED_QUERIES)
+    def test_two_reads_return_the_same_object(self, command, monoid, vector, fields):
+        report = run(q(command, monoid, vector, **fields))
+        assert report.result is report.result
+
+    @pytest.mark.parametrize("command, monoid, vector, fields", LISTED_QUERIES)
+    def test_rendering_builds_no_result(self, monkeypatch, command, monoid, vector, fields):
+        report = run(q(command, monoid, vector, **fields))
+
+        def refuse(self):
+            raise AssertionError("per-element dicts built while rendering")
+
+        monkeypatch.setattr(cli._Flat, "dicts", refuse)
+        monkeypatch.setattr(cli._Rows, "dicts", refuse)
+        _renders(report)
+        assert "result" not in vars(report)
+        monkeypatch.undo()
+        assert report.result == json.loads(render_json(report))["result"]
+
+    @pytest.mark.parametrize("command, monoid, vector, fields", LISTED_QUERIES)
+    def test_built_and_unbuilt_reports_behave_alike(self, command, monoid, vector, fields):
+        query = q(command, monoid, vector, **fields)
+        read = run(query)
+        read.result
+        assert run(query) == read and read == run(query) and not run(query) != read
+        assert repr(run(query)) == repr(read)
+        for report in (run(query), read):
+            with pytest.raises(TypeError):  # a result is a dict
+                hash(report)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(run(query), protocol))
+            assert "result" not in vars(back)
+            assert _renders(back) == _renders(read)
+            assert back == read and pickle.loads(pickle.dumps(read, protocol)) == back
+        for how in (copy.copy, copy.deepcopy):
+            assert how(run(query)) == read
+
+    @pytest.mark.parametrize("command, monoid, vector, fields", LISTED_QUERIES)
+    def test_a_report_built_from_its_result_renders_alike(self, command, monoid, vector, fields):
+        # A Report given the built dicts: its factorization dicts are
+        # flattened, its row dicts written value by value, to the same text.
+        ran = run(q(command, monoid, vector, **fields))
+        copied = Report(**{name: getattr(ran, name) for name in Report._fields})
+        assert copied == ran
+        assert _renders(copied) == _renders(ran)
 
 
 # The largest X with every coordinate of <(0,1), (1,2), (X, 2X-1)> and of
