@@ -15,11 +15,12 @@ List-shaped answers stay the checked ints they were computed as.  A listing
 (``factorize --all``, ``oracle``) is a ``_Flat``: one int tuple of each
 factorization's multiplicities and length in turn, as ``solve3._points``
 returns the line of a three-generator monoid.  A scan is a ``_Rows``: the
-limit's text and the (k, p, q, n, d) rows of ``scan_multiples``.  Each
-renderer writes such a list with one ``%`` of a ``%d`` template repeated per
-element (``_fact_block``, ``_scan_block``, ``_ints_text`` for ``lengths``),
-and ``Report.result`` builds the per-element dicts from the same ints only
-when a caller first reads it.
+limit's text and the (k, p, q, n, d) rows of ``scan_multiples``.  These are
+the only forms a ``Report`` holds a listing or a scan in.  Each renderer
+writes such a list with one ``%`` of a ``%d`` template repeated per element
+(``_fact_block``, ``_scan_block``, ``_ints_text`` for ``lengths``), and
+``Report.result`` builds the per-element dicts from the same ints only when
+a caller first reads it.
 The JSON report is what ``json.dumps(payload, indent=2)`` prints, byte for
 byte: two-space indent, ASCII escapes, keys in insertion order.
 ``_json_text`` writes it directly, in one pass into one list joined once,
@@ -35,7 +36,8 @@ alone, after the star check (in ``_solve``), so ``check``, ``factorize`` and
 
 Values are exact ``fractions.Fraction``s and print as "7/5" or "3".
 ``--approx`` adds ``float(value)``, made here and nowhere else in the
-package; beyond float range it prints ``(~ inf)``, or ``null`` in JSON.
+package.  Beyond float range it is ``None``, as JSON prints it (``null``);
+the human report prints it as ``(~ inf)``.
 
 A coordinate longer than ``MAX_DIGITS`` digits is refused (InputTooLarge)
 before any work.  Canonical entries then stay near 2,000 digits and LFT
@@ -189,9 +191,11 @@ class Query(_Frozen):
 class Report(_Frozen):
     """The answer to a query, ready for rendering in any output format.
 
-    ``run`` keeps a listing's or a scan's elements as checked ints (``_Flat``,
-    ``_Rows``) and the renderers write from those.  ``result`` is the answer
-    as plain values; its per-element dicts are built from the ints on the
+    A listing's or a scan's elements are held only as the checked ints ``run``
+    builds (``_Flat`` under "factorizations", ``_Rows`` under "rows"), and the
+    renderers write from those; any other value under those keys raises
+    ``TypeError``.  ``result`` is the answer as the ``--json`` report's
+    "result" holds it; its per-element dicts are built from the ints on the
     first read and kept, so a report compares, hashes, prints and pickles
     alike whether or not it has been read.  Any other answer is ``result``
     itself.
@@ -211,6 +215,10 @@ class Report(_Frozen):
         solver_used: str,
         exit_code: int,
     ) -> None:
+        for key, form in _FORMS.items():
+            if key in result and type(result[key]) is not form:
+                raise TypeError(f"result[{key!r}] must be a {form.__name__}, as run builds it, "
+                                f"not a {type(result[key]).__name__}")
         object.__setattr__(self, "command", command)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "canonical", canonical)
@@ -224,8 +232,8 @@ class Report(_Frozen):
         d = self.__dict__
         if "result" not in d:
             answer = d["_answer"]
-            if any(isinstance(v, _FORMS) for v in answer.values()):
-                answer = {k: v.dicts() if isinstance(v, _FORMS) else v for k, v in answer.items()}
+            if any(key in answer for key in _FORMS):
+                answer = {k: v.dicts() if k in _FORMS else v for k, v in answer.items()}
             d["result"] = answer
         return d["result"]
 
@@ -262,19 +270,6 @@ class _Flat:
                 for i in range(0, len(ints), k + 1)]
 
 
-def _flatten(pairs: list) -> _Flat:
-    """(multiplicities, length) pairs as one ``_Flat``; every element must
-    have as many multiplicities as the first."""
-    k = len(pairs[0][0]) if pairs else 0
-    ints: list[int] = []
-    for mults, length in pairs:
-        if len(mults) != k:
-            raise ValueError(f"listed factorizations have {k} and {len(mults)} multiplicities")
-        ints += mults
-        ints.append(length)
-    return _Flat(k, ints)
-
-
 def _listing(member: bool, flat: _Flat) -> dict:
     """The result of ``factorize --all`` or ``oracle``, its list kept as ints."""
     return {"member": member, "count": flat.count, "factorizations": flat,
@@ -294,7 +289,8 @@ class _Rows:
                 for k, p, q, n, d in self.rows]
 
 
-_FORMS = (_Flat, _Rows)  # the answers' lists that Report.result builds dicts from
+# The answers' lists, each in the one form a Report holds and builds dicts from.
+_FORMS = {"factorizations": _Flat, "rows": _Rows}
 
 
 def _factorize(m: Monoid, cs: Vec2 | None, mode: str) -> dict:
@@ -315,11 +311,12 @@ def _factorize(m: Monoid, cs: Vec2 | None, mode: str) -> dict:
         return {"member": False, "reason": mem.reason}
     if mode == "one":
         return {"member": True, "factorization": _fact_payload(mem.factorization)}
-    if mode == "all":
-        return _listing(True, _flatten([(f.mults, f.length) for f in mem.factorizations]))
     if dim2:
         # Two generators: the factorization is unique.
-        fact = _fact_payload(mem.factorization)
+        f = mem.factorization
+        if mode == "all":
+            return _listing(True, _Flat(2, (*f.mults, f.length)))
+        fact = _fact_payload(f)
         return {"member": True, "shortest": fact, "longest": fact}
     ext = extreme_factorizations(m, cs)
     short, long_ = sorted((ext.fact_t0, ext.fact_tmax), key=lambda f: f.length)
@@ -377,7 +374,8 @@ def _oracle(gens: tuple[Vec2, ...], vec: Vec2, approx: bool) -> dict:
     from .oracle import enumerate_factorizations
 
     fs = enumerate_factorizations(gens, vec)
-    result = _listing(fs.member, _flatten([(f.mults, f.length) for f in fs.facts]))
+    ints = [n for f in fs.facts for n in (*f.mults, f.length)]
+    result = _listing(fs.member, _Flat(len(gens), ints))
     if fs.member and not vec.is_zero:
         lengths = result["lengths"]
         rho = Fraction(lengths[-1], lengths[0])
@@ -455,19 +453,16 @@ def _piece(text: str) -> _Items:
 
 def render_json(report: Report) -> str:
     result = report._answer
-    if result.get("approx") == math.inf:
-        result = {**result, "approx": None}  # strict JSON has no Infinity
     # The scan rows, a factorization list and its lengths are each written
-    # with one %-template; the writer puts each list in its place.  Rows
-    # given as dicts are written value by value.
+    # with one %-template; the writer puts each list in its place.
     i = "\n        "
-    if type(rows := result.get("rows")) is _Rows:
+    if (rows := result.get("rows")) is not None:
         head = f'{{{i}"k": %d,{i}"rho_exact": "'
         mid = f'",{i}"rho_limit": {_json_str(rows.limit)},{i}"gap": "'
         result = {**result, "rows": _piece(_scan_block(rows, head, mid, '"\n      }', ",\n      "))}
     elif (facts := result.get("factorizations")) is not None:
         head, sep, mid = f'{{{i}"mults": [\n          ', ",\n          ", f'{i}],{i}"length": '
-        block = _fact_block(_flat(facts), head, sep, mid, "\n      }", ",\n      ")
+        block = _fact_block(facts, head, sep, mid, "\n      }", ",\n      ")
         result = {**result, "factorizations": _piece(block),
                   "lengths": _piece(_ints_text(result["lengths"], ",\n      "))}
     return _json_text({
@@ -539,10 +534,7 @@ def render_csv(report: Report) -> str:
     rows = report._answer.get("rows")
     if rows is None:
         raise ValueError("CSV output is only defined for scan reports")
-    if type(rows) is _Rows:
-        body = _scan_block(rows, "%d,", f",{rows.limit},", "", "\n")
-    else:
-        body = "\n".join(f"{r['k']},{r['rho_exact']},{r['rho_limit']},{r['gap']}" for r in rows)
+    body = _scan_block(rows, "%d,", f",{rows.limit},", "", "\n")
     return SCAN_CSV_HEADER + "\n" + body if body else SCAN_CSV_HEADER
 
 
@@ -555,12 +547,6 @@ def _scan_block(scan: _Rows, head: str, mid: str, end: str, joiner: str) -> str:
     rows = scan.rows
     text = joiner.join([forms[q == 1][d == 1] for _, _, q, _, d in rows])
     return text % tuple(chain.from_iterable(rows))
-
-
-def _flat(facts) -> _Flat:
-    """A result's factorization list as a ``_Flat``: as ``run`` keeps it, or
-    flattened from the payload dicts of a report built by hand."""
-    return facts if type(facts) is _Flat else _flatten([(f["mults"], f["length"]) for f in facts])
 
 
 def _fact_block(flat: _Flat, head: str, sep: str, mid: str, end: str, joiner: str) -> str:
@@ -594,7 +580,7 @@ def render_human(report: Report) -> str:
         lines.append("factorization: " + _fact_line(res["factorization"]))
     if "factorizations" in res:
         lines.append(f"factorizations ({res['count']}):")
-        flat = _flat(res["factorizations"])
+        flat = res["factorizations"]
         if flat.count:  # _fact_line's text, indented
             lines.append(_fact_block(flat, "  (", ", ", ")  length=", "", "\n"))
     if "lengths" in res:
@@ -617,19 +603,20 @@ def render_human(report: Report) -> str:
     return "\n".join(lines)
 
 
-def _approx(value: Fraction) -> float:
-    """The ``--approx`` value: inf beyond float range, which the human
-    report prints as ``(~ inf)`` and JSON as ``null``."""
+def _approx(value: Fraction) -> float | None:
+    """The ``--approx`` value: None beyond float range, which JSON prints as
+    ``null`` and the human report as ``(~ inf)``."""
     try:
         return float(value)
     except OverflowError:
-        return math.inf
+        return None
 
 
 def _approx_suffix(res: dict) -> str:
-    if "approx" in res:
-        return f" (~ {res['approx']:.6g})"
-    return ""
+    if "approx" not in res:
+        return ""
+    approx = res["approx"]
+    return " (~ inf)" if approx is None else f" (~ {approx:.6g})"
 
 
 def render(report: Report, output: str) -> str:
