@@ -736,6 +736,23 @@ class TestJsonText:
         assert len(report.result["rows"]) == k_max
         assert render_json(report) == json.dumps(_scan_payload(report), indent=2)
 
+    def test_scan_row_strings_are_escaped(self):
+        # The limit's text is the one string a row's template takes whole; it
+        # is escaped as json.dumps escapes it, whatever it holds.
+        text = '"\\/\x00\n\xe9 \U0001f600'
+        ran = run(q("scan", STAR_TEXT, "7,13", k_max=2))
+        report = Report(
+            command=ran.command,
+            generators=ran.generators,
+            canonical=ran.canonical,
+            input=ran.input,
+            result={"rows": cli._Rows(text, ran._answer["rows"].rows)},
+            solver_used=ran.solver_used,
+            exit_code=ran.exit_code,
+        )
+        assert [row["rho_limit"] for row in report.result["rows"]] == [text, text]
+        assert render_json(report) == json.dumps(_scan_payload(report), indent=2)
+
     @pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])
     @pytest.mark.parametrize("command, monoid, vector, count", FACT_LIST_QUERIES)
     def test_factorization_lists_equal_json_dumps(self, command, monoid, vector, count, approx):
