@@ -190,10 +190,8 @@ MUTANTS = [
         ["test_cli.py"],
     ),
     # A Report takes a listing that is not a _Flat, or scan rows that are not
-    # a _Rows: a mixed list of payload dicts reaches the renderers
-    # (test_cli.py::TestFactBlock::test_mixed_multiplicity_counts_raise).
-    # It pointed at the multiplicity-count check of the flattening of payload
-    # dicts until that went: no report holds such a list now.
+    # a _Rows: a plain list reaches the renderers
+    # (test_cli.py::TestFactBlock::test_a_plain_list_is_refused_even_empty).
     (
         "cli.py",
         "if key in result and type(result[key]) is not form:",

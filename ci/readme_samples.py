@@ -1,6 +1,6 @@
 """Check the README's CLI samples against the ``affmon`` command on PATH.
 
-Usage: python ci/readme_samples.py [README.md]
+Usage: python ci/readme_samples.py
 
 Each sample is a paragraph of the first ```text block under the README's
 ``## CLI`` heading: a ``$ affmon ...`` line, then the stdout it prints.  The
@@ -46,14 +46,13 @@ def expected_status(stdout: str) -> int:
     return 1 if "member: no\n" in stdout else 0
 
 
-def main(argv: list[str]) -> int:
-    readme = Path(argv[0]) if argv else README
+def main() -> int:
     exe = shutil.which("affmon")
     if exe is None:
         print("no affmon command on PATH", file=sys.stderr)
         return 2
     failed = 0
-    samples = cli_samples(readme.read_text(encoding="utf-8"))
+    samples = cli_samples(README.read_text(encoding="utf-8"))
     for command, expected in samples:
         done = subprocess.run([exe, *shlex.split(command)[1:]], capture_output=True, text=True)
         ok = (done.stdout, done.stderr, done.returncode) == (expected, "", expected_status(expected))
@@ -70,4 +69,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -821,23 +821,17 @@ class TestFactBlock:
         assert lines[at : at + count] == expected
         assert lines[at + count].startswith("lengths:")
 
-    def test_mixed_multiplicity_counts_raise(self):
-        # 3, 2 and 4 multiplicities: with their lengths as many values as three
-        # triples fill.  A list of payload dicts is refused before anything
-        # renders, so no such list can be misprinted.
-        facts = [{"mults": [1, 6, 0], "length": 7}, {"mults": [2, 3], "length": 5},
-                 {"mults": [3, 0, 2, 0], "length": 5}]
-        ran = run(q("oracle", STAR_TEXT, "6,13"))
-        with pytest.raises(TypeError, match=r"result\['factorizations'\] must be a _Flat"):
-            Report(
-                command=ran.command,
-                generators=ran.generators,
-                canonical=ran.canonical,
-                input=ran.input,
-                result={**ran._answer, "factorizations": facts},
-                solver_used=ran.solver_used,
-                exit_code=ran.exit_code,
-            )
+    @pytest.mark.parametrize("key, form, command, fields", [
+        ("factorizations", "_Flat", "oracle", {}),
+        ("rows", "_Rows", "scan", {"k_max": 3}),
+    ])
+    def test_a_plain_list_is_refused_even_empty(self, key, form, command, fields):
+        # The refusal goes by the type of the stored answer, not by its
+        # contents: an empty list, which holds nothing to misprint, is refused.
+        ran = run(q(command, STAR_TEXT, "6,13", **fields))
+        public = {name: getattr(ran, name) for name in Report._fields}
+        with pytest.raises(TypeError, match=rf"result\['{key}'\] must be a {form}, .* not a list$"):
+            Report(**{**public, "result": {**ran._answer, key: []}})
 
 
 # Every listing and scan shape: --all on two and three generators (star and
