@@ -189,8 +189,8 @@ MUTANTS = [
         '{i}],{i}"length":\'',
         ["test_cli.py"],
     ),
-    # A Report takes a listing that is not a _Flat, or scan rows that are not
-    # a _Rows: a plain list reaches the renderers
+    # A Report takes a listing, its lengths or scan rows not in the form
+    # _FORMS names: a plain list reaches the renderers
     # (test_cli.py::TestFactBlock::test_a_plain_list_is_refused_even_empty).
     (
         "cli.py",
@@ -200,8 +200,6 @@ MUTANTS = [
     ),
     # The block writer's length conversion put before the piece that names it
     # (test_cli.py::TestFactBlock::test_human_listing_is_each_fact_line_indented).
-    # It pointed at the doubling of a literal % in the pieces until that went:
-    # both callers pass literals that hold no %.
     (
         "cli.py",
         '+ mid + "%d" + end',
@@ -212,18 +210,33 @@ MUTANTS = [
     # (test_cli.py::TestJsonText::test_factorization_lists_equal_json_dumps).
     (
         "cli.py",
-        '",\\n          ", f',
-        '",\\n        ", f',
+        'f",{i}  ", f',
+        'f",{i}", f',
         ["test_cli.py"],
     ),
-    # Every pre-written JSON list ("rows", "factorizations", "lengths") one
-    # indent level short (test_cli.py::TestJsonText).
+    # Every listed JSON form ("factorizations", "lengths", "rows") one indent
+    # level short (test_cli.py::TestJsonText).
     (
         "cli.py",
-        'sep = "[" + inner\n            for piece in value:\n                put(sep)\n'
-        '                put(piece)\n                sep = "," + inner',
-        'sep = "[" + newline\n            for piece in value:\n                put(sep)\n'
-        '                put(piece)\n                sep = "," + newline',
+        'inner = newline + "  "\n        i = inner + "  "',
+        'inner = newline\n        i = inner + "  "',
+        ["test_cli.py"],
+    ),
+    # The JSON lengths after the first one indent level short
+    # (test_cli.py::TestJsonText::test_factorization_lists_equal_json_dumps).
+    (
+        "cli.py",
+        '_ints_text(value, "," + inner)',
+        '_ints_text(value, "," + newline)',
+        ["test_cli.py"],
+    ),
+    # A listing's lengths not a form: a Report takes a plain list for them and
+    # its result holds the tuple, not the JSON list
+    # (test_cli.py::TestFactBlock::test_a_plain_list_is_refused_even_empty).
+    (
+        "cli.py",
+        '_FORMS = {"factorizations": _Flat, "lengths": _Ints, "rows": _Rows}',
+        '_FORMS = {"factorizations": _Flat, "rows": _Rows}',
         ["test_cli.py"],
     ),
     # The JSON writer prints false as true.

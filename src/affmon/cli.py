@@ -14,19 +14,19 @@ human-readable report, a JSON report (--json), or CSV for ``scan``.
 List-shaped answers stay the checked ints they were computed as.  A listing
 (``factorize --all``, ``oracle``) is a ``_Flat``: one int tuple of each
 factorization's multiplicities and length in turn, as ``solve3._points``
-returns the line of a three-generator monoid.  A scan is a ``_Rows``: the
-limit's text and the (k, p, q, n, d) rows of ``scan_multiples``.  These are
-the only forms a ``Report`` holds a listing or a scan in.  Each renderer
-writes such a list with one ``%`` of a ``%d`` template repeated per element
-(``_fact_block``, ``_scan_block``, ``_ints_text`` for ``lengths``), and
-``Report.result`` builds the per-element dicts from the same ints only when
-a caller first reads it.
+returns the line of a three-generator monoid; its sorted ``lengths`` are an
+``_Ints``.  A scan is a ``_Rows``: the limit's text and the (k, p, q, n, d)
+rows of ``scan_multiples``.  ``_FORMS`` maps each answer key to its form:
+these are the only forms a ``Report`` holds such a list in.  Each renderer
+writes one with a single ``%`` of a ``%d`` template repeated per element
+(``_fact_block``, ``_ints_text``, ``_scan_block``), and ``Report.result``
+builds the plain lists from the same ints only when a caller first reads it.
 The JSON report is what ``json.dumps(payload, indent=2)`` prints, byte for
 byte: two-space indent, ASCII escapes, keys in insertion order.
 ``_json_text`` writes it directly, in one pass into one list joined once,
 because given an indent ``json`` drops to its pure-Python encoder, which took
-almost half of a ``large_x`` benchmark pass.  The pre-written lists are
-``_Items``, whose pieces the writer places as it places any list.
+almost half of a ``large_x`` benchmark pass.  It writes each form with its
+template, indented for the place it meets the form at.
 
 Imports: the solvers (``solve2``, ``solve3``), ``monoids``, ``argparse`` and
 ``json`` load with this module.  ``oracle`` is imported by the ``oracle``
@@ -191,12 +191,13 @@ class Query(_Frozen):
 class Report(_Frozen):
     """The answer to a query, ready for rendering in any output format.
 
-    A listing's or a scan's elements are held only as the checked ints ``run``
-    builds (``_Flat`` under "factorizations", ``_Rows`` under "rows"), and the
-    renderers write from those; any other value under those keys raises
+    A listing's or a scan's lists are held only as the checked ints ``run``
+    builds, in the form ``_FORMS`` names for their key (``_Flat`` under
+    "factorizations", ``_Ints`` under "lengths", ``_Rows`` under "rows"), and
+    the renderers write from those; any other value under those keys raises
     ``TypeError``.  ``result`` is the answer as the ``--json`` report's
-    "result" holds it; its per-element dicts are built from the ints on the
-    first read and kept, so a report compares, hashes, prints and pickles
+    "result" holds it; its plain lists are built from the ints on the first
+    read and kept, so a report compares, hashes, prints and pickles
     alike whether or not it has been read.  Any other answer is ``result``
     itself.
     """
@@ -233,7 +234,7 @@ class Report(_Frozen):
         if "result" not in d:
             answer = d["_answer"]
             if any(key in answer for key in _FORMS):
-                answer = {k: v.dicts() if k in _FORMS else v for k, v in answer.items()}
+                answer = {k: v.plain() if k in _FORMS else v for k, v in answer.items()}
             d["result"] = answer
         return d["result"]
 
@@ -264,16 +265,25 @@ class _Flat:
             raise ValueError(f"{len(ints)} ints are not whole elements of {k} multiplicities")
         self.k, self.count, self.ints = k, count, tuple(ints)
 
-    def dicts(self) -> list:
+    def plain(self) -> list:
         k, ints = self.k, self.ints
         return [{"mults": list(ints[i : i + k]), "length": ints[i + k]}
                 for i in range(0, len(ints), k + 1)]
 
 
+class _Ints(tuple):
+    """A listing's lengths, sorted."""
+
+    __slots__ = ()
+
+    def plain(self) -> list:
+        return list(self)
+
+
 def _listing(member: bool, flat: _Flat) -> dict:
-    """The result of ``factorize --all`` or ``oracle``, its list kept as ints."""
+    """The result of ``factorize --all`` or ``oracle``, its lists kept as ints."""
     return {"member": member, "count": flat.count, "factorizations": flat,
-            "lengths": sorted(flat.ints[flat.k :: flat.k + 1])}
+            "lengths": _Ints(sorted(flat.ints[flat.k :: flat.k + 1]))}
 
 
 class _Rows:
@@ -283,14 +293,15 @@ class _Rows:
     def __init__(self, limit: str, rows: list) -> None:
         self.limit, self.rows = limit, rows
 
-    def dicts(self) -> list:
+    def plain(self) -> list:
         lim = self.limit
         return [{"k": k, "rho_exact": _ratio_text(p, q), "rho_limit": lim, "gap": _ratio_text(n, d)}
                 for k, p, q, n, d in self.rows]
 
 
-# The answers' lists, each in the one form a Report holds and builds dicts from.
-_FORMS = {"factorizations": _Flat, "rows": _Rows}
+# The answers' lists, each in the one form a Report holds, the writer writes
+# and Report.result builds the plain list from.
+_FORMS = {"factorizations": _Flat, "lengths": _Ints, "rows": _Rows}
 
 
 def _factorize(m: Monoid, cs: Vec2 | None, mode: str) -> dict:
@@ -438,45 +449,19 @@ def _monoid_json(report: Report) -> dict:
     }
 
 
-class _Items(list):
-    """A JSON list already written as text: each piece is one or more
-    elements, joined and indented for their place in the report;
-    ``_json_text`` places the pieces as they are."""
-
-    __slots__ = ()
-
-
-def _piece(text: str) -> _Items:
-    """A list written as one piece; an empty text is an empty list."""
-    return _Items([text] if text else [])
-
-
 def render_json(report: Report) -> str:
-    result = report._answer
-    # The scan rows, a factorization list and its lengths are each written
-    # with one %-template; the writer puts each list in its place.
-    i = "\n        "
-    if (rows := result.get("rows")) is not None:
-        head = f'{{{i}"k": %d,{i}"rho_exact": "'
-        mid = f'",{i}"rho_limit": {_json_str(rows.limit)},{i}"gap": "'
-        result = {**result, "rows": _piece(_scan_block(rows, head, mid, '"\n      }', ",\n      "))}
-    elif (facts := result.get("factorizations")) is not None:
-        head, sep, mid = f'{{{i}"mults": [\n          ', ",\n          ", f'{i}],{i}"length": '
-        block = _fact_block(facts, head, sep, mid, "\n      }", ",\n      ")
-        result = {**result, "factorizations": _piece(block),
-                  "lengths": _piece(_ints_text(result["lengths"], ",\n      "))}
     return _json_text({
         "command": report.command,
         "monoid": _monoid_json(report),
         "input": [report.input.x, report.input.y],
-        "result": result,
+        "result": report._answer,
         "solver_used": report.solver_used,
     })
 
 
 def _json_text(value) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for the types a report
-    holds, and ``_Items`` lists; anything else raises rather than printing
+    holds, and the forms of ``_FORMS``; anything else raises rather than printing
     differently.  The whole text is written into one list and joined once."""
     out: list[str] = []
     _write(value, "\n", out.append)
@@ -491,17 +476,10 @@ def _write(value, newline: str, put) -> None:
         put(int.__repr__(value))
     elif kind is str:
         put(_json_str(value))
-    elif kind is dict or kind is list or kind is _Items:
+    elif kind is dict or kind is list:
         inner = newline + "  "
         if not value:
             put("{}" if kind is dict else "[]")
-        elif kind is _Items:
-            sep = "[" + inner
-            for piece in value:
-                put(sep)
-                put(piece)
-                sep = "," + inner
-            put(newline + "]")
         elif kind is list:
             sep = "[" + inner
             for v in value:
@@ -518,6 +496,25 @@ def _write(value, newline: str, put) -> None:
                 _write(v, inner, put)
                 sep = "," + inner
             put(newline + "}")
+    elif kind is _Flat or kind is _Ints or kind is _Rows:
+        # Every element with one %-template, indented from where the list sits.
+        inner = newline + "  "
+        i = inner + "  "
+        if kind is _Flat:
+            head, sep, mid = f'{{{i}"mults": [{i}  ', f",{i}  ", f'{i}],{i}"length": '
+            block = _fact_block(value, head, sep, mid, inner + "}", "," + inner)
+        elif kind is _Ints:
+            block = _ints_text(value, "," + inner)
+        else:
+            head = f'{{{i}"k": %d,{i}"rho_exact": "'
+            mid = f'",{i}"rho_limit": {_json_str(value.limit)},{i}"gap": "'
+            block = _scan_block(value, head, mid, '"' + inner + "}", "," + inner)
+        if block:  # the block alone: joined to its brackets it would be copied
+            put("[" + inner)
+            put(block)
+            put(newline + "]")
+        else:
+            put("[]")
     elif value is None:
         put("null")
     elif kind is bool:
@@ -558,9 +555,9 @@ def _fact_block(flat: _Flat, head: str, sep: str, mid: str, end: str, joiner: st
     return joiner.join([one] * flat.count) % flat.ints
 
 
-def _ints_text(ints: list, joiner: str) -> str:
+def _ints_text(ints: _Ints, joiner: str) -> str:
     """The ints joined by ``joiner``, with one ``%d`` template."""
-    return joiner.join(["%d"] * len(ints)) % tuple(ints)
+    return joiner.join(["%d"] * len(ints)) % ints
 
 
 def _fact_line(payload: dict) -> str:

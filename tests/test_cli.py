@@ -788,6 +788,22 @@ class TestJsonText:
         assert list(json.loads(text)["result"]) == order
         assert text == json.dumps(_report_payload(report), indent=2)
 
+    @pytest.mark.parametrize("command, vector, fields", [
+        ("factorize", "6,13", {"mode": "all"}),
+        ("oracle", "6,9", {}),
+    ], ids=["all", "oracle-non-member"])
+    def test_forms_at_any_depth_equal_json_dumps(self, command, vector, fields):
+        # Each form is indented from where the writer meets it, not from where
+        # a report holds it; an empty form is an empty list.
+        answer = run(q(command, STAR_TEXT, vector, **fields))._answer
+        rows = run(q("scan", STAR_TEXT, "7,13", k_max=3))._answer["rows"]
+        forms = {"b": answer["factorizations"], "c": answer["lengths"], "d": rows}
+        plain = {key: form.plain() for key, form in forms.items()}
+        for key in forms:
+            assert _json_text(forms[key]) == json.dumps(plain[key], indent=2)
+        assert _json_text({"a": [forms]}) == json.dumps({"a": [plain]}, indent=2)
+        assert _json_text([[forms, 1], forms]) == json.dumps([[plain, 1], plain], indent=2)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [{"a": math.inf}]])
     def test_non_finite_float_raises(self, value):
         with pytest.raises(ValueError, match="no strict JSON form"):
@@ -823,6 +839,7 @@ class TestFactBlock:
 
     @pytest.mark.parametrize("key, form, command, fields", [
         ("factorizations", "_Flat", "oracle", {}),
+        ("lengths", "_Ints", "oracle", {}),
         ("rows", "_Rows", "scan", {"k_max": 3}),
     ])
     def test_a_plain_list_is_refused_even_empty(self, key, form, command, fields):
@@ -891,10 +908,11 @@ class TestResultBuiltOnRead:
         report = run(q(command, monoid, vector, **fields))
 
         def refuse(self):
-            raise AssertionError("per-element dicts built while rendering")
+            raise AssertionError("plain lists built while rendering")
 
-        monkeypatch.setattr(cli._Flat, "dicts", refuse)
-        monkeypatch.setattr(cli._Rows, "dicts", refuse)
+        monkeypatch.setattr(cli._Flat, "plain", refuse)
+        monkeypatch.setattr(cli._Ints, "plain", refuse)
+        monkeypatch.setattr(cli._Rows, "plain", refuse)
         _renders(report)
         assert "result" not in vars(report)
         monkeypatch.undo()
