@@ -11,7 +11,10 @@ exits 1.  The unmutated copy runs the same test files first, so a failure
 unrelated to the mutant never counts as a kill.
 
 A survivor is a finding: add a test that kills it.  Never delete an entry to
-make the run pass.  Needs only the standard library, pytest and hypothesis.
+make the run pass.  A mutant that changes no answer goes in ``EQUIVALENT``
+with the reason, as (file, snippet, replacement, reason); the runner runs no
+tests for it and only requires its snippet to occur exactly once.  Needs only
+the standard library, pytest and hypothesis.
 """
 
 from __future__ import annotations
@@ -80,8 +83,25 @@ MUTANTS = [
     # The per-class step never applied: past k = P every row repeats its class's first.
     (
         "asymptotics.py",
-        "u, v, w, uj, vj, wj = u + su, v + sv, w + sw, uj + suj, vj + svj, wj + swj",
+        "lo, hi = lo + dlo, hi + dhi",
         "pass",
+        ["test_asymptotics.py"],
+    ),
+    # The walk of a class that fails its check checks no row: its rows go out unchecked
+    # (test_asymptotics.py::TestScanMultiples::test_a_wrong_period_raises_or_gives_the_true_rows).
+    (
+        "asymptotics.py",
+        "if not _are_ends(m, ends, k * x, k * y):",
+        "if False:",
+        ["test_asymptotics.py"],
+    ),
+    # A class's last row not checked: a step read from a corrupted line passes
+    # whenever the end's bound stays put (test_asymptotics.py::TestScanMultiples::
+    # test_rejects_a_class_step_read_from_a_corrupted_line).
+    (
+        "asymptotics.py",
+        "_are_ends(m, end, k * x, k * y)",
+        "True",
         ["test_asymptotics.py"],
     ),
     # count one past the end of the line: J + 2 points.
@@ -519,6 +539,24 @@ MUTANTS = [
     ),
 ]
 
+EQUIVALENT = [
+    # A class's end bound not checked to stay put.  Once rows 0 and T of the
+    # class pass, each start condition is affine in t, so the start is the
+    # line's j = 0 point on every row, and beta0 and delta0 are affine in t.
+    # The end is then a factorization at an index j(t) affine in t.  The
+    # real line of k*s leaves the orthant through beta = 0 for every k, or
+    # through delta = 0 for every k, because k*s has the slope of s.  So
+    # J(t) = floor(beta0(t)/(a/g)) on every row, or floor(delta0(t)/(D/g)).
+    # J(t) - j(t) is then the floor of an affine function: monotone in t, and
+    # 0 at t = 0 and t = T, hence 0 on every row.
+    (
+        "asymptotics.py",
+        "(suj == 0 and uj < d_g or swj == 0 and wj < a_g)",
+        "True",
+        "the last row's check implies the bound on every row of the class",
+    ),
+]
+
 
 def _copy(dest: Path) -> None:
     for name in ("src", "tests"):
@@ -554,6 +592,9 @@ def main() -> int:
             print(f"unmutated tests fail: {' '.join(every_test)}", file=sys.stderr)
             return 2
         survivors = 0
+        for file, snippet, replacement, reason in EQUIVALENT:
+            _mutate(base, file, snippet, snippet)  # only requires the snippet once
+            print(f"equivalent       {file}: {snippet!r} -> {replacement!r}: {reason}")
         for i, (file, snippet, replacement, tests) in enumerate(MUTANTS):
             tree = Path(tmp) / f"m{i}"
             _copy(tree)

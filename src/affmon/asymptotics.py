@@ -16,15 +16,20 @@ convergence studies, and ``affmon scan`` prints its rows.  It computes the
 limit once and each row on plain ints, into one list allocated up front; a
 k_max no list can hold is refused (InputTooLarge) before any row.
 The two ends (delta, alpha, beta) of the factorization line of k*s, at j = 0
-and j = J, are linear in k on each residue class mod P = (c/g)*lcm(a/g, D/g),
-which is a*c on a star monoid: alpha0 depends on k only mod c/g, and J is
-beta0 div (a/g) below slope a/b and delta0 div (D/g) above it.  So
-``solve3._line`` is read for k <= P, and once more at k = r + P for each
-class r when the scan goes past P; every later row adds its class's step.
-Each row is checked on ints, whatever produced it: both ends are nonnegative
-and multiply back to k*s, the first has alpha < c/g (no point before it) and
-the second has delta < D/g or beta < a/g (no point after it).  The exact
-value and its gap are then each reduced by one ``gcd``.
+and j = J, are affine in t along each residue class k = r + t*P, where
+P = (c/g)*lcm(a/g, D/g), which is a*c on a star monoid.  So ``solve3._line``
+is read for k <= P, and once more at k = r + P for each class r when the scan
+goes past P, which gives the class's step.  A row is the two ends when both
+are nonnegative and multiply back to k*s, the first has alpha < c/g (no point
+before it) and the second has delta < D/g or beta < a/g (no point after it).
+Each class is proved once: its first row and its last row, start + T*step,
+pass this check, and the end's bound stays put (delta < D/g with a step of 0,
+or beta < a/g with a step of 0).  Every condition but the one disjunction is
+then affine in t and holds between them, and multiplying back is linear, so
+every row of the class passes.  If the proof fails, every row of the class is
+checked, and a corrupted line is refused at the row where it first shows.
+Each row then steps the two lengths by the class's sums and reduces the exact
+value and its gap by one ``gcd`` each.
 """
 
 from __future__ import annotations
@@ -182,6 +187,25 @@ def _ends(m: CanonicalMonoid3, x: int, y: int) -> tuple[int, ...]:
     return u, v, w, u + j * du, v + j * dv, w + j * dw
 
 
+def _are_ends(m: CanonicalMonoid3, ends: tuple[int, ...], kx: int, ky: int) -> bool:
+    """Whether ends are the j = 0 and j = J points of the line of (kx, ky): both
+    nonnegative and multiplied back, the first with alpha < c/g (no point
+    before it) and the second with delta < D/g or beta < a/g (no point after it)."""
+    u, v, w, uj, vj, wj = ends
+    m_a, m_b, m_c, m_d = m.a, m.b, m.c, m.d
+    _, c_g, a_g, d_g, _ = m.line_consts
+    return not (u < 0 or v < 0 or w < 0 or uj < 0 or vj < 0 or wj < 0 or v >= c_g
+                or (uj >= d_g and wj >= a_g)
+                or v * m_a + w * m_c != kx or u + v * m_b + w * m_d != ky
+                or vj * m_a + wj * m_c != kx or uj + vj * m_b + wj * m_d != ky)
+
+
+def _not_ends(ends: tuple[int, ...], kx: int, ky: int) -> ValueError:
+    """The error for ends that fail ``_are_ends``."""
+    return ValueError(f"{ends[:3]} and {ends[3:]} are not the ends of the "
+                      f"factorization line of ({kx}, {ky})")
+
+
 def scan_multiples(m: CanonicalMonoid3, s: Vec2, k_max: int) -> tuple[Fraction, list[tuple]]:
     """Exact elasticity of k*s for k = 1..k_max, with gaps to the limit.
 
@@ -193,7 +217,6 @@ def scan_multiples(m: CanonicalMonoid3, s: Vec2, k_max: int) -> tuple[Fraction, 
     _, limit = rho_limit(m, s)
     ln, ld = limit.numerator, limit.denominator
     x, y = s.x, s.y
-    m_a, m_b, m_c, m_d = m.a, m.b, m.c, m.d
     _, c_g, a_g, d_g, _ = m.line_consts
     period = c_g * lcm(a_g, d_g)
     try:
@@ -201,29 +224,36 @@ def scan_multiples(m: CanonicalMonoid3, s: Vec2, k_max: int) -> tuple[Fraction, 
     except (OverflowError, MemoryError):
         raise InputTooLargeError("k_max is more rows than a list can hold") from None
     for r in range(1, min(period, k_max) + 1):
-        u, v, w, uj, vj, wj = start = _ends(m, r * x, r * y)
-        # On the class of r every end multiplicity is linear in k, so the
-        # step from k to k + period is read off the class's first two rows.
-        nxt = r + period
-        step = tuple(map(sub, _ends(m, nxt * x, nxt * y), start)) if nxt <= k_max else (0,) * 6
-        su, sv, sw, suj, svj, swj = step
+        rx, ry = r * x, r * y
+        u, v, w, uj, vj, wj = start = _ends(m, rx, ry)
+        if not _are_ends(m, start, rx, ry):
+            raise _not_ends(start, rx, ry)
+        lo, hi, dlo, dhi = u + v + w, uj + vj + wj, 0, 0
+        last = (k_max - r) // period
+        if last:
+            # On the class of r the ends are start + t*step, k = r + t*period.
+            nxt = r + period
+            su, sv, sw, suj, svj, swj = step = tuple(map(sub, _ends(m, nxt * x, nxt * y), start))
+            dlo, dhi = su + sv + sw, suj + svj + swj
+            # Each row condition but one is affine in t, so it holds from t = 0
+            # to t = last if it holds at both; the one disjunction holds if the
+            # end's bound stays put.  Else check every row of the class.
+            k = r + last * period
+            end = tuple(e + last * de for e, de in zip(start, step))
+            if not (_are_ends(m, end, k * x, k * y)
+                    and (suj == 0 and uj < d_g or swj == 0 and wj < a_g)):
+                for t in range(1, last + 1):
+                    k = r + t * period
+                    ends = tuple(e + t * de for e, de in zip(start, step))
+                    if not _are_ends(m, ends, k * x, k * y):
+                        raise _not_ends(ends, k * x, k * y)
         for k in range(r, k_max + 1, period):
-            kx, ky = k * x, k * y
-            # Both ends are factorizations of k*s; the first is j = 0 (no
-            # point before it) and the second is j = J (no point after it).
-            if (u < 0 or v < 0 or w < 0 or uj < 0 or vj < 0 or wj < 0 or v >= c_g
-                    or (uj >= d_g and wj >= a_g)
-                    or v * m_a + w * m_c != kx or u + v * m_b + w * m_d != ky
-                    or vj * m_a + wj * m_c != kx or uj + vj * m_b + wj * m_d != ky):
-                raise ValueError(f"{(u, v, w)} and {(uj, vj, wj)} are not the ends of the "
-                                 f"factorization line of ({kx}, {ky})")
-            lo, hi = u + v + w, uj + vj + wj
-            if lo > hi:
-                lo, hi = hi, lo
             g = gcd(hi, lo)
             p, q = hi // g, lo // g
+            if p < q:
+                p, q = q, p
             n, d = abs(ln * q - p * ld), ld * q
             g = gcd(n, d)
             rows[k - 1] = (k, p, q, n // g, d // g)
-            u, v, w, uj, vj, wj = u + su, v + sv, w + sw, uj + suj, vj + svj, wj + swj
+            lo, hi = lo + dlo, hi + dhi
     return limit, rows

@@ -3,6 +3,7 @@
 import sys
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -40,11 +41,52 @@ TAU_NEG = CanonicalMonoid3(a=3, b=5, c=2, d=3, transform=IDENTITY)
 SINGLE_LEN = CanonicalMonoid3(a=1, b=2, c=2, d=3, transform=IDENTITY)
 # Star monoid where x = 1 is not a combination of a = 2 and c = 3.
 GAPPY = CanonicalMonoid3(a=2, b=3, c=3, d=4, transform=IDENTITY)
+# Star monoid with P = a*c = 10.
+STAR2 = CanonicalMonoid3(a=2, b=1, c=5, d=2, transform=IDENTITY)
 
 
 def _shift(start, step, j):
     """The point start + j*step of a line."""
     return tuple(u + j * du for u, du in zip(start, step))
+
+
+# Corruptions of a line (start, step, count), each with the s it is read at
+# and the row text the check reports when it is read at k = 1 (a scan to
+# k_max = 1 on STAR) and when it is read only at k = 1 + P, P = 3, as the step
+# of the class of 1 (a scan to k_max = 2P + 1).  At k = 1, s = (7, 13), the
+# line is (1, 1, 2) + j*(-1, 3, -1) for j = 0, 1; at s = (6, 13) it is
+# (3, 0, 2) + j*(-1, 3, -1) for j = 0, 1, 2, whose start has alpha = 0 and
+# whose j = 1 point has beta = a/g = 1 and delta >= D/g = 1.
+CORRUPTIONS = {
+    # Start one step before j = 0: alpha0 - c/g < 0 at the j = 0 end only.
+    "before-j0": (lambda start, step, count: (_shift(start, step, -1), step, count), Vec2(7, 13),
+                  r"\(2, -2, 3\)", r"\(6, -2, 10\) and \(1, 13, 5\)"),
+    # One step past J: negative at the j = count - 1 end only.
+    "past-J": (lambda start, step, count: (start, step, count + 1), Vec2(7, 13),
+               r"\(-1, 7, 0\)", r"\(5, 1, 9\) and \(-1, 19, 3\)"),
+    # delta0 + 1: nonnegative at both ends, but off the target.
+    "off-target": (lambda start, step, count: (_shift(start, (1, 0, 0), 1), step, count),
+                   Vec2(7, 13), r"\(2, 1, 2\)", r"\(6, 1, 9\) and \(1, 16, 4\)"),
+    # Start one step inward, end kept: two factorizations, but the start has
+    # a point before it (alpha = 4 >= c/g = 3).
+    "start-inward": (lambda start, step, count: (_shift(start, step, 1), step, count - 1),
+                     Vec2(7, 13), r"\(0, 4, 1\) and \(0, 4, 1\)",
+                     r"\(4, 4, 8\) and \(0, 16, 4\)"),
+    # count one short, start kept: the end has a point after it.
+    "count-short": (lambda start, step, count: (start, step, count - 1), Vec2(7, 13),
+                    r"\(1, 1, 2\) and \(1, 1, 2\)", r"\(5, 1, 9\) and \(1, 13, 5\)"),
+    # A step off the line: the end is nonnegative and last, but off the target.
+    "end-off-target": (lambda start, step, count: (start, (-1, 2, -1), count), Vec2(7, 13),
+                       r"\(0, 3, 1\)", r"\(5, 1, 9\) and \(0, 11, 4\)"),
+    # Start one step inward from alpha0 = 0: alpha = c/g exactly.
+    "start-alpha-is-c-over-g": (
+        lambda start, step, count: (_shift(start, step, 1), step, count - 1), Vec2(6, 13),
+        r"\(2, 3, 1\) and \(1, 6, 0\)", r"\(11, 3, 7\) and \(4, 24, 0\)",
+    ),
+    # count one short: the end has beta = a/g exactly and delta >= D/g.
+    "end-beta-is-a-over-g": (lambda start, step, count: (start, step, count - 1), Vec2(6, 13),
+                             r"\(3, 0, 2\) and \(2, 3, 1\)", r"\(12, 0, 8\) and \(5, 21, 1\)"),
+}
 
 
 def _elasticity_rows(m, s, k_max):
@@ -240,52 +282,76 @@ class TestScanMultiples:
 
     # Each corruption of the line fails one check of the row: both ends
     # nonnegative and multiplied back, the start first (alpha < c/g) and the
-    # end last (delta < D/g or beta < a/g).  At k = 1, s = (7, 13), the line
-    # is (1, 1, 2) + j*(-1, 3, -1) for j = 0, 1; at s = (6, 13) it is
-    # (3, 0, 2) + j*(-1, 3, -1) for j = 0, 1, 2, whose start has alpha = 0
-    # and whose j = 1 point has beta = a/g = 1 and delta >= D/g = 1.
-    @pytest.mark.parametrize(
-        "corrupt, message, s",
-        [
-            # Start one step before j = 0: alpha0 - c/g < 0 at the j = 0 end only.
-            (lambda start, step, count: (_shift(start, step, -1), step, count), r"\(2, -2, 3\)",
-             Vec2(7, 13)),
-            # One step past J: negative at the j = count - 1 end only.
-            (lambda start, step, count: (start, step, count + 1), r"\(-1, 7, 0\)", Vec2(7, 13)),
-            # delta0 + 1: nonnegative at both ends, but off the target.
-            (lambda start, step, count: (_shift(start, (1, 0, 0), 1), step, count), r"\(2, 1, 2\)",
-             Vec2(7, 13)),
-            # Start one step inward, end kept: two factorizations, but the
-            # start has a point before it (alpha = 4 >= c/g = 3).
-            (
-                lambda start, step, count: (_shift(start, step, 1), step, count - 1),
-                r"\(0, 4, 1\) and \(0, 4, 1\)",
-                Vec2(7, 13),
-            ),
-            # count one short, start kept: the end has a point after it.
-            (lambda start, step, count: (start, step, count - 1), r"\(1, 1, 2\) and \(1, 1, 2\)",
-             Vec2(7, 13)),
-            # A step off the line: the end is nonnegative and last, but off
-            # the target.
-            (lambda start, step, count: (start, (-1, 2, -1), count), r"\(0, 3, 1\)", Vec2(7, 13)),
-            # Start one step inward from alpha0 = 0: alpha = c/g exactly.
-            (
-                lambda start, step, count: (_shift(start, step, 1), step, count - 1),
-                r"\(2, 3, 1\) and \(1, 6, 0\)",
-                Vec2(6, 13),
-            ),
-            # count one short: the end has beta = a/g exactly and delta >= D/g.
-            (lambda start, step, count: (start, step, count - 1), r"\(3, 0, 2\) and \(2, 3, 1\)",
-             Vec2(6, 13)),
-        ],
-        ids=["before-j0", "past-J", "off-target", "start-inward", "count-short", "end-off-target",
-             "start-alpha-is-c-over-g", "end-beta-is-a-over-g"],
-    )
-    def test_rejects_a_corrupted_line(self, monkeypatch, corrupt, message, s):
+    # end last (delta < D/g or beta < a/g).
+    @pytest.mark.parametrize("name", CORRUPTIONS)
+    def test_rejects_a_corrupted_line(self, monkeypatch, name):
+        corrupt, s, message, _ = CORRUPTIONS[name]
         line = asymptotics._line
         monkeypatch.setattr(asymptotics, "_line", lambda m, x, y: corrupt(*line(m, x, y)))
         with pytest.raises(ValueError, match=message):
             scan_multiples(STAR, s, 1)
+
+    # The scan reads the class step of 1 from the line at k = 1 + P, and the
+    # row k = 1 + P is the first that uses it, so the check reports that row.
+    @pytest.mark.parametrize("name", CORRUPTIONS)
+    def test_rejects_a_class_step_read_from_a_corrupted_line(self, monkeypatch, name):
+        corrupt, s, _, message = CORRUPTIONS[name]
+        period, line = STAR.a * STAR.c, asymptotics._line
+
+        def corrupted(m, x, y):
+            read = line(m, x, y)
+            return corrupt(*read) if x == (1 + period) * s.x else read
+
+        monkeypatch.setattr(asymptotics, "_line", corrupted)
+        kx, ky = (1 + period) * s.x, (1 + period) * s.y
+        with pytest.raises(ValueError, match=rf"{message} are not the ends of the factorization "
+                                             rf"line of \({kx}, {ky}\)"):
+            scan_multiples(STAR, s, 2 * period + 1)
+
+    def test_a_wrong_period_raises_or_gives_the_true_rows(self, monkeypatch):
+        # With P one too large in its lcm factor, the ends are not affine on
+        # every class, so the class check fails there and each row is checked.
+        monkeypatch.setattr(asymptotics, "lcm", lambda *args: lcm(*args) + 1)
+        raised = 0
+        for a, b, c, d in canonical_triples(6):
+            if b * c - a * d != 1:
+                continue
+            m = CanonicalMonoid3(a, b, c, d, transform=IDENTITY)
+            u, v, w = m.gens
+            for i, j, n in product(range(3), repeat=3):
+                if i or j or n:
+                    s = i * u + j * v + n * w
+                    k_max = 3 * c * (a + 1) + 1
+                    try:
+                        rows = scan_multiples(m, s, k_max)[1]
+                    except ValueError:
+                        raised += 1
+                        continue
+                    assert rows == _elasticity_rows(m, s, k_max), (m, s)
+        assert raised > 0
+
+    @pytest.mark.parametrize(
+        "m, mults",
+        [(STAR, (10**29 + 3, 10**29 + 7, 2 * 10**29 + 1)), (STAR, (10**30 - 1, 1, 0)),
+         (TAU_NEG, (10**29 + 1, 10**29 + 2, 10**29 + 3)), (TAU_NEG, (10**30 - 1, 0, 10**29 + 9)),
+         (STAR2, (7, 10**29 + 1, 10**29 + 5)), (STAR2, (10**30 - 7, 3, 10**29))],
+    )
+    def test_thirty_digit_members_past_five_periods(self, m, mults):
+        s = mults[0] * Vec2(0, 1) + mults[1] * Vec2(m.a, m.b) + mults[2] * Vec2(m.c, m.d)
+        k_max = 5 * m.a * m.c + 2
+        assert scan_multiples(m, s, k_max)[1] == _elasticity_rows(m, s, k_max)
+
+    @pytest.mark.parametrize(
+        "m, s", [(STAR, Vec2(7, 13)), (TAU_NEG, Vec2(9, 14))], ids=["star", "tau-neg"]
+    )
+    def test_reads_the_line_once_per_row_up_to_p_and_once_per_class_after(self, monkeypatch, m, s):
+        period, line = m.a * m.c, asymptotics._line
+        calls = []
+        monkeypatch.setattr(asymptotics, "_line", lambda *args: calls.append(1) or line(*args))
+        for k_max in (1, period, period + 1, 2 * period, 10 * period):
+            calls.clear()
+            scan_multiples(m, s, k_max)
+            assert len(calls) == min(period, k_max) + max(0, min(period, k_max - period)), k_max
 
     @given(data=st.data())
     def test_every_row_matches_elasticity3_and_the_oracle(self, data):
