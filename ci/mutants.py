@@ -7,7 +7,8 @@ test files).  For each one the runner copies ``src/`` and ``tests/`` into a
 fresh temporary directory, requires the snippet to occur exactly once in the
 file, applies the replacement and runs the named test files with
 ``pytest -x``.  A mutant whose tests all pass has survived, and the runner
-exits 1.  The unmutated copy runs the same test files first, so a failure
+exits 1.  A mutant whose tests run past ``TIMEOUT_S`` prints ``timeout`` and
+counts as killed.  The unmutated copy runs the same test files first, so a failure
 unrelated to the mutant never counts as a kill.
 
 A survivor is a finding: add a test that kills it.  Never delete an entry to
@@ -28,6 +29,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Seconds one mutant's tests may run; a mutant that makes them loop past it
+# counts as killed.
+TIMEOUT_S = 300
 
 MUTANTS = [
     # The gap denominator of a scan row: ld in place of ld * q.
@@ -139,13 +144,62 @@ MUTANTS = [
         "if False:",
         ["test_factorization.py"],
     ),
-    # The per-point multiply-back of the listed line skipped
+    # The multiply-back of the listed line's two ends skipped
     # (test_solve3.py::TestMember3General::test_rejects_a_corrupted_line).
     (
         "solve3.py",
         "if pv * a + pw * c != x or pu + pv * b + pw * d != y:",
         "if False:",
         ["test_solve3.py"],
+    ),
+    # The listed line's j = 0 start not checked, only its j = J end: factorize
+    # --all prints a start one step before j = 0
+    # (test_cli.py::TestRunFactorize::test_all_rejects_a_corrupted_line;
+    # member3_general's Factorization objects refuse it on their own).
+    (
+        "solve3.py",
+        "for pu, pv, pw in (end, (u, v, w)):",
+        "for pu, pv, pw in (end,):",
+        ["test_cli.py"],
+    ),
+    # The listed line's step not checked to be in the kernel: a one-point
+    # line with a wrong step passes its edge check (the same test).
+    (
+        "solve3.py",
+        "or dv * a + dw * c or du + dv * b + dw * d",
+        "",
+        ["test_solve3.py"],
+    ),
+    # The listed line's step not checked to be primitive: twice the kernel
+    # vector skips every other point (the same test).
+    (
+        "solve3.py",
+        "gcd(dv, dw) != 1 or ",
+        "",
+        ["test_solve3.py"],
+    ),
+    # The listed line's edge check skipped: a line one point short at either
+    # end is listed
+    # (test_cli.py::TestRunFactorize::test_all_rejects_a_corrupted_line).
+    (
+        "solve3.py",
+        "\n            or v >= dv or eu >= -du and ew >= -dw):",
+        "):",
+        ["test_cli.py"],
+    ),
+    # Only the edge before the start skipped (the same test).
+    (
+        "solve3.py",
+        "or v >= dv",
+        "",
+        ["test_cli.py"],
+    ),
+    # Only the edge after the end skipped (the same test).
+    (
+        "solve3.py",
+        "or eu >= -du and ew >= -dw",
+        "",
+        ["test_cli.py"],
     ),
     # A multiplicity of -1 let through: the constructor's sign check off by one
     # (test_factorization.py::test_rejects_a_negative_multiplicity; the listed
@@ -156,28 +210,29 @@ MUTANTS = [
         "if min(self.mults) < -1:",
         ["test_factorization.py"],
     ),
-    # The listed line's sign check skipped: factorize --all prints a point
-    # past J (test_cli.py::TestRunFactorize::test_all_rejects_a_corrupted_line).
+    # The sign check of the listed line's ends skipped: factorize --all
+    # prints a point past J
+    # (test_cli.py::TestRunFactorize::test_all_rejects_a_corrupted_line).
     (
         "solve3.py",
         "if pu < 0 or pv < 0 or pw < 0:",
         "if False:",
         ["test_cli.py"],
     ),
-    # The listed line walked with its step's sign flipped: every point after
-    # the j = J one leaves the line's range.
+    # A column of the listed line filled with its step's sign flipped: the
+    # range runs away from the j = 0 start.
     (
         "solve3.py",
-        "pu, pv, pw = pu - du, pv - dv, pw - dw",
-        "pu, pv, pw = pu + du, pv + dv, pw + dw",
+        "flat[0::4] = range(eu, u - du, -du)",
+        "flat[0::4] = range(eu, u - du, du)",
         ["test_solve3.py"],
     ),
     # The length of a factorization listed by --all drops the (0, 1) count
-    # (the length is written into the flat list by solve3._points).
+    # (the length column is filled by solve3._points from the end's length).
     (
         "solve3.py",
-        "flat += (pu, pv, pw, pu + pv + pw)",
-        "flat += (pu, pv, pw, pv + pw)",
+        "n, dn = eu + ev + ew, du + dv + dw",
+        "n, dn = ev + ew, du + dv + dw",
         ["test_cli.py"],
     ),
     # A non-member of a two-generator monoid reports "not computed".
@@ -565,12 +620,17 @@ def _copy(dest: Path) -> None:
         )
 
 
-def _run_tests(tree: Path, tests: list[str]) -> bool:
-    """Whether the named test files pass in ``tree``, stopping at the first failure."""
+def _run_tests(tree: Path, tests: list[str]) -> bool | None:
+    """Whether the named test files pass in ``tree``, stopping at the first
+    failure; None if they run longer than ``TIMEOUT_S``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            f"--rootdir={tree}", *(str(tree / "tests" / t) for t in tests)]
-    done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    try:
+        done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
     return done.returncode == 0
 
 
@@ -588,7 +648,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="affmon-mutants-") as tmp:
         base = Path(tmp) / "base"
         _copy(base)
-        if not _run_tests(base, every_test):
+        if _run_tests(base, every_test) is not True:
             print(f"unmutated tests fail: {' '.join(every_test)}", file=sys.stderr)
             return 2
         survivors = 0
@@ -600,9 +660,9 @@ def main() -> int:
             _copy(tree)
             _mutate(tree, file, snippet, replacement)
             start = time.perf_counter()
-            killed = not _run_tests(tree, tests)
-            survivors += not killed
-            verdict = "killed" if killed else "SURVIVED"
+            passed = _run_tests(tree, tests)
+            survivors += passed is True
+            verdict = "timeout" if passed is None else "SURVIVED" if passed else "killed"
             print(f"{verdict:8} {time.perf_counter() - start:5.1f}s  {file}: "
                   f"{snippet!r} -> {replacement!r}")
             shutil.rmtree(tree)

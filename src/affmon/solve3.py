@@ -25,14 +25,16 @@ so the length moves by sum(step) per step.  It is computed on ints, from the
 constants g, c/g, a/g, D/g and (a/g)^-1 mod c/g that
 the ``CanonicalMonoid3`` constructor sets once, as ``line_consts``.  Every
 factorization handed out is multiplied back to s: by
-``Factorization.checked`` in ``member3`` and ``extreme_factorizations``, and
-in ``_points``, the one walk that lists the whole line on ints: it starts at
-j = J and subtracts step from point to point, checking each point's sign
-too.  It returns one flat int list, each point's three multiplicities and
-its length in turn, which ``cli`` keeps as the listing of ``factorize --all``
-and writes its text from; ``member3_general`` regroups it into
-``Factorization``s.  ``asymptotics.scan_multiples``
-reads the two ends of the line itself and checks them on ints.
+``Factorization.checked`` in ``member3`` and ``extreme_factorizations``.
+``_points``, which lists the whole line, checks it once on ints: both ends
+multiply back and are nonnegative, the step is the kernel's primitive
+vector, and no factorization lies just beyond either end.  It then fills
+one flat int list by columns, each point's three multiplicities and its
+length in turn, from j = J down to 0; ``cli`` keeps that list as the
+listing of ``factorize --all`` and writes its text from it, and
+``member3_general`` regroups it into ``Factorization``s.
+``asymptotics.scan_multiples`` reads the two ends of the line itself and
+checks them on ints.
 """
 
 from __future__ import annotations
@@ -125,24 +127,43 @@ def member3(m: CanonicalMonoid3, s: Vec2) -> Membership:
 
 
 def _points(m: CanonicalMonoid3, x: int, y: int) -> Membership | list[int]:
-    """Every factorization of (x, y) from j = count - 1 down to 0, by
-    subtracting step, as one flat int list u, v, w, n, u, v, w, n, ... with
-    n = u + v + w its length; or the non-member verdict.  Each point is
-    multiplied back against (0, 1), (a, b), (c, d) and sign-checked on ints."""
+    """Every factorization of (x, y) from j = count - 1 down to 0, as one flat
+    int list u, v, w, n, u, v, w, n, ... with n = u + v + w its length; or the
+    non-member verdict.
+
+    The line is checked once, on ints: its j = J end and then its j = 0 start
+    are multiplied back against (0, 1), (a, b), (c, d) and sign-checked.  The
+    step must be the kernel's primitive vector with alpha rising, and the
+    points just before the start and just after the end must each have a
+    negative entry.  The orthant is convex, so the points between the ends
+    are factorizations and no factorization is missing.  Each column is then
+    filled from one ``range``."""
     line = _line(m, x, y)
     if isinstance(line, Membership):
         return line
     (u, v, w), (du, dv, dw), count = line
     a, b, c, d, j = m.a, m.b, m.c, m.d, count - 1
-    pu, pv, pw = u + j * du, v + j * dv, w + j * dw
-    flat: list[int] = []
-    for _ in range(count):
+    eu, ev, ew = end = u + j * du, v + j * dv, w + j * dw
+    for pu, pv, pw in (end, (u, v, w)):
         if pv * a + pw * c != x or pu + pv * b + pw * d != y:
             raise ValueError(f"{(pu, pv, pw)} is not a factorization of ({x}, {y})")
         if pu < 0 or pv < 0 or pw < 0:
             raise ValueError(f"multiplicities must be nonnegative: {(pu, pv, pw)}")
-        flat += (pu, pv, pw, pu + pv + pw)
-        pu, pv, pw = pu - du, pv - dv, pw - dw
+    # A primitive kernel step is +-(-D/g, c/g, -a/g).  With the + sign the
+    # point before the start leaves the orthant iff its alpha is negative, and
+    # the point after the end iff its delta or its beta is; with the - sign
+    # v >= dv holds and the line is refused.
+    if (gcd(dv, dw) != 1 or dv * a + dw * c or du + dv * b + dw * d
+            or v >= dv or eu >= -du and ew >= -dw):
+        raise ValueError(f"{(u, v, w)} + j*{(du, dv, dw)}, 0 <= j < {count}, "
+                         f"is not the whole factorization line of ({x}, {y})")
+    n, dn = eu + ev + ew, du + dv + dw
+    flat = [eu, ev, ew, n] * count
+    flat[0::4] = range(eu, u - du, -du)
+    flat[1::4] = range(ev, v - dv, -dv)
+    flat[2::4] = range(ew, w - dw, -dw)
+    if dn:
+        flat[3::4] = range(n, n - count * dn, -dn)
     return flat
 
 

@@ -255,12 +255,23 @@ class TestRunFactorize:
             # One point past J: (0, 9, -1) multiplies back, but beta < 0.
             (lambda start, step, count: (start, step, count + 1),
              r"nonnegative: \(0, 9, -1\)"),
+            # Both ends are factorizations, but (1, 6, 0) after the end is too.
+            (lambda start, step, count: (start, step, count - 1),
+             r"\(3, 0, 2\) \+ j\*\(-1, 3, -1\), 0 <= j < 2, is not the whole"),
+            # Both ends are factorizations, but (3, 0, 2) before the start is too.
+            (lambda start, step, count: ((2, 3, 1), step, count - 1),
+             r"\(2, 3, 1\) \+ j\*\(-1, 3, -1\), 0 <= j < 2, is not the whole"),
+            # One point before j = 0: the end (1, 6, 0) passes, the start has alpha < 0.
+            (lambda start, step, count: ((4, -3, 3), step, count + 1),
+             r"nonnegative: \(4, -3, 3\)"),
         ],
-        ids=["start-off-target", "step-outside-kernel", "past-J"],
+        ids=["start-off-target", "step-outside-kernel", "past-J", "count-one-short",
+             "start-one-step-inward", "start-one-step-outward"],
     )
     def test_all_rejects_a_corrupted_line(self, monkeypatch, corrupt, message):
         # --all lists the line's points without Factorization objects, so
-        # the walk itself multiplies back and sign-checks every point.
+        # _points itself checks the line: both ends multiplied back and
+        # sign-checked, and no factorization just beyond either end.
         line = solve3._line
         monkeypatch.setattr(solve3, "_line", lambda m, x, y: corrupt(*line(m, x, y)))
         for output in ("human", "json"):

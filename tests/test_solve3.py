@@ -3,6 +3,8 @@
 from fractions import Fraction
 from itertools import product
 from math import gcd
+import random
+import re
 
 import pytest
 from hypothesis import given
@@ -91,6 +93,12 @@ def _shift(start, step, j):
     return tuple(u + j * du for u, du in zip(start, step))
 
 
+def _not_whole(start, step, count):
+    """The message of ``_points`` for a line that is not every factorization of (6, 13)."""
+    return re.escape(f"{start} + j*{step}, 0 <= j < {count}, "
+                     "is not the whole factorization line of (6, 13)")
+
+
 class TestLine:
     """``_line`` returns (start, step, count): the factorizations are
     start + j*step for 0 <= j < count."""
@@ -147,6 +155,60 @@ class TestLine:
                     assert step == (-(m.b * m.c - m.a * m.d) // g, m.c // g, -m.a // g)
                     points = [_shift(start, step, j) for j in range(count)]
                     assert [f.mults for f in facts] == points[::-1], (t, x, y)
+
+
+def _listing(line):
+    """The flat listing of a line built point by point, j = count - 1 down to 0:
+    each point's multiplicities and then its length."""
+    start, step, count = line
+    flat = []
+    for j in range(count - 1, -1, -1):
+        point = _shift(start, step, j)
+        flat += (*point, sum(point))
+    return flat
+
+
+class TestPoints:
+    """``_points`` fills its columns from ranges; a listing built point by
+    point from the same line is the reference."""
+
+    def test_every_small_monoid_and_vector(self):
+        # Every canonical triple with entries <= 6, minimal or not, star or
+        # not, any g, at every (x, y) with 0 <= x, y <= 30.
+        counts, constant_length = set(), 0
+        for t in canonical_triples(6):
+            m = CanonicalMonoid3(*t, transform=IDENTITY)
+            for x in range(31):
+                for y in range(31):
+                    line, flat = solve3._line(m, x, y), solve3._points(m, x, y)
+                    if isinstance(line, Membership):
+                        assert flat == line
+                        continue
+                    assert flat == _listing(line), (t, x, y)
+                    counts.add(line[2])
+                    constant_length += line[2] > 1 and sum(line[1]) == 0
+        # One-point lines, long lines, and lines along which the length stays put.
+        assert {1, 2, 30} <= counts and constant_length
+
+    def test_members_near_ten_to_the_sixty(self):
+        # Lines of 1 to 50 points far from the origin, one-point lines among
+        # them: J is fixed by beta with delta near 10**60, or by delta with
+        # beta near 10**60.
+        rng = random.Random(60)
+        for a, b, c, d in canonical_triples(6):
+            m = CanonicalMonoid3(a, b, c, d, transform=IDENTITY)
+            g = gcd(a, c)
+            c_g, a_g, d_g = c // g, a // g, (b * c - a * d) // g
+            for big_beta, j_max in product((False, True), (0, rng.randrange(1, 50))):
+                alpha, far = rng.randrange(c_g), 10**60 + rng.randrange(10**59)
+                if big_beta:
+                    dlt, beta = j_max * d_g + rng.randrange(d_g), far
+                else:
+                    dlt, beta = far, j_max * a_g + rng.randrange(a_g)
+                x, y = alpha * a + beta * c, dlt + alpha * b + beta * d
+                line = solve3._line(m, x, y)
+                assert line[0] == (dlt, alpha, beta) and line[2] == j_max + 1
+                assert solve3._points(m, x, y) == _listing(line), (a, b, c, d, x, y)
 
 
 class TestDelta:
@@ -264,11 +326,31 @@ class TestMember3General:
             # One point past J: (0, 9, -1) multiplies back, but beta < 0.
             (lambda start, step, count: (start, step, count + 1),
              r"nonnegative: \(0, 9, -1\)"),
+            # Both ends are factorizations, but (1, 6, 0) after the end is too.
+            (lambda start, step, count: (start, step, count - 1),
+             _not_whole((3, 0, 2), (-1, 3, -1), 2)),
+            # Both ends are factorizations, but (3, 0, 2) before the start is too.
+            (lambda start, step, count: (_shift(start, step, 1), step, count - 1),
+             _not_whole((2, 3, 1), (-1, 3, -1), 2)),
+            # A step of twice the kernel vector skips (2, 3, 1); both ends and
+            # the points beyond them pass.
+            (lambda start, step, count: (start, _shift(step, step, 1), 2),
+             _not_whole((3, 0, 2), (-2, 6, -2), 2)),
+            # The step reversed: the same points, listed j = 0 first.
+            (lambda start, step, count: (_shift(start, step, 2), _shift(step, step, -2), 3),
+             _not_whole((1, 6, 0), (1, -3, 1), 3)),
+            # A one-point line with a step outside the kernel: the points beyond
+            # the only point, (-2, 1, -3) and (8, -1, 7), both leave the orthant.
+            (lambda start, step, count: (start, (-5, 1, -5), 1),
+             _not_whole((3, 0, 2), (-5, 1, -5), 1)),
         ],
-        ids=["start-off-target", "step-outside-kernel", "past-J"],
+        ids=["start-off-target", "step-outside-kernel", "past-J", "count-one-short",
+             "start-one-step-inward", "step-doubled", "step-reversed",
+             "count-one-step-outside-kernel"],
     )
     def test_rejects_a_corrupted_line(self, monkeypatch, corrupt, message):
-        # Every point of the line is multiplied back and sign-checked as it is listed.
+        # The line is checked once: both ends, then the step and the points
+        # just beyond the ends.
         line = solve3._line
         assert line(STAR, 6, 13) == ((3, 0, 2), (-1, 3, -1), 3)
         monkeypatch.setattr(solve3, "_line", lambda m, x, y: corrupt(*line(m, x, y)))
