@@ -49,41 +49,83 @@ MUTANTS = [
         "rows[k - 1] = (k, p, q, n, d)",
         ["test_asymptotics.py"],
     ),
-    # The multiply-back of a scan row's j = J end skipped.
+    # The line check (solve3._is_line), killed by the table of corrupted
+    # ends, conftest.CORRUPTED_ENDS, read by member3_general
+    # (test_solve3.py::TestMember3General::test_rejects_a_corrupted_line) or by
+    # a scan's first row
+    # (test_asymptotics.py::TestScanMultiples::test_rejects_a_corrupted_line).
+    # The multiply-back of the j = J end skipped (end-off-target).
     (
-        "asymptotics.py",
-        "or vj * m_a + wj * m_c != kx or uj + vj * m_b + wj * m_d != ky",
+        "solve3.py",
+        "or vj * m_a + wj * m_c != x or uj + vj * m_b + wj * m_d != y",
         "or False",
         ["test_asymptotics.py"],
     ),
-    # A scan row's start not checked to be j = 0 (alpha < c/g).
+    # The multiply-back of the j = 0 start skipped (start-off-target).
     (
-        "asymptotics.py",
+        "solve3.py",
+        "or v * m_a + w * m_c != x or u + v * m_b + w * m_d != y",
+        "",
+        ["test_solve3.py"],
+    ),
+    # The sign test of the start skipped (start-negative).
+    (
+        "solve3.py",
+        "u < 0 or v < 0 or w < 0 or ",
+        "",
+        ["test_solve3.py"],
+    ),
+    # The sign test of the end skipped (end-negative).
+    (
+        "solve3.py",
+        "uj < 0 or vj < 0 or wj < 0 or ",
+        "",
+        ["test_asymptotics.py"],
+    ),
+    # The start not checked to be j = 0 (alpha < c/g).
+    (
+        "solve3.py",
         "or v >= c_g",
         "or False",
         ["test_asymptotics.py"],
     ),
     # The start check off by one: alpha = c/g exactly passes as j = 0
-    # (test_asymptotics.py::TestScanMultiples::test_rejects_a_corrupted_line).
+    # (start-alpha-is-c-over-g).
     (
-        "asymptotics.py",
+        "solve3.py",
         "or v >= c_g",
         "or v > c_g",
-        ["test_asymptotics.py"],
+        ["test_solve3.py"],
     ),
-    # A scan row's end not checked to be j = J (delta < D/g or beta < a/g).
+    # The end not checked to be j = J (delta < D/g or beta < a/g).
     (
-        "asymptotics.py",
+        "solve3.py",
         "or (uj >= d_g and wj >= a_g)",
         "or False",
-        ["test_asymptotics.py"],
+        ["test_solve3.py"],
     ),
-    # The end check off by one: beta = a/g exactly passes as j = J (the same test).
+    # The end check off by one: beta = a/g exactly passes as j = J
+    # (end-beta-is-a-over-g).
     (
-        "asymptotics.py",
+        "solve3.py",
         "wj >= a_g)",
         "wj > a_g)",
         ["test_asymptotics.py"],
+    ),
+    # The same for delta = D/g exactly (end-delta-is-d-over-g).
+    (
+        "solve3.py",
+        "(uj >= d_g and",
+        "(uj > d_g and",
+        ["test_solve3.py"],
+    ),
+    # factorize --all lists the ends _line returns without checking them
+    # (test_cli.py::TestRunFactorize::test_all_rejects_a_corrupted_line).
+    (
+        "solve3.py",
+        "if not _is_line(m, ends, x, y):",
+        "if False:",
+        ["test_cli.py"],
     ),
     # The per-class step never applied: past k = P every row repeats its class's first.
     (
@@ -92,35 +134,41 @@ MUTANTS = [
         "pass",
         ["test_asymptotics.py"],
     ),
-    # The walk of a class that fails its check checks no row: its rows go out unchecked
-    # (test_asymptotics.py::TestScanMultiples::test_a_wrong_period_raises_or_gives_the_true_rows).
-    (
-        "asymptotics.py",
-        "if not _are_ends(m, ends, k * x, k * y):",
-        "if False:",
-        ["test_asymptotics.py"],
-    ),
-    # A class's last row not checked: a step read from a corrupted line passes
-    # whenever the end's bound stays put (test_asymptotics.py::TestScanMultiples::
+    # A class's last row not checked: a step read from a corrupted line goes
+    # out unchecked (test_asymptotics.py::TestScanMultiples::
     # test_rejects_a_class_step_read_from_a_corrupted_line).
     (
         "asymptotics.py",
-        "_are_ends(m, end, k * x, k * y)",
-        "True",
+        "if not _is_line(m, end, k * x, k * y):",
+        "if False:",
         ["test_asymptotics.py"],
     ),
-    # count one past the end of the line: J + 2 points.
+    # The line's j = J end one point past J.
     (
         "solve3.py",
-        "min(beta // a_g, dlt // d_g) + 1",
-        "min(beta // a_g, dlt // d_g) + 2",
+        "j = min(beta // a_g, dlt // d_g)",
+        "j = min(beta // a_g, dlt // d_g) + 1",
         ["test_solve3.py"],
     ),
-    # count one short: the j = J point is lost.
+    # The line's j = J end one point short of J.
     (
         "solve3.py",
-        "min(beta // a_g, dlt // d_g) + 1",
-        "min(beta // a_g, dlt // d_g)",
+        "j = min(beta // a_g, dlt // d_g)",
+        "j = min(beta // a_g, dlt // d_g) - 1",
+        ["test_solve3.py"],
+    ),
+    # The listing's count one past the end of the line: J + 2 points.
+    (
+        "solve3.py",
+        "count = (ev - v) // c_g + 1",
+        "count = (ev - v) // c_g + 2",
+        ["test_solve3.py"],
+    ),
+    # The listing's count one short: J points.
+    (
+        "solve3.py",
+        "count = (ev - v) // c_g + 1",
+        "count = (ev - v) // c_g",
         ["test_solve3.py"],
     ),
     # D not divided by g in the line constants.
@@ -144,95 +192,29 @@ MUTANTS = [
         "if False:",
         ["test_factorization.py"],
     ),
-    # The multiply-back of the listed line's two ends skipped
-    # (test_solve3.py::TestMember3General::test_rejects_a_corrupted_line).
-    (
-        "solve3.py",
-        "if pv * a + pw * c != x or pu + pv * b + pw * d != y:",
-        "if False:",
-        ["test_solve3.py"],
-    ),
-    # The listed line's j = 0 start not checked, only its j = J end: factorize
-    # --all prints a start one step before j = 0
-    # (test_cli.py::TestRunFactorize::test_all_rejects_a_corrupted_line;
-    # member3_general's Factorization objects refuse it on their own).
-    (
-        "solve3.py",
-        "for pu, pv, pw in (end, (u, v, w)):",
-        "for pu, pv, pw in (end,):",
-        ["test_cli.py"],
-    ),
-    # The listed line's step not checked to be in the kernel: a one-point
-    # line with a wrong step passes its edge check (the same test).
-    (
-        "solve3.py",
-        "or dv * a + dw * c or du + dv * b + dw * d",
-        "",
-        ["test_solve3.py"],
-    ),
-    # The listed line's step not checked to be primitive: twice the kernel
-    # vector skips every other point (the same test).
-    (
-        "solve3.py",
-        "gcd(dv, dw) != 1 or ",
-        "",
-        ["test_solve3.py"],
-    ),
-    # The listed line's edge check skipped: a line one point short at either
-    # end is listed
-    # (test_cli.py::TestRunFactorize::test_all_rejects_a_corrupted_line).
-    (
-        "solve3.py",
-        "\n            or v >= dv or eu >= -du and ew >= -dw):",
-        "):",
-        ["test_cli.py"],
-    ),
-    # Only the edge before the start skipped (the same test).
-    (
-        "solve3.py",
-        "or v >= dv",
-        "",
-        ["test_cli.py"],
-    ),
-    # Only the edge after the end skipped (the same test).
-    (
-        "solve3.py",
-        "or eu >= -du and ew >= -dw",
-        "",
-        ["test_cli.py"],
-    ),
     # A multiplicity of -1 let through: the constructor's sign check off by one
-    # (test_factorization.py::test_rejects_a_negative_multiplicity; the listed
-    # line's own sign check in solve3._points now rejects a past-J point first).
+    # (test_factorization.py::test_rejects_a_negative_multiplicity;
+    # solve3._is_line rejects a past-J point before any Factorization is built).
     (
         "factorization.py",
         "if min(self.mults) < 0:",
         "if min(self.mults) < -1:",
         ["test_factorization.py"],
     ),
-    # The sign check of the listed line's ends skipped: factorize --all
-    # prints a point past J
-    # (test_cli.py::TestRunFactorize::test_all_rejects_a_corrupted_line).
-    (
-        "solve3.py",
-        "if pu < 0 or pv < 0 or pw < 0:",
-        "if False:",
-        ["test_cli.py"],
-    ),
     # A column of the listed line filled with its step's sign flipped: the
     # range runs away from the j = 0 start.
     (
         "solve3.py",
-        "flat[0::4] = range(eu, u - du, -du)",
-        "flat[0::4] = range(eu, u - du, du)",
+        "flat[0::4] = range(eu, u + d_g, d_g)",
+        "flat[0::4] = range(eu, u + d_g, -d_g)",
         ["test_solve3.py"],
     ),
     # The length of a factorization listed by --all drops the (0, 1) count
     # (the length column is filled by solve3._points from the end's length).
     (
         "solve3.py",
-        "n, dn = eu + ev + ew, du + dv + dw",
-        "n, dn = ev + ew, du + dv + dw",
+        "n, dn = eu + ev + ew, c_g - a_g - d_g",
+        "n, dn = ev + ew, c_g - a_g - d_g",
         ["test_cli.py"],
     ),
     # A non-member of a two-generator monoid reports "not computed".
@@ -373,8 +355,8 @@ MUTANTS = [
     # (test_solve3.py::TestMember3::test_member_gets_canonical_factorization).
     (
         "solve3.py",
-        "start, _, _ = line",
-        "start = tuple(u + (line[2] - 1) * du for u, du in zip(line[0], line[1]))",
+        "Factorization.checked(line[:3], m.gens, s))",
+        "Factorization.checked(line[3:], m.gens, s))",
         ["test_solve3.py"],
     ),
     # The minimality test flipped: a redundant middle generator passes
@@ -594,23 +576,7 @@ MUTANTS = [
     ),
 ]
 
-EQUIVALENT = [
-    # A class's end bound not checked to stay put.  Once rows 0 and T of the
-    # class pass, each start condition is affine in t, so the start is the
-    # line's j = 0 point on every row, and beta0 and delta0 are affine in t.
-    # The end is then a factorization at an index j(t) affine in t.  The
-    # real line of k*s leaves the orthant through beta = 0 for every k, or
-    # through delta = 0 for every k, because k*s has the slope of s.  So
-    # J(t) = floor(beta0(t)/(a/g)) on every row, or floor(delta0(t)/(D/g)).
-    # J(t) - j(t) is then the floor of an affine function: monotone in t, and
-    # 0 at t = 0 and t = T, hence 0 on every row.
-    (
-        "asymptotics.py",
-        "(suj == 0 and uj < d_g or swj == 0 and wj < a_g)",
-        "True",
-        "the last row's check implies the bound on every row of the class",
-    ),
-]
+EQUIVALENT: list[tuple[str, str, str, str]] = []
 
 
 def _copy(dest: Path) -> None:

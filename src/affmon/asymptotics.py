@@ -19,17 +19,17 @@ The two ends (delta, alpha, beta) of the factorization line of k*s, at j = 0
 and j = J, are affine in t along each residue class k = r + t*P, where
 P = (c/g)*lcm(a/g, D/g), which is a*c on a star monoid.  So ``solve3._line``
 is read for k <= P, and once more at k = r + P for each class r when the scan
-goes past P, which gives the class's step.  A row is the two ends when both
-are nonnegative and multiply back to k*s, the first has alpha < c/g (no point
-before it) and the second has delta < D/g or beta < a/g (no point after it).
-Each class is proved once: its first row and its last row, start + T*step,
-pass this check, and the end's bound stays put (delta < D/g with a step of 0,
-or beta < a/g with a step of 0).  Every condition but the one disjunction is
-then affine in t and holds between them, and multiplying back is linear, so
-every row of the class passes.  If the proof fails, every row of the class is
-checked, and a corrupted line is refused at the row where it first shows.
-Each row then steps the two lengths by the class's sums and reduces the exact
-value and its gap by one ``gcd`` each.
+goes past P, which gives the class's step.  Each class is checked by
+``solve3._is_line`` at its first row and at its last row, start + T*step, and
+a class that fails raises at its last row.  Once both rows pass, so does
+every row between them.  Each condition but the end's "delta < D/g or
+beta < a/g" is affine in t, so each row's start is the j = 0 point of its
+line and its end a factorization at an index j(t) affine in t.  As k*s has
+the slope of s, J(t) is beta0(t) div (a/g) on every row, or delta0(t) div
+(D/g) on every row (``solve3``'s two branches).  J(t) - j(t) is then the
+floor of an affine function, monotone in t and 0 at both rows, so 0 on every
+row.  Each row then steps the two lengths by the class's sums and reduces
+the exact value and its gap by one ``gcd`` each.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .errors import (
 )
 from .monoids import CanonicalMonoid3
 from .rationals import Vec2, _Frozen
-from .solve3 import _line, member3
+from .solve3 import _is_line, _line, _not_line, member3
 
 __all__ = [
     "LimitLFT",
@@ -179,33 +179,6 @@ def rho_limit(m: CanonicalMonoid3, s: Vec2) -> tuple[LimitLFT, Fraction]:
     return lft, value
 
 
-def _ends(m: CanonicalMonoid3, x: int, y: int) -> tuple[int, ...]:
-    """Both ends of the factorization line of (x, y), (delta, alpha, beta) at
-    j = 0 and then at j = J, unchecked."""
-    (u, v, w), (du, dv, dw), count = _line(m, x, y)
-    j = count - 1
-    return u, v, w, u + j * du, v + j * dv, w + j * dw
-
-
-def _are_ends(m: CanonicalMonoid3, ends: tuple[int, ...], kx: int, ky: int) -> bool:
-    """Whether ends are the j = 0 and j = J points of the line of (kx, ky): both
-    nonnegative and multiplied back, the first with alpha < c/g (no point
-    before it) and the second with delta < D/g or beta < a/g (no point after it)."""
-    u, v, w, uj, vj, wj = ends
-    m_a, m_b, m_c, m_d = m.a, m.b, m.c, m.d
-    _, c_g, a_g, d_g, _ = m.line_consts
-    return not (u < 0 or v < 0 or w < 0 or uj < 0 or vj < 0 or wj < 0 or v >= c_g
-                or (uj >= d_g and wj >= a_g)
-                or v * m_a + w * m_c != kx or u + v * m_b + w * m_d != ky
-                or vj * m_a + wj * m_c != kx or uj + vj * m_b + wj * m_d != ky)
-
-
-def _not_ends(ends: tuple[int, ...], kx: int, ky: int) -> ValueError:
-    """The error for ends that fail ``_are_ends``."""
-    return ValueError(f"{ends[:3]} and {ends[3:]} are not the ends of the "
-                      f"factorization line of ({kx}, {ky})")
-
-
 def scan_multiples(m: CanonicalMonoid3, s: Vec2, k_max: int) -> tuple[Fraction, list[tuple]]:
     """Exact elasticity of k*s for k = 1..k_max, with gaps to the limit.
 
@@ -225,28 +198,20 @@ def scan_multiples(m: CanonicalMonoid3, s: Vec2, k_max: int) -> tuple[Fraction, 
         raise InputTooLargeError("k_max is more rows than a list can hold") from None
     for r in range(1, min(period, k_max) + 1):
         rx, ry = r * x, r * y
-        u, v, w, uj, vj, wj = start = _ends(m, rx, ry)
-        if not _are_ends(m, start, rx, ry):
-            raise _not_ends(start, rx, ry)
+        u, v, w, uj, vj, wj = start = _line(m, rx, ry)
+        if not _is_line(m, start, rx, ry):
+            raise _not_line(start, rx, ry)
         lo, hi, dlo, dhi = u + v + w, uj + vj + wj, 0, 0
         last = (k_max - r) // period
         if last:
             # On the class of r the ends are start + t*step, k = r + t*period.
             nxt = r + period
-            su, sv, sw, suj, svj, swj = step = tuple(map(sub, _ends(m, nxt * x, nxt * y), start))
+            su, sv, sw, suj, svj, swj = step = tuple(map(sub, _line(m, nxt * x, nxt * y), start))
             dlo, dhi = su + sv + sw, suj + svj + swj
-            # Each row condition but one is affine in t, so it holds from t = 0
-            # to t = last if it holds at both; the one disjunction holds if the
-            # end's bound stays put.  Else check every row of the class.
             k = r + last * period
             end = tuple(e + last * de for e, de in zip(start, step))
-            if not (_are_ends(m, end, k * x, k * y)
-                    and (suj == 0 and uj < d_g or swj == 0 and wj < a_g)):
-                for t in range(1, last + 1):
-                    k = r + t * period
-                    ends = tuple(e + t * de for e, de in zip(start, step))
-                    if not _are_ends(m, ends, k * x, k * y):
-                        raise _not_ends(ends, k * x, k * y)
+            if not _is_line(m, end, k * x, k * y):
+                raise _not_line(end, k * x, k * y)
         for k in range(r, k_max + 1, period):
             g = gcd(hi, lo)
             p, q = hi // g, lo // g

@@ -18,23 +18,22 @@ along which the length changes by (c - a - D)/g per step.  This yields
 closed-form membership, extreme lengths and elasticity for every monoid; the
 paper's star theorem (b*c - a*d = 1) is the case g = D = 1.
 
-``_line`` returns this line as one plain value (start, step, count): the
-factorizations are start + j*step for 0 <= j < count, with
-start = (delta0, alpha0, beta0), step = (-D/g, c/g, -a/g) and count = J + 1,
-so the length moves by sum(step) per step.  It is computed on ints, from the
-constants g, c/g, a/g, D/g and (a/g)^-1 mod c/g that
-the ``CanonicalMonoid3`` constructor sets once, as ``line_consts``.  Every
-factorization handed out is multiplied back to s: by
-``Factorization.checked`` in ``member3`` and ``extreme_factorizations``.
-``_points``, which lists the whole line, checks it once on ints: both ends
-multiply back and are nonnegative, the step is the kernel's primitive
-vector, and no factorization lies just beyond either end.  It then fills
-one flat int list by columns, each point's three multiplicities and its
-length in turn, from j = J down to 0; ``cli`` keeps that list as the
-listing of ``factorize --all`` and writes its text from it, and
+``_line`` returns the line as its two ends, one 6-tuple
+(delta0, alpha0, beta0, delta_J, alpha_J, beta_J), computed on ints from the
+constants g, c/g, a/g, D/g and (a/g)^-1 mod c/g that the ``CanonicalMonoid3``
+constructor sets once, as ``line_consts``.  The points between the ends step
+by (-D/g, c/g, -a/g), and there are (alpha_J - alpha0) div (c/g) + 1 of them.
+``_is_line`` is the one check that two ends are the whole line of (x, y):
+both are nonnegative and multiply back to (x, y), the first has alpha < c/g
+(no point before it) and the second delta < D/g or beta < a/g (no point after
+it).  Any two factorizations differ by a multiple of the step, so none lies
+outside the ends.  ``_points`` and ``asymptotics.scan_multiples`` check the
+ends they read with it; ``member3`` and ``extreme_factorizations`` hand out
+``Factorization``s, which ``Factorization.checked`` multiplies back to s.
+``_points`` lists the line for ``factorize --all`` as one flat int list,
+filled by columns, each point's three multiplicities and its length, from
+j = J down to 0; ``cli`` writes its text from that list, and
 ``member3_general`` regroups it into ``Factorization``s.
-``asymptotics.scan_multiples`` reads the two ends of the line itself and
-checks them on ints.
 """
 
 from __future__ import annotations
@@ -92,12 +91,13 @@ def _canonical_rep(a: int, c: int, g: int, c_g: int, inv: int, x: int) -> tuple[
     return None if beta < 0 else (alpha, beta)
 
 
-# (start, step, count): the factorization at j is start + j*step, 0 <= j < count.
-_Line = tuple[tuple[int, int, int], tuple[int, int, int], int]
+# (delta0, alpha0, beta0, delta_J, alpha_J, beta_J): the j = 0 and j = J ends.
+_Line = tuple[int, int, int, int, int, int]
 
 
 def _line(m: CanonicalMonoid3, x: int, y: int) -> Membership | _Line:
-    """The factorization line of (x, y), or the non-member verdict with its reason."""
+    """The two ends of the factorization line of (x, y), unchecked, or the
+    non-member verdict with its reason."""
     if x * m.d > y * m.c:
         return Membership(member=False, factorizations=(), reason=PHI_OUT_OF_RANGE)
     g, c_g, a_g, d_g, inv = m.line_consts
@@ -110,7 +110,27 @@ def _line(m: CanonicalMonoid3, x: int, y: int) -> Membership | _Line:
         # x is representable, but even the canonical representation, which
         # has the largest delta, leaves no room for (0, 1).
         return Membership(member=False, factorizations=())
-    return (dlt, alpha, beta), (-d_g, c_g, -a_g), min(beta // a_g, dlt // d_g) + 1
+    j = min(beta // a_g, dlt // d_g)
+    return dlt, alpha, beta, dlt - j * d_g, alpha + j * c_g, beta - j * a_g
+
+
+def _is_line(m: CanonicalMonoid3, ends: _Line, x: int, y: int) -> bool:
+    """Whether ends are the j = 0 and j = J points of the line of (x, y): both
+    nonnegative and multiplied back, the first with alpha < c/g (no point
+    before it) and the second with delta < D/g or beta < a/g (no point after it)."""
+    u, v, w, uj, vj, wj = ends
+    m_a, m_b, m_c, m_d = m.a, m.b, m.c, m.d
+    _, c_g, a_g, d_g, _ = m.line_consts
+    return not (u < 0 or v < 0 or w < 0 or uj < 0 or vj < 0 or wj < 0 or v >= c_g
+                or (uj >= d_g and wj >= a_g)
+                or v * m_a + w * m_c != x or u + v * m_b + w * m_d != y
+                or vj * m_a + wj * m_c != x or uj + vj * m_b + wj * m_d != y)
+
+
+def _not_line(ends: _Line, x: int, y: int) -> ValueError:
+    """The error for ends that fail ``_is_line``."""
+    return ValueError(f"{ends[:3]} and {ends[3:]} are not the ends of the "
+                      f"factorization line of ({x}, {y})")
 
 
 def member3(m: CanonicalMonoid3, s: Vec2) -> Membership:
@@ -122,46 +142,29 @@ def member3(m: CanonicalMonoid3, s: Vec2) -> Membership:
     line = _line(m, s.x, s.y)
     if isinstance(line, Membership):
         return line
-    start, _, _ = line
-    return Membership(member=True, factorization=Factorization.checked(start, m.gens, s))
+    return Membership(member=True, factorization=Factorization.checked(line[:3], m.gens, s))
 
 
 def _points(m: CanonicalMonoid3, x: int, y: int) -> Membership | list[int]:
-    """Every factorization of (x, y) from j = count - 1 down to 0, as one flat
-    int list u, v, w, n, u, v, w, n, ... with n = u + v + w its length; or the
+    """Every factorization of (x, y) from j = J down to 0, as one flat int
+    list u, v, w, n, u, v, w, n, ... with n = u + v + w its length; or the
     non-member verdict.
 
-    The line is checked once, on ints: its j = J end and then its j = 0 start
-    are multiplied back against (0, 1), (a, b), (c, d) and sign-checked.  The
-    step must be the kernel's primitive vector with alpha rising, and the
-    points just before the start and just after the end must each have a
-    negative entry.  The orthant is convex, so the points between the ends
-    are factorizations and no factorization is missing.  Each column is then
-    filled from one ``range``."""
-    line = _line(m, x, y)
-    if isinstance(line, Membership):
-        return line
-    (u, v, w), (du, dv, dw), count = line
-    a, b, c, d, j = m.a, m.b, m.c, m.d, count - 1
-    eu, ev, ew = end = u + j * du, v + j * dv, w + j * dw
-    for pu, pv, pw in (end, (u, v, w)):
-        if pv * a + pw * c != x or pu + pv * b + pw * d != y:
-            raise ValueError(f"{(pu, pv, pw)} is not a factorization of ({x}, {y})")
-        if pu < 0 or pv < 0 or pw < 0:
-            raise ValueError(f"multiplicities must be nonnegative: {(pu, pv, pw)}")
-    # A primitive kernel step is +-(-D/g, c/g, -a/g).  With the + sign the
-    # point before the start leaves the orthant iff its alpha is negative, and
-    # the point after the end iff its delta or its beta is; with the - sign
-    # v >= dv holds and the line is refused.
-    if (gcd(dv, dw) != 1 or dv * a + dw * c or du + dv * b + dw * d
-            or v >= dv or eu >= -du and ew >= -dw):
-        raise ValueError(f"{(u, v, w)} + j*{(du, dv, dw)}, 0 <= j < {count}, "
-                         f"is not the whole factorization line of ({x}, {y})")
-    n, dn = eu + ev + ew, du + dv + dw
+    The two ends from ``_line`` must pass ``_is_line``; each column is then
+    filled from one ``range`` between them, by the monoid's step."""
+    ends = _line(m, x, y)
+    if isinstance(ends, Membership):
+        return ends
+    if not _is_line(m, ends, x, y):
+        raise _not_line(ends, x, y)
+    u, v, w, eu, ev, ew = ends
+    _, c_g, a_g, d_g, _ = m.line_consts
+    count = (ev - v) // c_g + 1
+    n, dn = eu + ev + ew, c_g - a_g - d_g
     flat = [eu, ev, ew, n] * count
-    flat[0::4] = range(eu, u - du, -du)
-    flat[1::4] = range(ev, v - dv, -dv)
-    flat[2::4] = range(ew, w - dw, -dw)
+    flat[0::4] = range(eu, u + d_g, d_g)
+    flat[1::4] = range(ev, v - c_g, -c_g)
+    flat[2::4] = range(ew, w + a_g, a_g)
     if dn:
         flat[3::4] = range(n, n - count * dn, -dn)
     return flat
@@ -170,7 +173,7 @@ def _points(m: CanonicalMonoid3, x: int, y: int) -> Membership | list[int]:
 def member3_general(m: CanonicalMonoid3, s: Vec2) -> Membership:
     """Decide s in S and list every factorization, sorted by multiplicities.
 
-    Sorted order is j = count - 1 down to 0, because delta falls as j grows;
+    Sorted order is j = J down to 0, because delta falls as j grows;
     the witness is the first of them.
     """
     flat = _points(m, s.x, s.y)
@@ -216,14 +219,11 @@ def extreme_factorizations(m: CanonicalMonoid3, s: Vec2) -> ExtremeFactorization
     line = _line(m, s.x, s.y)
     if isinstance(line, Membership):
         raise NotMemberError(f"({s.x}, {s.y}) is not in the monoid ({line.reason})")
-    (u, v, w), (du, dv, dw), count = line
-    t_max, gens = count - 1, m.gens
-    end = (u + t_max * du, v + t_max * dv, w + t_max * dw)
     return ExtremeFactorizations(
         branch=BRANCH_LOW if s.x * m.b <= s.y * m.a else BRANCH_HIGH,
-        t_max=t_max,
-        fact_t0=Factorization.checked((u, v, w), gens, s),
-        fact_tmax=Factorization.checked(end, gens, s),
+        t_max=(line[4] - line[1]) // m.line_consts[1],
+        fact_t0=Factorization.checked(line[:3], m.gens, s),
+        fact_tmax=Factorization.checked(line[3:], m.gens, s),
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+import re
 
 from hypothesis import settings, strategies as st
 
@@ -12,6 +13,50 @@ from affmon.intlin import IDENTITY
 
 settings.register_profile("affmon", deadline=None, max_examples=100)
 settings.load_profile("affmon")
+
+
+# Corrupted ends of the factorization line on <(0,1), (1,2), (3,5)>, where
+# P = a*c = 3 and the step is (-1, 3, -1).  Each entry is (s, shift, ends at s,
+# ends at k = 1 + 2P): a reader that gets _line's ends plus shift at s must
+# refuse the ends at s, and a scan to k_max = 2P + 1 that reads them plus shift
+# at k = 1 + P, as the step of the class of 1, must refuse that class at its
+# last row, k = 1 + 2P, where the class's ends carry the shift twice.  Each
+# entry fails exactly one condition of solve3._is_line at s.  At s = (6, 13)
+# the line is (3, 0, 2) to (1, 6, 0), and at s = (7, 13) (1, 1, 2) to (0, 4, 1).
+CORRUPTED_ENDS = {
+    # One step before j = 0: alpha0 - c/g < 0.
+    "start-negative": (Vec2(6, 13), (1, -3, 1, 0, 0, 0),
+                       (4, -3, 3, 1, 6, 0), (23, -6, 16, 7, 42, 0)),
+    # One step past J: beta_J - a/g < 0.
+    "end-negative": (Vec2(6, 13), (0, 0, 0, -1, 3, -1),
+                     (3, 0, 2, 0, 9, -1), (21, 0, 14, 5, 48, -2)),
+    # delta0 + 1: nonnegative and first, but off the target.
+    "start-off-target": (Vec2(6, 13), (1, 0, 0, 0, 0, 0),
+                         (4, 0, 2, 1, 6, 0), (23, 0, 14, 7, 42, 0)),
+    # delta_J + 1: nonnegative and last (beta_J = 0), but off the target.
+    "end-off-target": (Vec2(6, 13), (0, 0, 0, 1, 0, 0),
+                       (3, 0, 2, 2, 6, 0), (21, 0, 14, 9, 42, 0)),
+    # One step inward from alpha0 = 0: alpha0 = c/g exactly.
+    "start-alpha-is-c-over-g": (Vec2(6, 13), (-1, 3, -1, 0, 0, 0),
+                                (2, 3, 1, 1, 6, 0), (19, 6, 12, 7, 42, 0)),
+    # One step inward from beta_J = 0: beta_J = a/g exactly, delta_J >= D/g.
+    "end-beta-is-a-over-g": (Vec2(6, 13), (0, 0, 0, 1, -3, 1),
+                             (3, 0, 2, 2, 3, 1), (21, 0, 14, 9, 36, 2)),
+    # One step inward from delta_J = 0: delta_J = D/g exactly, beta_J >= a/g.
+    "end-delta-is-d-over-g": (Vec2(7, 13), (0, 0, 0, 1, -3, 1),
+                              (1, 1, 2, 1, 1, 2), (9, 1, 16, 2, 22, 9)),
+}
+
+
+def shifted(ends, shift, times=1):
+    """ends + times*shift, entry by entry."""
+    return tuple(e + times * d for e, d in zip(ends, shift))
+
+
+def not_line(ends, x: int, y: int) -> str:
+    """The pattern of the error for ends that are not the line of (x, y)."""
+    return re.escape(f"{ends[:3]} and {ends[3:]} are not the ends of the "
+                     f"factorization line of ({x}, {y})")
 
 
 def vecs(max_coord: int = 60) -> st.SearchStrategy[Vec2]:

@@ -32,7 +32,15 @@ from affmon.oracle import elasticity_oracle
 from affmon.rationals import Vec2
 from affmon.solve3 import elasticity3, member3
 
-from conftest import canonical_triples, members3, rho_bound, star_monoids
+from conftest import (
+    CORRUPTED_ENDS,
+    canonical_triples,
+    members3,
+    not_line,
+    rho_bound,
+    shifted,
+    star_monoids,
+)
 
 
 STAR = CanonicalMonoid3(a=1, b=2, c=3, d=5, transform=IDENTITY)
@@ -43,50 +51,6 @@ SINGLE_LEN = CanonicalMonoid3(a=1, b=2, c=2, d=3, transform=IDENTITY)
 GAPPY = CanonicalMonoid3(a=2, b=3, c=3, d=4, transform=IDENTITY)
 # Star monoid with P = a*c = 10.
 STAR2 = CanonicalMonoid3(a=2, b=1, c=5, d=2, transform=IDENTITY)
-
-
-def _shift(start, step, j):
-    """The point start + j*step of a line."""
-    return tuple(u + j * du for u, du in zip(start, step))
-
-
-# Corruptions of a line (start, step, count), each with the s it is read at
-# and the row text the check reports when it is read at k = 1 (a scan to
-# k_max = 1 on STAR) and when it is read only at k = 1 + P, P = 3, as the step
-# of the class of 1 (a scan to k_max = 2P + 1).  At k = 1, s = (7, 13), the
-# line is (1, 1, 2) + j*(-1, 3, -1) for j = 0, 1; at s = (6, 13) it is
-# (3, 0, 2) + j*(-1, 3, -1) for j = 0, 1, 2, whose start has alpha = 0 and
-# whose j = 1 point has beta = a/g = 1 and delta >= D/g = 1.
-CORRUPTIONS = {
-    # Start one step before j = 0: alpha0 - c/g < 0 at the j = 0 end only.
-    "before-j0": (lambda start, step, count: (_shift(start, step, -1), step, count), Vec2(7, 13),
-                  r"\(2, -2, 3\)", r"\(6, -2, 10\) and \(1, 13, 5\)"),
-    # One step past J: negative at the j = count - 1 end only.
-    "past-J": (lambda start, step, count: (start, step, count + 1), Vec2(7, 13),
-               r"\(-1, 7, 0\)", r"\(5, 1, 9\) and \(-1, 19, 3\)"),
-    # delta0 + 1: nonnegative at both ends, but off the target.
-    "off-target": (lambda start, step, count: (_shift(start, (1, 0, 0), 1), step, count),
-                   Vec2(7, 13), r"\(2, 1, 2\)", r"\(6, 1, 9\) and \(1, 16, 4\)"),
-    # Start one step inward, end kept: two factorizations, but the start has
-    # a point before it (alpha = 4 >= c/g = 3).
-    "start-inward": (lambda start, step, count: (_shift(start, step, 1), step, count - 1),
-                     Vec2(7, 13), r"\(0, 4, 1\) and \(0, 4, 1\)",
-                     r"\(4, 4, 8\) and \(0, 16, 4\)"),
-    # count one short, start kept: the end has a point after it.
-    "count-short": (lambda start, step, count: (start, step, count - 1), Vec2(7, 13),
-                    r"\(1, 1, 2\) and \(1, 1, 2\)", r"\(5, 1, 9\) and \(1, 13, 5\)"),
-    # A step off the line: the end is nonnegative and last, but off the target.
-    "end-off-target": (lambda start, step, count: (start, (-1, 2, -1), count), Vec2(7, 13),
-                       r"\(0, 3, 1\)", r"\(5, 1, 9\) and \(0, 11, 4\)"),
-    # Start one step inward from alpha0 = 0: alpha = c/g exactly.
-    "start-alpha-is-c-over-g": (
-        lambda start, step, count: (_shift(start, step, 1), step, count - 1), Vec2(6, 13),
-        r"\(2, 3, 1\) and \(1, 6, 0\)", r"\(11, 3, 7\) and \(4, 24, 0\)",
-    ),
-    # count one short: the end has beta = a/g exactly and delta >= D/g.
-    "end-beta-is-a-over-g": (lambda start, step, count: (start, step, count - 1), Vec2(6, 13),
-                             r"\(3, 0, 2\) and \(2, 3, 1\)", r"\(12, 0, 8\) and \(5, 21, 1\)"),
-}
 
 
 def _elasticity_rows(m, s, k_max):
@@ -280,37 +244,35 @@ class TestScanMultiples:
             assert limit == rho_limit(m, s)[1]
             assert rows == _elasticity_rows(m, s, k_max), k_max
 
-    # Each corruption of the line fails one check of the row: both ends
-    # nonnegative and multiplied back, the start first (alpha < c/g) and the
-    # end last (delta < D/g or beta < a/g).
-    @pytest.mark.parametrize("name", CORRUPTIONS)
+    @pytest.mark.parametrize("name", CORRUPTED_ENDS)
     def test_rejects_a_corrupted_line(self, monkeypatch, name):
-        corrupt, s, message, _ = CORRUPTIONS[name]
+        s, shift, ends, _ = CORRUPTED_ENDS[name]
         line = asymptotics._line
-        monkeypatch.setattr(asymptotics, "_line", lambda m, x, y: corrupt(*line(m, x, y)))
-        with pytest.raises(ValueError, match=message):
+        monkeypatch.setattr(asymptotics, "_line", lambda m, x, y: shifted(line(m, x, y), shift))
+        with pytest.raises(ValueError, match=not_line(ends, s.x, s.y)):
             scan_multiples(STAR, s, 1)
 
-    # The scan reads the class step of 1 from the line at k = 1 + P, and the
-    # row k = 1 + P is the first that uses it, so the check reports that row.
-    @pytest.mark.parametrize("name", CORRUPTIONS)
+    # The scan reads the class step of 1 from the line at k = 1 + P, and
+    # checks the class at its first row and at its last, k = 1 + 2P, where
+    # the corruption shows twice.
+    @pytest.mark.parametrize("name", CORRUPTED_ENDS)
     def test_rejects_a_class_step_read_from_a_corrupted_line(self, monkeypatch, name):
-        corrupt, s, _, message = CORRUPTIONS[name]
+        s, shift, _, ends = CORRUPTED_ENDS[name]
         period, line = STAR.a * STAR.c, asymptotics._line
 
         def corrupted(m, x, y):
             read = line(m, x, y)
-            return corrupt(*read) if x == (1 + period) * s.x else read
+            return shifted(read, shift) if x == (1 + period) * s.x else read
 
         monkeypatch.setattr(asymptotics, "_line", corrupted)
-        kx, ky = (1 + period) * s.x, (1 + period) * s.y
-        with pytest.raises(ValueError, match=rf"{message} are not the ends of the factorization "
-                                             rf"line of \({kx}, {ky}\)"):
+        k = 1 + 2 * period
+        with pytest.raises(ValueError, match=not_line(ends, k * s.x, k * s.y)):
             scan_multiples(STAR, s, 2 * period + 1)
 
     def test_a_wrong_period_raises_or_gives_the_true_rows(self, monkeypatch):
         # With P one too large in its lcm factor, the ends are not affine on
-        # every class, so the class check fails there and each row is checked.
+        # every class: a class either fails at its last row or, passing at its
+        # first and last, is right on every row between.
         monkeypatch.setattr(asymptotics, "lcm", lambda *args: lcm(*args) + 1)
         raised = 0
         for a, b, c, d in canonical_triples(6):

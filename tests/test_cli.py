@@ -53,7 +53,7 @@ from affmon.intlin import IDENTITY
 from affmon.monoids import CanonicalMonoid3, canonical_coords
 from affmon.rationals import Vec2
 
-from conftest import members3, star_monoids
+from conftest import CORRUPTED_ENDS, members3, not_line, shifted, star_monoids
 
 STAR_TEXT = "0,1;1,2;3,5"
 WORKED_TEXT = "0,1;11,10;10,3"
@@ -243,41 +243,16 @@ class TestRunFactorize:
         report = run(q("factorize", DIM2_TEXT, "5,5", mode="extremes"))
         assert report.result == {"member": False, "reason": "DivisibilityFails"}
 
-    @pytest.mark.parametrize(
-        "corrupt, message",
-        [
-            # delta0 + 1: the first point listed, (2, 6, 0), misses y = 13.
-            (lambda start, step, count: ((start[0] + 1, *start[1:]), step, count),
-             r"\(2, 6, 0\) is not a factorization of \(6, 13\)"),
-            # A step outside the kernel: (1, 4, 0) misses x = 6.
-            (lambda start, step, count: (start, (-1, 2, -1), count),
-             r"\(1, 4, 0\) is not a factorization of \(6, 13\)"),
-            # One point past J: (0, 9, -1) multiplies back, but beta < 0.
-            (lambda start, step, count: (start, step, count + 1),
-             r"nonnegative: \(0, 9, -1\)"),
-            # Both ends are factorizations, but (1, 6, 0) after the end is too.
-            (lambda start, step, count: (start, step, count - 1),
-             r"\(3, 0, 2\) \+ j\*\(-1, 3, -1\), 0 <= j < 2, is not the whole"),
-            # Both ends are factorizations, but (3, 0, 2) before the start is too.
-            (lambda start, step, count: ((2, 3, 1), step, count - 1),
-             r"\(2, 3, 1\) \+ j\*\(-1, 3, -1\), 0 <= j < 2, is not the whole"),
-            # One point before j = 0: the end (1, 6, 0) passes, the start has alpha < 0.
-            (lambda start, step, count: ((4, -3, 3), step, count + 1),
-             r"nonnegative: \(4, -3, 3\)"),
-        ],
-        ids=["start-off-target", "step-outside-kernel", "past-J", "count-one-short",
-             "start-one-step-inward", "start-one-step-outward"],
-    )
-    def test_all_rejects_a_corrupted_line(self, monkeypatch, corrupt, message):
+    @pytest.mark.parametrize("name", CORRUPTED_ENDS)
+    def test_all_rejects_a_corrupted_line(self, monkeypatch, name):
         # --all lists the line's points without Factorization objects, so
-        # _points itself checks the line: both ends multiplied back and
-        # sign-checked, and no factorization just beyond either end.
+        # _points itself checks the two ends it reads, by solve3._is_line.
+        s, shift, ends, _ = CORRUPTED_ENDS[name]
         line = solve3._line
-        monkeypatch.setattr(solve3, "_line", lambda m, x, y: corrupt(*line(m, x, y)))
+        monkeypatch.setattr(solve3, "_line", lambda m, x, y: shifted(line(m, x, y), shift))
         for output in ("human", "json"):
-            with pytest.raises(ValueError, match=message):
-                run(q("factorize", STAR_TEXT, "6,13", mode="all", output=output))
-
+            with pytest.raises(ValueError, match=not_line(ends, s.x, s.y)):
+                run(q("factorize", STAR_TEXT, f"{s.x},{s.y}", mode="all", output=output))
 
     def test_all_rejects_a_walk_that_is_not_whole_points(self, monkeypatch):
         # A flat list one int short of whole (u, v, w, n) points is refused

@@ -4,7 +4,6 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 import random
-import re
 
 import pytest
 from hypothesis import given
@@ -28,10 +27,13 @@ from affmon.solve3 import (
 )
 
 from conftest import (
+    CORRUPTED_ENDS,
     canonical_monoids3,
     canonical_triples,
     members3,
+    not_line,
     rho_bound,
+    shifted,
     star_monoids,
     vecs,
 )
@@ -93,24 +95,33 @@ def _shift(start, step, j):
     return tuple(u + j * du for u, du in zip(start, step))
 
 
-def _not_whole(start, step, count):
-    """The message of ``_points`` for a line that is not every factorization of (6, 13)."""
-    return re.escape(f"{start} + j*{step}, 0 <= j < {count}, "
-                     "is not the whole factorization line of (6, 13)")
+def _step(m):
+    """The step (-D/g, c/g, -a/g) along the line, from the generators."""
+    g = gcd(m.a, m.c)
+    return -(m.b * m.c - m.a * m.d) // g, m.c // g, -m.a // g
+
+
+def _between(m, ends):
+    """The points of a line from its j = 0 end to its j = J end, by the step."""
+    start, end, step = ends[:3], ends[3:], _step(m)
+    points = [_shift(start, step, j) for j in range((end[1] - start[1]) // step[1] + 1)]
+    assert points[-1] == end
+    return points
 
 
 class TestLine:
-    """``_line`` returns (start, step, count): the factorizations are
-    start + j*step for 0 <= j < count."""
+    """``_line`` returns the two ends (delta0, alpha0, beta0, delta_J,
+    alpha_J, beta_J); the factorizations step from one to the other by
+    (-D/g, c/g, -a/g)."""
 
     def test_pinned_line(self):
         # 6 = 0*1 + 2*3 leaves delta0 = 13 - 10 = 3; J = min(2 div 1, 3 div 1) = 2.
-        assert solve3._line(STAR, 6, 13) == ((3, 0, 2), (-1, 3, -1), 3)
+        assert solve3._line(STAR, 6, 13) == (3, 0, 2, 1, 6, 0)
         # g = gcd(11, 10) = 1 and D = 67: one point; the length would move
-        # by sum(step) = (c - a - D)/g = -68 per step.
-        start, step, count = solve3._line(WORKED, 199, 120)
-        assert (start, step, count) == ((0, 9, 10), (-67, 10, -11), 1)
-        assert sum(step) == WORKED.c - WORKED.a - 67
+        # by (c - a - D)/g = -68 per step.
+        assert solve3._line(WORKED, 199, 120) == (0, 9, 10, 0, 9, 10)
+        _, c_g, a_g, d_g, _ = WORKED.line_consts
+        assert c_g - a_g - d_g == WORKED.c - WORKED.a - 67
 
     def test_starts_at_canonical_rep_with_the_same_verdicts(self):
         # _line reads gcd(a, c), the steps and the inverse off the monoid;
@@ -133,7 +144,7 @@ class TestLine:
                     elif y - rep[0] * b - rep[1] * d < 0:
                         assert not line.member and line.reason is None
                     else:
-                        (dlt, alpha, beta), _, _ = line
+                        dlt, alpha, beta = line[:3]
                         assert (alpha, beta) == rep
                         assert dlt == y - rep[0] * b - rep[1] * d
 
@@ -143,7 +154,6 @@ class TestLine:
         # the oracle's sorted list, and a non-member gets a verdict instead.
         for t in canonical_triples(5):
             m = CanonicalMonoid3(*t, transform=IDENTITY)
-            g = gcd(m.a, m.c)
             for x in range(21):
                 for y in range(21):
                     facts = enumerate_factorizations(m.gens, Vec2(x, y)).facts
@@ -151,26 +161,36 @@ class TestLine:
                     if isinstance(line, Membership):
                         assert not line.member and line.factorizations == () and facts == ()
                         continue
-                    start, step, count = line
-                    assert step == (-(m.b * m.c - m.a * m.d) // g, m.c // g, -m.a // g)
-                    points = [_shift(start, step, j) for j in range(count)]
-                    assert [f.mults for f in facts] == points[::-1], (t, x, y)
+                    assert [f.mults for f in facts] == _between(m, line)[::-1], (t, x, y)
+
+    @pytest.mark.parametrize("name", CORRUPTED_ENDS)
+    def test_each_corrupted_end_fails_one_condition(self, name):
+        s, shift, ends, _ = CORRUPTED_ENDS[name]
+        assert shifted(solve3._line(STAR, s.x, s.y), shift) == ends
+        start, end = ends[:3], ends[3:]
+
+        def back(p):
+            u, v, w = p
+            return (v * STAR.a + w * STAR.c, u + v * STAR.b + w * STAR.d) == (s.x, s.y)
+
+        # The conditions of solve3._is_line, on STAR where c/g = 3 and a/g = D/g = 1.
+        held = [min(start) >= 0, min(end) >= 0, back(start), back(end),
+                start[1] < 3, end[0] < 1 or end[2] < 1]
+        assert held.count(False) == 1
 
 
-def _listing(line):
-    """The flat listing of a line built point by point, j = count - 1 down to 0:
-    each point's multiplicities and then its length."""
-    start, step, count = line
+def _listing(points):
+    """The flat listing of a line's points built point by point, j = J down
+    to 0: each point's multiplicities and then its length."""
     flat = []
-    for j in range(count - 1, -1, -1):
-        point = _shift(start, step, j)
+    for point in reversed(points):
         flat += (*point, sum(point))
     return flat
 
 
 class TestPoints:
     """``_points`` fills its columns from ranges; a listing built point by
-    point from the same line is the reference."""
+    point between the same two ends is the reference."""
 
     def test_every_small_monoid_and_vector(self):
         # Every canonical triple with entries <= 6, minimal or not, star or
@@ -184,9 +204,10 @@ class TestPoints:
                     if isinstance(line, Membership):
                         assert flat == line
                         continue
-                    assert flat == _listing(line), (t, x, y)
-                    counts.add(line[2])
-                    constant_length += line[2] > 1 and sum(line[1]) == 0
+                    points = _between(m, line)
+                    assert flat == _listing(points), (t, x, y)
+                    counts.add(len(points))
+                    constant_length += len(points) > 1 and sum(_step(m)) == 0
         # One-point lines, long lines, and lines along which the length stays put.
         assert {1, 2, 30} <= counts and constant_length
 
@@ -207,8 +228,9 @@ class TestPoints:
                     dlt, beta = far, j_max * a_g + rng.randrange(a_g)
                 x, y = alpha * a + beta * c, dlt + alpha * b + beta * d
                 line = solve3._line(m, x, y)
-                assert line[0] == (dlt, alpha, beta) and line[2] == j_max + 1
-                assert solve3._points(m, x, y) == _listing(line), (a, b, c, d, x, y)
+                points = _between(m, line)
+                assert line[:3] == (dlt, alpha, beta) and len(points) == j_max + 1
+                assert solve3._points(m, x, y) == _listing(points), (a, b, c, d, x, y)
 
 
 class TestDelta:
@@ -314,48 +336,13 @@ class TestMember3General:
         assert even.member
         assert [f.mults for f in even.factorizations] == [(0, 3, 0), (1, 1, 1)]
 
-    @pytest.mark.parametrize(
-        "corrupt, message",
-        [
-            # delta0 + 1: the first point listed, (2, 6, 0), misses y = 13.
-            (lambda start, step, count: ((start[0] + 1, *start[1:]), step, count),
-             r"\(2, 6, 0\) is not a factorization of \(6, 13\)"),
-            # A step outside the kernel: (1, 4, 0) misses x = 6.
-            (lambda start, step, count: (start, (-1, 2, -1), count),
-             r"\(1, 4, 0\) is not a factorization of \(6, 13\)"),
-            # One point past J: (0, 9, -1) multiplies back, but beta < 0.
-            (lambda start, step, count: (start, step, count + 1),
-             r"nonnegative: \(0, 9, -1\)"),
-            # Both ends are factorizations, but (1, 6, 0) after the end is too.
-            (lambda start, step, count: (start, step, count - 1),
-             _not_whole((3, 0, 2), (-1, 3, -1), 2)),
-            # Both ends are factorizations, but (3, 0, 2) before the start is too.
-            (lambda start, step, count: (_shift(start, step, 1), step, count - 1),
-             _not_whole((2, 3, 1), (-1, 3, -1), 2)),
-            # A step of twice the kernel vector skips (2, 3, 1); both ends and
-            # the points beyond them pass.
-            (lambda start, step, count: (start, _shift(step, step, 1), 2),
-             _not_whole((3, 0, 2), (-2, 6, -2), 2)),
-            # The step reversed: the same points, listed j = 0 first.
-            (lambda start, step, count: (_shift(start, step, 2), _shift(step, step, -2), 3),
-             _not_whole((1, 6, 0), (1, -3, 1), 3)),
-            # A one-point line with a step outside the kernel: the points beyond
-            # the only point, (-2, 1, -3) and (8, -1, 7), both leave the orthant.
-            (lambda start, step, count: (start, (-5, 1, -5), 1),
-             _not_whole((3, 0, 2), (-5, 1, -5), 1)),
-        ],
-        ids=["start-off-target", "step-outside-kernel", "past-J", "count-one-short",
-             "start-one-step-inward", "step-doubled", "step-reversed",
-             "count-one-step-outside-kernel"],
-    )
-    def test_rejects_a_corrupted_line(self, monkeypatch, corrupt, message):
-        # The line is checked once: both ends, then the step and the points
-        # just beyond the ends.
+    @pytest.mark.parametrize("name", CORRUPTED_ENDS)
+    def test_rejects_a_corrupted_line(self, monkeypatch, name):
+        s, shift, ends, _ = CORRUPTED_ENDS[name]
         line = solve3._line
-        assert line(STAR, 6, 13) == ((3, 0, 2), (-1, 3, -1), 3)
-        monkeypatch.setattr(solve3, "_line", lambda m, x, y: corrupt(*line(m, x, y)))
-        with pytest.raises(ValueError, match=message):
-            member3_general(STAR, Vec2(6, 13))
+        monkeypatch.setattr(solve3, "_line", lambda m, x, y: shifted(line(m, x, y), shift))
+        with pytest.raises(ValueError, match=not_line(ends, s.x, s.y)):
+            member3_general(STAR, s)
 
     @given(m=star_monoids(max_a=5, max_b=5, max_extra=2), s=vecs(max_coord=35))
     def test_matches_exhaustive_search(self, m, s):
