@@ -49,10 +49,11 @@ MUTANTS = [
         "rows[k - 1] = (k, p, q, n, d)",
         ["test_asymptotics.py"],
     ),
-    # The line check (solve3._is_line), killed by the table of corrupted
-    # ends, conftest.CORRUPTED_ENDS, read by member3_general
-    # (test_solve3.py::TestMember3General::test_rejects_a_corrupted_line) or by
-    # a scan's first row
+    # The line check (the constructor of solve3.Line), killed by the table of
+    # corrupted ends, conftest.CORRUPTED_ENDS, read by member3, member3_general
+    # and elasticity3
+    # (test_solve3.py::TestCheckedLine::test_every_reader_rejects_a_corrupted_line)
+    # or by a scan's first row
     # (test_asymptotics.py::TestScanMultiples::test_rejects_a_corrupted_line).
     # The multiply-back of the j = J end skipped (end-off-target).
     (
@@ -119,13 +120,45 @@ MUTANTS = [
         "(uj > d_g and",
         ["test_solve3.py"],
     ),
-    # factorize --all lists the ends _line returns without checking them
-    # (test_cli.py::TestRunFactorize::test_all_rejects_a_corrupted_line).
+    # line builds its Line without the check, so factorize --all, --extremes
+    # and check take the ends _line returns as they are
+    # (test_cli.py::TestRunFactorize::test_rejects_a_corrupted_line).
     (
         "solve3.py",
-        "if not _is_line(m, ends, x, y):",
-        "if False:",
+        "    return Line(s, ends[:3], ends[3:], m)",
+        "    unchecked = object.__new__(Line)\n"
+        "    unchecked.__dict__.update(target=s, start=ends[:3], end=ends[3:], monoid=m)\n"
+        "    return unchecked",
         ["test_cli.py"],
+    ),
+    # member3 builds its witness from _line without the check
+    # (test_solve3.py::TestCheckedLine::test_every_reader_rejects_a_corrupted_line).
+    (
+        "solve3.py",
+        "    ln = line(m, s)\n"
+        "    if isinstance(ln, Membership):\n"
+        "        return ln\n"
+        "    return Membership(member=True, factorization=Factorization.checked(ln.start,",
+        "    ln = _line(m, s.x, s.y)\n"
+        "    if isinstance(ln, Membership):\n"
+        "        return ln\n"
+        "    return Membership(member=True, factorization=Factorization.checked(ln[:3],",
+        ["test_solve3.py"],
+    ),
+    # elasticity3 takes its two lengths from _line's ends without the check, as
+    # --extremes did through extreme_factorizations (the same test).
+    (
+        "solve3.py",
+        "    ln = line(m, s)\n"
+        "    if isinstance(ln, Membership):\n"
+        '        raise NotMemberError(f"({s.x}, {s.y}) is not in the monoid ({ln.reason})")\n'
+        "    lo, hi = sorted(f.length for f in ln.ends())",
+        "    ln = _line(m, s.x, s.y)\n"
+        "    if isinstance(ln, Membership):\n"
+        '        raise NotMemberError(f"({s.x}, {s.y}) is not in the monoid ({ln.reason})")\n'
+        "    lo, hi = sorted(Factorization.checked(e, m.gens, s).length"
+        " for e in (ln[:3], ln[3:]))",
+        ["test_solve3.py"],
     ),
     # The per-class step never applied: past k = P every row repeats its class's first.
     (
@@ -139,8 +172,8 @@ MUTANTS = [
     # test_rejects_a_class_step_read_from_a_corrupted_line).
     (
         "asymptotics.py",
-        "if not _is_line(m, end, k * x, k * y):",
-        "if False:",
+        "Line(Vec2(k * x, k * y), end[:3], end[3:], m)",
+        "None",
         ["test_asymptotics.py"],
     ),
     # The line's j = J end one point past J.
@@ -157,18 +190,18 @@ MUTANTS = [
         "j = min(beta // a_g, dlt // d_g) - 1",
         ["test_solve3.py"],
     ),
-    # The listing's count one past the end of the line: J + 2 points.
+    # The line's count one past its end: J + 2 points.
     (
         "solve3.py",
-        "count = (ev - v) // c_g + 1",
-        "count = (ev - v) // c_g + 2",
+        "return (self.end[1] - self.start[1]) // self.monoid.line_consts[1] + 1",
+        "return (self.end[1] - self.start[1]) // self.monoid.line_consts[1] + 2",
         ["test_solve3.py"],
     ),
-    # The listing's count one short: J points.
+    # The line's count one short: J points.
     (
         "solve3.py",
-        "count = (ev - v) // c_g + 1",
-        "count = (ev - v) // c_g",
+        "return (self.end[1] - self.start[1]) // self.monoid.line_consts[1] + 1",
+        "return (self.end[1] - self.start[1]) // self.monoid.line_consts[1]",
         ["test_solve3.py"],
     ),
     # D not divided by g in the line constants.
@@ -194,7 +227,7 @@ MUTANTS = [
     ),
     # A multiplicity of -1 let through: the constructor's sign check off by one
     # (test_factorization.py::test_rejects_a_negative_multiplicity;
-    # solve3._is_line rejects a past-J point before any Factorization is built).
+    # solve3.Line rejects a past-J point before any Factorization is built).
     (
         "factorization.py",
         "if min(self.mults) < 0:",
@@ -205,16 +238,16 @@ MUTANTS = [
     # range runs away from the j = 0 start.
     (
         "solve3.py",
-        "flat[0::4] = range(eu, u + d_g, d_g)",
-        "flat[0::4] = range(eu, u + d_g, -d_g)",
+        "flat[0::4] = range(eu, u - du, -du)",
+        "flat[0::4] = range(eu, u - du, du)",
         ["test_solve3.py"],
     ),
     # The length of a factorization listed by --all drops the (0, 1) count
     # (the length column is filled by solve3._points from the end's length).
     (
         "solve3.py",
-        "n, dn = eu + ev + ew, c_g - a_g - d_g",
-        "n, dn = ev + ew, c_g - a_g - d_g",
+        "n, dn = eu + ev + ew, du + dv + dw",
+        "n, dn = ev + ew, du + dv + dw",
         ["test_cli.py"],
     ),
     # A non-member of a two-generator monoid reports "not computed".
@@ -355,8 +388,8 @@ MUTANTS = [
     # (test_solve3.py::TestMember3::test_member_gets_canonical_factorization).
     (
         "solve3.py",
-        "Factorization.checked(line[:3], m.gens, s))",
-        "Factorization.checked(line[3:], m.gens, s))",
+        "Factorization.checked(ln.start, m.gens, s))",
+        "Factorization.checked(ln.end, m.gens, s))",
         ["test_solve3.py"],
     ),
     # The minimality test flipped: a redundant middle generator passes

@@ -36,8 +36,7 @@ _HOMES = {
         "validate_minimal_generation",
         "oracle": "FactorizationSet enumerate_factorizations elasticity_oracle",
         "solve2": "member2 elasticity2",
-        "solve3": "BRANCH_LOW BRANCH_HIGH ExtremeFactorizations canonical_rep member3 "
-        "member3_general extreme_factorizations elasticity3",
+        "solve3": "Line canonical_rep line member3 member3_general elasticity3",
         "asymptotics": "LimitLFT tau rho_special_ac rho_special_c rho_limit "
         "scan_multiples",
         "cli": "Query Report SCAN_CSV_HEADER parse_monoid parse_vector run main",

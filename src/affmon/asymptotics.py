@@ -20,11 +20,12 @@ and j = J, are affine in t along each residue class k = r + t*P, where
 P = (c/g)*lcm(a/g, D/g), which is a*c on a star monoid.  So ``solve3._line``
 is read for k <= P, and once more at k = r + P for each class r when the scan
 goes past P, which gives the class's step.  Each class is checked by
-``solve3._is_line`` at its first row and at its last row, start + T*step, and
-a class that fails raises at its last row.  Once both rows pass, so does
-every row between them.  Each condition but the end's "delta < D/g or
-beta < a/g" is affine in t, so each row's start is the j = 0 point of its
-line and its end a factorization at an index j(t) affine in t.  As k*s has
+building a ``solve3.Line`` from its first row and from its last row,
+start + T*step, and a class that fails raises at its last row.  Once both
+rows pass, so does every row between them.  Each condition of the ``Line``
+check but the end's "delta < D/g or beta < a/g" is affine in t, so each
+row's start is the j = 0 point of its line and its end a factorization at
+an index j(t) affine in t.  As k*s has
 the slope of s, J(t) is beta0(t) div (a/g) on every row, or delta0(t) div
 (D/g) on every row (``solve3``'s two branches).  J(t) - j(t) is then the
 floor of an affine function, monotone in t and 0 at both rows, so 0 on every
@@ -46,9 +47,10 @@ from .errors import (
     WrongBranchError,
     ZeroElementError,
 )
+from .factorization import Membership
 from .monoids import CanonicalMonoid3
 from .rationals import Vec2, _Frozen
-from .solve3 import _is_line, _line, _not_line, member3
+from .solve3 import Line, _line, line
 
 __all__ = [
     "LimitLFT",
@@ -128,7 +130,7 @@ def _check_multiple_args(m: CanonicalMonoid3, s: Vec2, k: int, period: int, name
         raise ValueError("k must be a positive integer")
     if k % period:
         raise PeriodicityViolatedError(f"{name} requires {period} | k, got k={k}")
-    if not member3(m, s).member:
+    if isinstance(line(m, s), Membership):
         raise NotMemberError(f"{s} is not in the monoid")
 
 
@@ -165,7 +167,7 @@ def rho_limit(m: CanonicalMonoid3, s: Vec2) -> tuple[LimitLFT, Fraction]:
         raise StarRequiredError("the limit formula needs b*c - a*d = 1")
     if s.is_zero:
         raise ZeroElementError("elasticity of the zero element is undefined")
-    if not member3(m, s).member:
+    if isinstance(line(m, s), Membership):
         raise NotMemberError(f"{s} is not in the monoid")
     low, high = s.x * m.b, s.y * m.a
     if low <= high:
@@ -197,21 +199,18 @@ def scan_multiples(m: CanonicalMonoid3, s: Vec2, k_max: int) -> tuple[Fraction, 
     except (OverflowError, MemoryError):
         raise InputTooLargeError("k_max is more rows than a list can hold") from None
     for r in range(1, min(period, k_max) + 1):
-        rx, ry = r * x, r * y
-        u, v, w, uj, vj, wj = start = _line(m, rx, ry)
-        if not _is_line(m, start, rx, ry):
-            raise _not_line(start, rx, ry)
-        lo, hi, dlo, dhi = u + v + w, uj + vj + wj, 0, 0
+        start = _line(m, r * x, r * y)
+        first = Line(Vec2(r * x, r * y), start[:3], start[3:], m)
+        lo, hi, dlo, dhi = sum(first.start), sum(first.end), 0, 0
         last = (k_max - r) // period
         if last:
             # On the class of r the ends are start + t*step, k = r + t*period.
             nxt = r + period
-            su, sv, sw, suj, svj, swj = step = tuple(map(sub, _line(m, nxt * x, nxt * y), start))
-            dlo, dhi = su + sv + sw, suj + svj + swj
+            step = tuple(map(sub, _line(m, nxt * x, nxt * y), start))
+            dlo, dhi = sum(step[:3]), sum(step[3:])
             k = r + last * period
             end = tuple(e + last * de for e, de in zip(start, step))
-            if not _is_line(m, end, k * x, k * y):
-                raise _not_line(end, k * x, k * y)
+            Line(Vec2(k * x, k * y), end[:3], end[3:], m)  # raises unless the last row is a line
         for k in range(r, k_max + 1, period):
             g = gcd(hi, lo)
             p, q = hi // g, lo // g

@@ -14,7 +14,7 @@ human-readable report, a JSON report (--json), or CSV for ``scan``.
 List-shaped answers stay the checked ints they were computed as.  A listing
 (``factorize --all``, ``oracle``) is a ``_Flat``: one int tuple of each
 factorization's multiplicities and length in turn, as ``solve3._points``
-returns the line of a three-generator monoid; its sorted ``lengths`` are an
+lists a three-generator monoid's ``Line``; its sorted ``lengths`` are an
 ``_Ints``.  A scan is a ``_Rows``: the limit's text and the (k, p, q, n, d)
 rows of ``scan_multiples``.  ``_FORMS`` maps each answer key to its form:
 these are the only forms a ``Report`` holds such a list in.  Each renderer
@@ -84,7 +84,7 @@ from .monoids import (
 )
 from .rationals import Vec2, _Frozen
 from .solve2 import elasticity2, member2
-from .solve3 import _points, elasticity3, extreme_factorizations, member3
+from .solve3 import _points, elasticity3, line, member3
 
 __all__ = ["Query", "Report", "SCAN_CSV_HEADER", "parse_monoid", "parse_vector", "run", "main"]
 
@@ -312,32 +312,32 @@ def _factorize(m: Monoid, cs: Vec2 | None, mode: str) -> dict:
     if cs is None:
         return {"member": False, "reason": PHI_OUT_OF_RANGE}
     dim2 = isinstance(m, CanonicalMonoid2)
-    if mode == "all" and not dim2:
-        flat = _points(m, cs.x, cs.y)
-        if isinstance(flat, Membership):
-            return {"member": False, "reason": flat.reason}
-        return _listing(True, _Flat(3, flat))
+    if mode != "one" and not dim2:
+        ln = line(m, cs)
+        if isinstance(ln, Membership):
+            return {"member": False, "reason": ln.reason}
+        if mode == "all":
+            return _listing(True, _Flat(3, _points(ln)))
+        short, long_ = sorted(ln.ends(), key=lambda f: f.length)
+        return {
+            "member": True,
+            # The side of slope a/b that s lies on: which bound fixes J.
+            "branch": "low-slope" if cs.x * m.b <= cs.y * m.a else "high-slope",
+            "t_max": ln.count - 1,
+            "shortest": _fact_payload(short),
+            "longest": _fact_payload(long_),
+        }
     mem = member2(m, cs) if dim2 else member3(m, cs)
     if not mem.member:
         return {"member": False, "reason": mem.reason}
     if mode == "one":
         return {"member": True, "factorization": _fact_payload(mem.factorization)}
-    if dim2:
-        # Two generators: the factorization is unique.
-        f = mem.factorization
-        if mode == "all":
-            return _listing(True, _Flat(2, (*f.mults, f.length)))
-        fact = _fact_payload(f)
-        return {"member": True, "shortest": fact, "longest": fact}
-    ext = extreme_factorizations(m, cs)
-    short, long_ = sorted((ext.fact_t0, ext.fact_tmax), key=lambda f: f.length)
-    return {
-        "member": True,
-        "branch": ext.branch,
-        "t_max": ext.t_max,
-        "shortest": _fact_payload(short),
-        "longest": _fact_payload(long_),
-    }
+    # Two generators: the factorization is unique.
+    f = mem.factorization
+    if mode == "all":
+        return _listing(True, _Flat(2, (*f.mults, f.length)))
+    fact = _fact_payload(f)
+    return {"member": True, "shortest": fact, "longest": fact}
 
 
 def _solve(query: Query, m: Monoid, cs: Vec2 | None) -> dict:

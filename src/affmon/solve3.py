@@ -18,22 +18,25 @@ along which the length changes by (c - a - D)/g per step.  This yields
 closed-form membership, extreme lengths and elasticity for every monoid; the
 paper's star theorem (b*c - a*d = 1) is the case g = D = 1.
 
-``_line`` returns the line as its two ends, one 6-tuple
-(delta0, alpha0, beta0, delta_J, alpha_J, beta_J), computed on ints from the
-constants g, c/g, a/g, D/g and (a/g)^-1 mod c/g that the ``CanonicalMonoid3``
-constructor sets once, as ``line_consts``.  The points between the ends step
-by (-D/g, c/g, -a/g), and there are (alpha_J - alpha0) div (c/g) + 1 of them.
-``_is_line`` is the one check that two ends are the whole line of (x, y):
-both are nonnegative and multiply back to (x, y), the first has alpha < c/g
-(no point before it) and the second delta < D/g or beta < a/g (no point after
-it).  Any two factorizations differ by a multiple of the step, so none lies
-outside the ends.  ``_points`` and ``asymptotics.scan_multiples`` check the
-ends they read with it; ``member3`` and ``extreme_factorizations`` hand out
-``Factorization``s, which ``Factorization.checked`` multiplies back to s.
-``_points`` lists the line for ``factorize --all`` as one flat int list,
-filled by columns, each point's three multiplicities and its length, from
-j = J down to 0; ``cli`` writes its text from that list, and
-``member3_general`` regroups it into ``Factorization``s.
+``line(m, s)`` returns that line as a ``Line``: s, the two ends ``start``
+(j = 0) and ``end`` (j = J), and the monoid, from which ``step`` and
+``count`` = J + 1 follow.  ``Line``'s constructor is the one check that two
+ends are the whole line of s: both are nonnegative and multiply back to s,
+the first has alpha < c/g (no point before it) and the second delta < D/g or
+beta < a/g (no point after it).  Any two factorizations differ by a multiple
+of the step, so none lies outside the ends, and no ``Line`` exists
+unchecked.  The private ``_line`` computes the ends on ints, as one 6-tuple
+(delta0, alpha0, beta0, delta_J, alpha_J, beta_J), from the constants g,
+c/g, a/g, D/g and (a/g)^-1 mod c/g that the ``CanonicalMonoid3`` constructor
+sets once, as ``line_consts``; ``line`` and ``asymptotics.scan_multiples``
+build their ``Line``s from it.  Every three-generator answer reads a
+``Line``: ``member3``'s witness is its start, ``elasticity3`` and
+``factorize --extremes`` take the lengths of ``Line.ends``, two
+``Factorization``s built by ``Factorization.checked``, and ``_points`` lists
+it for ``factorize --all`` as one flat int list, filled by columns, each
+point's three multiplicities and its length, from j = J down to 0; ``cli``
+writes its text from that list, and ``member3_general`` regroups it into
+``Factorization``s.
 """
 
 from __future__ import annotations
@@ -51,20 +54,7 @@ from .factorization import (
 from .monoids import CanonicalMonoid3
 from .rationals import Vec2, _Frozen
 
-__all__ = [
-    "BRANCH_LOW",
-    "BRANCH_HIGH",
-    "ExtremeFactorizations",
-    "canonical_rep",
-    "member3",
-    "member3_general",
-    "extreme_factorizations",
-    "elasticity3",
-]
-
-# Which side of slope a/b the element lies on; decides which bound fixes J.
-BRANCH_LOW = "low-slope"  # x*b <= y*a: J = beta0 div (a/g)
-BRANCH_HIGH = "high-slope"  # x*b >= y*a: J = delta0 div (D/g)
+__all__ = ["Line", "canonical_rep", "line", "member3", "member3_general", "elasticity3"]
 
 
 def canonical_rep(a: int, c: int, x: int) -> tuple[int, int] | None:
@@ -91,11 +81,7 @@ def _canonical_rep(a: int, c: int, g: int, c_g: int, inv: int, x: int) -> tuple[
     return None if beta < 0 else (alpha, beta)
 
 
-# (delta0, alpha0, beta0, delta_J, alpha_J, beta_J): the j = 0 and j = J ends.
-_Line = tuple[int, int, int, int, int, int]
-
-
-def _line(m: CanonicalMonoid3, x: int, y: int) -> Membership | _Line:
+def _line(m: CanonicalMonoid3, x: int, y: int) -> Membership | tuple[int, ...]:
     """The two ends of the factorization line of (x, y), unchecked, or the
     non-member verdict with its reason."""
     if x * m.d > y * m.c:
@@ -114,57 +100,94 @@ def _line(m: CanonicalMonoid3, x: int, y: int) -> Membership | _Line:
     return dlt, alpha, beta, dlt - j * d_g, alpha + j * c_g, beta - j * a_g
 
 
-def _is_line(m: CanonicalMonoid3, ends: _Line, x: int, y: int) -> bool:
-    """Whether ends are the j = 0 and j = J points of the line of (x, y): both
-    nonnegative and multiplied back, the first with alpha < c/g (no point
-    before it) and the second with delta < D/g or beta < a/g (no point after it)."""
-    u, v, w, uj, vj, wj = ends
-    m_a, m_b, m_c, m_d = m.a, m.b, m.c, m.d
-    _, c_g, a_g, d_g, _ = m.line_consts
-    return not (u < 0 or v < 0 or w < 0 or uj < 0 or vj < 0 or wj < 0 or v >= c_g
+class Line(_Frozen):
+    """The factorization line of a member s = ``target``: every factorization
+    of s, from ``start`` (j = 0, the canonical one) to ``end`` (j = J),
+    ``step`` apart.
+
+    The constructor raises ``ValueError`` unless ``start`` and ``end`` are the
+    two ends of the line of ``target`` in ``monoid``, so a ``Line`` is checked
+    once, when it is built.
+    """
+
+    _fields = ("target", "start", "end", "monoid")
+
+    def __init__(
+        self, target: Vec2, start: tuple[int, int, int], end: tuple[int, int, int],
+        monoid: CanonicalMonoid3,
+    ) -> None:
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "monoid", monoid)
+        u, v, w = start
+        uj, vj, wj = end
+        x, y = target.x, target.y
+        m_a, m_b, m_c, m_d = monoid.a, monoid.b, monoid.c, monoid.d
+        _, c_g, a_g, d_g, _ = monoid.line_consts
+        if (u < 0 or v < 0 or w < 0 or uj < 0 or vj < 0 or wj < 0 or v >= c_g
                 or (uj >= d_g and wj >= a_g)
                 or v * m_a + w * m_c != x or u + v * m_b + w * m_d != y
-                or vj * m_a + wj * m_c != x or uj + vj * m_b + wj * m_d != y)
+                or vj * m_a + wj * m_c != x or uj + vj * m_b + wj * m_d != y):
+            raise ValueError(f"{start} and {end} are not the ends of the "
+                             f"factorization line of ({x}, {y})")
+
+    @property
+    def step(self) -> tuple[int, int, int]:
+        """(-D/g, c/g, -a/g), from each factorization to the next."""
+        _, c_g, a_g, d_g, _ = self.monoid.line_consts
+        return -d_g, c_g, -a_g
+
+    @property
+    def count(self) -> int:
+        """J + 1, the number of factorizations."""
+        return (self.end[1] - self.start[1]) // self.monoid.line_consts[1] + 1
+
+    def ends(self) -> tuple[Factorization, Factorization]:
+        """The j = 0 and j = J factorizations, each built by ``Factorization.checked``.
+
+        Their lengths differ by J*(c - a - D)/g, so which one is the short
+        one depends on the sign of c - a - D.
+        """
+        gens, s = self.monoid.gens, self.target
+        return Factorization.checked(self.start, gens, s), Factorization.checked(self.end, gens, s)
 
 
-def _not_line(ends: _Line, x: int, y: int) -> ValueError:
-    """The error for ends that fail ``_is_line``."""
-    return ValueError(f"{ends[:3]} and {ends[3:]} are not the ends of the "
-                      f"factorization line of ({x}, {y})")
+def line(m: CanonicalMonoid3, s: Vec2) -> Line | Membership:
+    """The factorization line of s, or the non-member verdict with its reason."""
+    ends = _line(m, s.x, s.y)
+    if isinstance(ends, Membership):
+        return ends
+    return Line(s, ends[:3], ends[3:], m)
 
 
 def member3(m: CanonicalMonoid3, s: Vec2) -> Membership:
-    """Decide s in S; a member comes with its canonical factorization (j = 0).
+    """Decide s in S; a member comes with its canonical factorization, the
+    start of its ``line``.
 
-    The full set is available through ``member3_general`` and its two ends
-    through ``extreme_factorizations``.
+    The full set is available through ``member3_general``.
     """
-    line = _line(m, s.x, s.y)
-    if isinstance(line, Membership):
-        return line
-    return Membership(member=True, factorization=Factorization.checked(line[:3], m.gens, s))
+    ln = line(m, s)
+    if isinstance(ln, Membership):
+        return ln
+    return Membership(member=True, factorization=Factorization.checked(ln.start, m.gens, s))
 
 
-def _points(m: CanonicalMonoid3, x: int, y: int) -> Membership | list[int]:
-    """Every factorization of (x, y) from j = J down to 0, as one flat int
-    list u, v, w, n, u, v, w, n, ... with n = u + v + w its length; or the
-    non-member verdict.
+def _points(ln: Line) -> list[int]:
+    """Every factorization on the line from j = J down to 0, as one flat int
+    list u, v, w, n, u, v, w, n, ... with n = u + v + w its length.
 
-    The two ends from ``_line`` must pass ``_is_line``; each column is then
-    filled from one ``range`` between them, by the monoid's step."""
-    ends = _line(m, x, y)
-    if isinstance(ends, Membership):
-        return ends
-    if not _is_line(m, ends, x, y):
-        raise _not_line(ends, x, y)
-    u, v, w, eu, ev, ew = ends
-    _, c_g, a_g, d_g, _ = m.line_consts
-    count = (ev - v) // c_g + 1
-    n, dn = eu + ev + ew, c_g - a_g - d_g
+    Each column is filled from one ``range`` between the two ends, by the
+    step."""
+    u, v, w = ln.start
+    eu, ev, ew = ln.end
+    du, dv, dw = ln.step
+    count = ln.count
+    n, dn = eu + ev + ew, du + dv + dw
     flat = [eu, ev, ew, n] * count
-    flat[0::4] = range(eu, u + d_g, d_g)
-    flat[1::4] = range(ev, v - c_g, -c_g)
-    flat[2::4] = range(ew, w + a_g, a_g)
+    flat[0::4] = range(eu, u - du, -du)
+    flat[1::4] = range(ev, v - dv, -dv)
+    flat[2::4] = range(ew, w - dw, -dw)
     if dn:
         flat[3::4] = range(n, n - count * dn, -dn)
     return flat
@@ -176,61 +199,21 @@ def member3_general(m: CanonicalMonoid3, s: Vec2) -> Membership:
     Sorted order is j = J down to 0, because delta falls as j grows;
     the witness is the first of them.
     """
-    flat = _points(m, s.x, s.y)
-    if isinstance(flat, Membership):
-        return flat
+    ln = line(m, s)
+    if isinstance(ln, Membership):
+        return ln
+    flat = _points(ln)
     facts = tuple(map(Factorization, zip(flat[0::4], flat[1::4], flat[2::4])))
     return Membership(member=True, factorization=facts[0], factorizations=facts)
 
 
-class ExtremeFactorizations(_Frozen):
-    """Both ends of the factorization line of a member.
-
-    ``fact_t0`` is the canonical factorization (t = 0) and ``fact_tmax`` the
-    one at t = J.  Lengths differ by t_max*(c - a - D)/g, so which end is
-    the short one depends on the sign of c - a - D.
-    """
-
-    _fields = ("branch", "t_max", "fact_t0", "fact_tmax")
-
-    def __init__(
-        self, branch: str, t_max: int, fact_t0: Factorization, fact_tmax: Factorization
-    ) -> None:
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "t_max", t_max)
-        object.__setattr__(self, "fact_t0", fact_t0)
-        object.__setattr__(self, "fact_tmax", fact_tmax)
-
-    @property
-    def len_t0(self) -> int:
-        return self.fact_t0.length
-
-    @property
-    def len_tmax(self) -> int:
-        return self.fact_tmax.length
-
-
-def extreme_factorizations(m: CanonicalMonoid3, s: Vec2) -> ExtremeFactorizations:
-    """Closed-form extreme factorizations of a member.
-
-    The branch is the slope of s against a/b: below it the t-range is bounded
-    by beta, above it by delta, and on it both bounds are equal.
-    """
-    line = _line(m, s.x, s.y)
-    if isinstance(line, Membership):
-        raise NotMemberError(f"({s.x}, {s.y}) is not in the monoid ({line.reason})")
-    return ExtremeFactorizations(
-        branch=BRANCH_LOW if s.x * m.b <= s.y * m.a else BRANCH_HIGH,
-        t_max=(line[4] - line[1]) // m.line_consts[1],
-        fact_t0=Factorization.checked(line[:3], m.gens, s),
-        fact_tmax=Factorization.checked(line[3:], m.gens, s),
-    )
-
-
 def elasticity3(m: CanonicalMonoid3, s: Vec2) -> Fraction:
-    """Elasticity (max length / min length) of a nonzero member."""
+    """Elasticity (max length / min length) of a nonzero member: the ratio
+    of the lengths of its line's two ends."""
     if s.is_zero:
         raise ZeroElementError("elasticity of the zero element is undefined")
-    ext = extreme_factorizations(m, s)
-    lo, hi = sorted((ext.len_t0, ext.len_tmax))
+    ln = line(m, s)
+    if isinstance(ln, Membership):
+        raise NotMemberError(f"({s.x}, {s.y}) is not in the monoid ({ln.reason})")
+    lo, hi = sorted(f.length for f in ln.ends())
     return Fraction(hi, lo)

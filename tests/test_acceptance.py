@@ -35,7 +35,7 @@ from affmon.solve2 import elasticity2, member2
 from affmon.solve3 import (
     canonical_rep,
     elasticity3,
-    extreme_factorizations,
+    line,
     member3,
 )
 from affmon.asymptotics import rho_limit, rho_special_ac, rho_special_c
@@ -129,8 +129,9 @@ def test_c04_extreme_factorizations_and_elasticity(star_sweep):
             if not lengths:
                 continue
             s = Vec2(x, y)
-            ext = extreme_factorizations(m, s)
-            progression = sorted(ext.len_t0 + t * step for t in range(ext.t_max + 1))
+            ln = line(m, s)
+            start = ln.ends()[0].length
+            progression = sorted(start + t * step for t in range(ln.count))
             assert list(lengths) == progression, (m, s)
             if not s.is_zero:
                 assert elasticity3(m, s) == Fraction(lengths[-1], lengths[0]), (m, s)

@@ -244,20 +244,26 @@ class TestRunFactorize:
         assert report.result == {"member": False, "reason": "DivisibilityFails"}
 
     @pytest.mark.parametrize("name", CORRUPTED_ENDS)
-    def test_all_rejects_a_corrupted_line(self, monkeypatch, name):
-        # --all lists the line's points without Factorization objects, so
-        # _points itself checks the two ends it reads, by solve3._is_line.
+    @pytest.mark.parametrize(
+        "command, mode", [("factorize", "all"), ("factorize", "extremes"), ("check", "one")],
+        ids=["all", "extremes", "check"],
+    )
+    def test_rejects_a_corrupted_line(self, monkeypatch, name, command, mode):
+        # Each reads a solve3.Line, checked when it is built.  --all lists the
+        # line's points without Factorization objects, and the three ids
+        # whose ends lie one step inward are factorizations, so only the
+        # line check refuses them.
         s, shift, ends, _ = CORRUPTED_ENDS[name]
         line = solve3._line
         monkeypatch.setattr(solve3, "_line", lambda m, x, y: shifted(line(m, x, y), shift))
         for output in ("human", "json"):
             with pytest.raises(ValueError, match=not_line(ends, s.x, s.y)):
-                run(q("factorize", STAR_TEXT, f"{s.x},{s.y}", mode="all", output=output))
+                run(q(command, STAR_TEXT, f"{s.x},{s.y}", mode=mode, output=output))
 
     def test_all_rejects_a_walk_that_is_not_whole_points(self, monkeypatch):
         # A flat list one int short of whole (u, v, w, n) points is refused
         # before any report is built.
-        monkeypatch.setattr(cli, "_points", lambda m, x, y: solve3._points(m, x, y)[:-1])
+        monkeypatch.setattr(cli, "_points", lambda ln: solve3._points(ln)[:-1])
         with pytest.raises(ValueError, match="11 ints are not whole elements of 3 multiplicities"):
             run(q("factorize", STAR_TEXT, "6,13", mode="all"))
 
@@ -1070,18 +1076,18 @@ def test_public_surface_and_error_codes_are_pinned():
     # Removing or renaming a public name or an error code is an interface
     # change; it must show up as an edit of these literals.
     assert sorted(affmon.__all__) == [
-        "AffmonError", "BRANCH_HIGH", "BRANCH_LOW", "BothZeroError", "CanonicalMonoid2",
+        "AffmonError", "BothZeroError", "CanonicalMonoid2",
         "CanonicalMonoid3", "D2_INCONCLUSIVE", "D2_NOT_MEMBER", "DIVISIBILITY_FAILS",
-        "DuplicateGeneratorError", "ExtRat", "ExtremeFactorizations", "Factorization",
-        "FactorizationSet", "InputTooLargeError", "LimitLFT", "Membership", "Monoid",
+        "DuplicateGeneratorError", "ExtRat", "Factorization",
+        "FactorizationSet", "InputTooLargeError", "LimitLFT", "Line", "Membership", "Monoid",
         "MonoidParseError", "NotMemberError", "NotMinimallyGeneratedError",
         "NotPhiMinimalError", "PHI_OUT_OF_RANGE",
         "PeriodicityViolatedError", "Query", "Report", "SCAN_CSV_HEADER", "StarRequiredError",
         "UniMat2", "Vec2", "WrongBranchError", "X_NOT_REPRESENTABLE", "ZeroElementError",
         "ZeroGeneratorError", "canonical_coords", "canonical_rep", "canonicalize", "d2_test",
         "det_divisors", "elasticity2", "elasticity3",
-        "elasticity_oracle", "enumerate_factorizations", "ext_gcd", "extreme_factorizations",
-        "is_phi_minimal", "main", "member2", "member3", "member3_general", "parse_monoid",
+        "elasticity_oracle", "enumerate_factorizations", "ext_gcd",
+        "is_phi_minimal", "line", "main", "member2", "member3", "member3_general", "parse_monoid",
         "parse_vector", "rho_limit", "rho_special_ac", "rho_special_c", "run",
         "scan_multiples", "slope_compare", "tau", "validate_minimal_generation",
     ]

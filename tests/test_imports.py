@@ -78,7 +78,7 @@ def test_each_command_imports_only_what_it_uses(argv, loaded):
 
 def test_star_import_and_dir_give_the_public_names():
     public = sorted(affmon.__all__)
-    assert len(public) == 60
+    assert len(public) == 58
     names = _child(
         "import affmon\n"
         "fresh_dir = [n for n in dir(affmon) if not n.startswith('_')]\n"

@@ -1,11 +1,13 @@
 """The README's samples print what the README says they print."""
 
 import importlib.util
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import affmon
 from affmon.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,3 +47,9 @@ def test_library_sample(capsys):
     ]
     assert comments
     assert capsys.readouterr().out.splitlines() == comments
+
+
+def test_public_name_counts_match_the_package():
+    counts = re.findall(r"(?:all|same) (\d+) (?:of them|names)", README)
+    assert len(counts) == 2
+    assert [int(n) for n in counts] == [len(affmon.__all__)] * 2

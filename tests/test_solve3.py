@@ -17,11 +17,10 @@ from affmon.monoids import CanonicalMonoid3
 from affmon.oracle import elasticity_oracle, enumerate_factorizations
 from affmon.rationals import Vec2
 from affmon.solve3 import (
-    BRANCH_HIGH,
-    BRANCH_LOW,
+    Line,
     canonical_rep,
     elasticity3,
-    extreme_factorizations,
+    line,
     member3,
     member3_general,
 )
@@ -179,6 +178,12 @@ class TestLine:
         assert held.count(False) == 1
 
 
+def _points(m, x, y):
+    """The listing of the line of (x, y), or the non-member verdict."""
+    ln = line(m, Vec2(x, y))
+    return ln if isinstance(ln, Membership) else solve3._points(ln)
+
+
 def _listing(points):
     """The flat listing of a line's points built point by point, j = J down
     to 0: each point's multiplicities and then its length."""
@@ -200,11 +205,11 @@ class TestPoints:
             m = CanonicalMonoid3(*t, transform=IDENTITY)
             for x in range(31):
                 for y in range(31):
-                    line, flat = solve3._line(m, x, y), solve3._points(m, x, y)
-                    if isinstance(line, Membership):
-                        assert flat == line
+                    ends, flat = solve3._line(m, x, y), _points(m, x, y)
+                    if isinstance(ends, Membership):
+                        assert flat == ends
                         continue
-                    points = _between(m, line)
+                    points = _between(m, ends)
                     assert flat == _listing(points), (t, x, y)
                     counts.add(len(points))
                     constant_length += len(points) > 1 and sum(_step(m)) == 0
@@ -227,10 +232,10 @@ class TestPoints:
                 else:
                     dlt, beta = far, j_max * a_g + rng.randrange(a_g)
                 x, y = alpha * a + beta * c, dlt + alpha * b + beta * d
-                line = solve3._line(m, x, y)
-                points = _between(m, line)
-                assert line[:3] == (dlt, alpha, beta) and len(points) == j_max + 1
-                assert solve3._points(m, x, y) == _listing(points), (a, b, c, d, x, y)
+                ends = solve3._line(m, x, y)
+                points = _between(m, ends)
+                assert ends[:3] == (dlt, alpha, beta) and len(points) == j_max + 1
+                assert _points(m, x, y) == _listing(points), (a, b, c, d, x, y)
 
 
 class TestDelta:
@@ -336,14 +341,6 @@ class TestMember3General:
         assert even.member
         assert [f.mults for f in even.factorizations] == [(0, 3, 0), (1, 1, 1)]
 
-    @pytest.mark.parametrize("name", CORRUPTED_ENDS)
-    def test_rejects_a_corrupted_line(self, monkeypatch, name):
-        s, shift, ends, _ = CORRUPTED_ENDS[name]
-        line = solve3._line
-        monkeypatch.setattr(solve3, "_line", lambda m, x, y: shifted(line(m, x, y), shift))
-        with pytest.raises(ValueError, match=not_line(ends, s.x, s.y)):
-            member3_general(STAR, s)
-
     @given(m=star_monoids(max_a=5, max_b=5, max_extra=2), s=vecs(max_coord=35))
     def test_matches_exhaustive_search(self, m, s):
         res = member3_general(m, s)
@@ -360,59 +357,67 @@ class TestMember3General:
             assert quick.factorization in full.factorizations
 
 
-class TestExtremeFactorizations:
-    def test_low_slope_branch(self):
-        ext = extreme_factorizations(STAR, Vec2(6, 13))
-        assert ext.branch == BRANCH_LOW
-        assert ext.t_max == 2
-        assert ext.fact_t0.mults == (3, 0, 2)
-        assert ext.fact_tmax.mults == (1, 6, 0)
-        assert (ext.len_t0, ext.len_tmax) == (5, 7)
+class TestCheckedLine:
+    """``line`` returns a ``Line``, checked when it is built, or the verdict."""
 
-    def test_high_slope_branch(self):
-        ext = extreme_factorizations(STAR, Vec2(6, 11))
-        assert ext.branch == BRANCH_HIGH
-        assert ext.t_max == 1
-        assert ext.fact_t0.mults == (1, 0, 2)
-        assert ext.fact_tmax.mults == (0, 3, 1)
-        assert (ext.len_t0, ext.len_tmax) == (3, 4)
+    def test_low_slope(self):
+        # x*b <= y*a: J is fixed by beta0 div (a/g).
+        ln = line(STAR, Vec2(6, 13))
+        assert (ln.start, ln.end, ln.count, ln.step) == ((3, 0, 2), (1, 6, 0), 3, (-1, 3, -1))
+        assert [f.mults for f in ln.ends()] == [(3, 0, 2), (1, 6, 0)]
+        assert [f.length for f in ln.ends()] == [5, 7]
+
+    def test_high_slope(self):
+        # x*b > y*a: J is fixed by delta0 div (D/g).
+        ln = line(STAR, Vec2(6, 11))
+        assert (ln.start, ln.end, ln.count) == ((1, 0, 2), (0, 3, 1), 2)
+        assert [f.length for f in ln.ends()] == [3, 4]
 
     def test_equal_slope_boundary(self):
-        ext = extreme_factorizations(STAR, Vec2(3, 6))
-        assert ext.branch == BRANCH_LOW
-        assert ext.t_max == 1
-        assert (ext.len_t0, ext.len_tmax) == (2, 3)
+        ln = line(STAR, Vec2(3, 6))
+        assert ln.count == 2
+        assert [f.length for f in ln.ends()] == [2, 3]
 
     def test_constant_length_monoid(self):
-        ext = extreme_factorizations(
-            CanonicalMonoid3(a=1, b=1, c=2, d=1, transform=IDENTITY), Vec2(3, 4)
-        )
-        assert ext.t_max == 1
-        assert ext.len_t0 == ext.len_tmax == 4
+        ln = line(CanonicalMonoid3(a=1, b=1, c=2, d=1, transform=IDENTITY), Vec2(3, 4))
+        assert ln.count == 2
+        assert [f.length for f in ln.ends()] == [4, 4]
 
-    def test_non_member_rejected(self):
-        with pytest.raises(NotMemberError):
-            extreme_factorizations(STAR, Vec2(6, 9))
+    def test_non_member_gets_the_verdict(self):
+        assert line(STAR, Vec2(6, 9)) == Membership(
+            member=False, factorizations=(), reason=PHI_OUT_OF_RANGE
+        )
+        assert line(WORKED, Vec2(199, 119)) == Membership(member=False, factorizations=())
 
     def test_non_star_monoid_gets_the_oracle_answer(self):
-        ext = extreme_factorizations(WORKED, Vec2(199, 120))
-        assert ext.branch == BRANCH_HIGH
-        assert ext.t_max == 0
-        assert ext.fact_t0 == ext.fact_tmax
-        assert enumerate_factorizations(WORKED.gens, Vec2(199, 120)).facts == (ext.fact_t0,)
+        ln = line(WORKED, Vec2(199, 120))
+        assert ln == Line(Vec2(199, 120), (0, 9, 10), (0, 9, 10), WORKED)
+        assert ln.count == 1
+        assert enumerate_factorizations(WORKED.gens, Vec2(199, 120)).facts == ln.ends()[:1]
+
+    @pytest.mark.parametrize("name", CORRUPTED_ENDS)
+    @pytest.mark.parametrize("solver", [member3, member3_general, elasticity3])
+    def test_every_reader_rejects_a_corrupted_line(self, monkeypatch, name, solver):
+        # The three ids whose ends lie one step inward are factorizations, so
+        # only the line check refuses them.
+        s, shift, ends, _ = CORRUPTED_ENDS[name]
+        ends_of = solve3._line
+        monkeypatch.setattr(solve3, "_line", lambda m, x, y: shifted(ends_of(m, x, y), shift))
+        with pytest.raises(ValueError, match=not_line(ends, s.x, s.y)):
+            solver(STAR, s)
 
     @given(data=st.data())
     def test_lengths_form_an_arithmetic_progression(self, data):
         m = data.draw(star_monoids(max_a=5, max_b=5, max_extra=2))
         s = data.draw(members3(m, max_mult=6))
-        ext = extreme_factorizations(m, s)
+        ln = line(m, s)
+        start, end = ln.ends()
         step = m.c - m.a - 1
-        expected = sorted(ext.len_t0 + t * step for t in range(ext.t_max + 1))
+        expected = sorted(start.length + t * step for t in range(ln.count))
         res = member3_general(m, s)
         assert sorted(f.length for f in res.factorizations) == expected
-        assert ext.fact_t0 in res.factorizations
-        assert ext.fact_tmax in res.factorizations
-        assert len(res.factorizations) == ext.t_max + 1
+        assert res.factorizations[-1] == start and res.factorizations[0] == end
+        assert len(res.factorizations) == ln.count
 
 
 class TestElasticity3:
@@ -422,8 +427,7 @@ class TestElasticity3:
         assert elasticity3(STAR, Vec2(3, 6)) == Fraction(3, 2)
 
     def test_lengths_can_shrink_with_t(self):
-        ext = extreme_factorizations(TAU_NEG, Vec2(6, 13))
-        assert (ext.len_t0, ext.len_tmax) == (7, 5)
+        assert [f.length for f in line(TAU_NEG, Vec2(6, 13)).ends()] == [7, 5]
         assert elasticity3(TAU_NEG, Vec2(6, 13)) == Fraction(7, 5)
 
     def test_constant_length_monoid_is_fully_elastic_free(self):
@@ -461,10 +465,9 @@ class TestElasticity3:
     def test_small_beta_forces_unique_length_on_the_low_branch(self, data):
         m = data.draw(star_monoids(max_a=6, max_b=6, max_extra=2))
         s = data.draw(members3(m, max_mult=8))
-        ext = extreme_factorizations(m, s)
-        beta = ext.fact_t0.mults[2]
-        if ext.branch == BRANCH_LOW and beta < m.a:
-            assert ext.t_max == 0
+        ln = line(m, s)
+        if s.x * m.b <= s.y * m.a and ln.start[2] < m.a:
+            assert ln.count == 1
             assert elasticity3(m, s) == Fraction(1)
 
     @given(data=st.data())
@@ -500,9 +503,9 @@ class TestEveryMonoidAgainstTheOracle:
         m = data.draw(canonical_monoids3())
         s = data.draw(members3(m, max_mult=6))
         facts = enumerate_factorizations(m.gens, s)
-        ext = extreme_factorizations(m, s)
-        assert ext.t_max == len(facts.facts) - 1
-        assert sorted((ext.len_t0, ext.len_tmax)) == [facts.lengths[0], facts.lengths[-1]]
+        ln = line(m, s)
+        assert ln.count == len(facts.facts)
+        assert sorted(f.length for f in ln.ends()) == [facts.lengths[0], facts.lengths[-1]]
         assert elasticity3(m, s) == elasticity_oracle(m.gens, s)
 
 

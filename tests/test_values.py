@@ -13,7 +13,9 @@ from affmon.monoids import CanonicalMonoid2, CanonicalMonoid3
 from affmon.oracle import FactorizationSet
 from affmon.asymptotics import LimitLFT
 from affmon.rationals import Vec2
-from affmon.solve3 import BRANCH_LOW, ExtremeFactorizations
+from affmon.solve3 import Line
+
+from conftest import CORRUPTED_ENDS, not_line
 
 SWAP = UniMat2(0, 1, 1, 0)
 M3 = CanonicalMonoid3(a=1, b=2, c=3, d=5, transform=IDENTITY)
@@ -50,11 +52,12 @@ CASES = [
         "Factorization(mults=(2, 2, 1))))",
     ),
     (
-        ExtremeFactorizations,
-        {"branch": BRANCH_LOW, "t_max": 1, "fact_t0": F302, "fact_tmax": F221},
-        F302,
-        "ExtremeFactorizations(branch='low-slope', t_max=1, "
-        "fact_t0=Factorization(mults=(3, 0, 2)), fact_tmax=Factorization(mults=(2, 2, 1)))",
+        # Only its last field, the monoid, can change alone and leave the
+        # ends a line: here by its transform.
+        Line,
+        {"target": Vec2(6, 13), "start": (3, 0, 2), "end": (1, 6, 0), "monoid": M3},
+        CanonicalMonoid3(a=1, b=2, c=3, d=5, transform=SWAP),
+        f"Line(target=Vec2(x=6, y=13), start=(3, 0, 2), end=(1, 6, 0), monoid={M3_REPR})",
     ),
     (
         LimitLFT,
@@ -139,6 +142,13 @@ class TestValueType:
         value = cls(**fields)
         dup = how(value)
         assert type(dup) is cls and dup == value and repr(dup) == text
+
+
+@pytest.mark.parametrize("name", CORRUPTED_ENDS)
+def test_a_line_is_checked_when_built(name):
+    s, _, ends, _ = CORRUPTED_ENDS[name]
+    with pytest.raises(ValueError, match=not_line(ends, s.x, s.y)):
+        Line(s, ends[:3], ends[3:], M3)
 
 
 def test_copies_keep_gens_and_line_consts():
