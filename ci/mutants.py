@@ -42,11 +42,28 @@ MUTANTS = [
         "n, d = abs(ln * q - p * ld), ld",
         ["test_asymptotics.py"],
     ),
-    # The gap left unreduced: the second gcd of a scan row dropped.
+    # The gap left unreduced: the second gcd of a scan row dropped, on the
+    # first row of every class and on every row of a stepped one.
     (
         "asymptotics.py",
-        "rows[k - 1] = (k, p, q, n // g, d // g)",
-        "rows[k - 1] = (k, p, q, n, d)",
+        "flat[i + 3] = d // g",
+        "flat[i + 3] = d",
+        ["test_asymptotics.py"],
+    ),
+    # A constant class filled with the unreduced gap after its first row
+    # (test_asymptotics.py::TestEveryMultipleFromTwoLines::
+    # test_each_class_has_gap_zero_on_every_row_or_on_none).
+    (
+        "asymptotics.py",
+        "[d // g] * count",
+        "[d] * count",
+        ["test_asymptotics.py"],
+    ),
+    # The constant test inverted: stepped classes filled from their first row.
+    (
+        "asymptotics.py",
+        "constant = hi * dlo == lo * dhi",
+        "constant = hi * dlo != lo * dhi",
         ["test_asymptotics.py"],
     ),
     # The line check (the constructor of solve3.Line), killed by the table of
@@ -160,16 +177,28 @@ MUTANTS = [
         " for e in (ln[:3], ln[3:]))",
         ["test_solve3.py"],
     ),
-    # The per-class step never applied: past k = P every row repeats its class's first.
+    # The class step never applied: past k = P every row of a stepped class
+    # repeats its first.
     (
         "asymptotics.py",
         "lo, hi = lo + dlo, hi + dhi",
         "pass",
         ["test_asymptotics.py"],
     ),
-    # A class's last row not checked: a step read from a corrupted line goes
-    # out unchecked (test_asymptotics.py::TestScanMultiples::
+    # The line of P*s, every class's step, used unchecked: a corrupted step
+    # is caught only at a class's last row, with that row's ends
+    # (test_asymptotics.py::TestScanMultiples::
     # test_rejects_a_class_step_read_from_a_corrupted_line).
+    (
+        "asymptotics.py",
+        "Line(Vec2(period * x, period * y), step[:3], step[3:], m)",
+        "None",
+        ["test_asymptotics.py"],
+    ),
+    # A class's last row not checked: with a wrong period the step is not
+    # affine on every class, and the rows past P go out wrong
+    # (test_asymptotics.py::TestScanMultiples::
+    # test_a_wrong_period_raises_or_gives_the_true_rows).
     (
         "asymptotics.py",
         "Line(Vec2(k * x, k * y), end[:3], end[3:], m)",

@@ -12,32 +12,44 @@ keeps every value >= 1.  The k -> infinity limit of the elasticity equals the
 same expressions, so it is a linear fractional transformation of (x, y),
 exposed here as ``LimitLFT``.  Every value is a plain ``fractions.Fraction``.
 ``scan_multiples`` tabulates exact values against the limit for empirical
-convergence studies, and ``affmon scan`` prints its rows.  It computes the
-limit once and each row on plain ints, into one list allocated up front; a
-k_max no list can hold is refused (InputTooLarge) before any row.
-The two ends (delta, alpha, beta) of the factorization line of k*s, at j = 0
-and j = J, are affine in t along each residue class k = r + t*P, where
-P = (c/g)*lcm(a/g, D/g), which is a*c on a star monoid.  So ``solve3._line``
-is read for k <= P, and once more at k = r + P for each class r when the scan
-goes past P, which gives the class's step.  Each class is checked by
-building a ``solve3.Line`` from its first row and from its last row,
-start + T*step, and a class that fails raises at its last row.  Once both
-rows pass, so does every row between them.  Each condition of the ``Line``
-check but the end's "delta < D/g or beta < a/g" is affine in t, so each
-row's start is the j = 0 point of its line and its end a factorization at
-an index j(t) affine in t.  As k*s has
-the slope of s, J(t) is beta0(t) div (a/g) on every row, or delta0(t) div
-(D/g) on every row (``solve3``'s two branches).  J(t) - j(t) is then the
-floor of an affine function, monotone in t and 0 at both rows, so 0 on every
-row.  Each row then steps the two lengths by the class's sums and reduces
-the exact value and its gap by one ``gcd`` each.
+convergence studies, and ``affmon scan`` prints its rows.  Both read the
+private kernel ``_scan``: it computes the limit once and every row on plain
+ints, into one flat int list, k, p, q, n and d per row, allocated up front;
+a k_max no list can hold is refused (InputTooLarge) before any row.
+``scan_multiples`` regroups that list into tuples, and ``cli`` renders it
+as it is.
+
+Let P = (c/g)*lcm(a/g, D/g), which is a*c on a star monoid.  The
+factorization line of (r + t*P)*s is the line of r*s plus t times the line
+of P*s, end for end: alpha0 depends on k only mod c/g, so it is 0 at P*s and
+the same along a class, beta0 and delta0 are additive in k, and beta0(P*s)
+and delta0(P*s) are multiples of a/g and D/g, so each floor in J splits.  So
+``solve3._line`` is read for k <= min(P, k_max), and once at P*s when the
+scan goes past P; that line, checked as a ``solve3.Line`` before any class
+uses it, is every class's step.  Each class r is checked by building a
+``Line`` from its first row and from its last row, start + T*step, and a
+class that fails raises at its last row.  Once both rows pass, so does every
+row between them.  Each condition of the ``Line`` check but the end's
+"delta < D/g or beta < a/g" is affine in t, so each row's start is the j = 0
+point of its line and its end a factorization at an index j(t) affine in t.
+As k*s has the slope of s, J(t) is beta0(t) div (a/g) on every row, or
+delta0(t) div (D/g) on every row (``solve3``'s two branches).  J(t) - j(t)
+is then the floor of an affine function, monotone in t and 0 at both rows,
+so 0 on every row.
+
+Along the class of r the two end lengths are L_r + t*L_P and H_r + t*H_P,
+so rho is their ratio, constant on the class exactly when
+H_r*L_P == L_r*H_P.  Then it equals rho(P*s), which is the limit on a star
+monoid, so a class has gap 0 on every row or on none.  A constant class has
+its first row reduced once and copied down its columns by slice; every other
+class steps the two lengths per row and reduces the exact value and its gap
+by one ``gcd`` each.  Nothing here but ``rho_limit`` assumes a star monoid.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import sub
 
 from .errors import (
     InputTooLargeError,
@@ -187,6 +199,13 @@ def scan_multiples(m: CanonicalMonoid3, s: Vec2, k_max: int) -> tuple[Fraction, 
     Returns the limit and, for each k, the row (k, p, q, n, d) with
     rho(k*s) = p/q and |limit - p/q| = n/d, both in lowest terms.
     """
+    limit, flat = _scan(m, s, k_max)
+    return limit, list(zip(flat[0::5], flat[1::5], flat[2::5], flat[3::5], flat[4::5]))
+
+
+def _scan(m: CanonicalMonoid3, s: Vec2, k_max: int) -> tuple[Fraction, list[int]]:
+    """The limit and ``scan_multiples``' rows as one flat int list
+    k, p, q, n, d, k, p, q, n, d, ... in order of k."""
     if k_max < 1:
         raise ValueError("k_max must be a positive integer")
     _, limit = rho_limit(m, s)
@@ -195,29 +214,48 @@ def scan_multiples(m: CanonicalMonoid3, s: Vec2, k_max: int) -> tuple[Fraction, 
     _, c_g, a_g, d_g, _ = m.line_consts
     period = c_g * lcm(a_g, d_g)
     try:
-        rows: list = [None] * k_max
+        flat: list = [0] * (5 * k_max)
     except (OverflowError, MemoryError):
         raise InputTooLargeError("k_max is more rows than a list can hold") from None
+    flat[0::5] = range(1, k_max + 1)
+    dlo = dhi = 0
+    if k_max > period:
+        # The line of P*s is every class's step: k = r + t*P has the ends of
+        # r*s plus t times those of P*s.
+        step = _line(m, period * x, period * y)
+        Line(Vec2(period * x, period * y), step[:3], step[3:], m)
+        dlo, dhi = sum(step[:3]), sum(step[3:])
+    stride = 5 * period
     for r in range(1, min(period, k_max) + 1):
         start = _line(m, r * x, r * y)
-        first = Line(Vec2(r * x, r * y), start[:3], start[3:], m)
-        lo, hi, dlo, dhi = sum(first.start), sum(first.end), 0, 0
+        Line(Vec2(r * x, r * y), start[:3], start[3:], m)
+        lo, hi = sum(start[:3]), sum(start[3:])
         last = (k_max - r) // period
         if last:
-            # On the class of r the ends are start + t*step, k = r + t*period.
-            nxt = r + period
-            step = tuple(map(sub, _line(m, nxt * x, nxt * y), start))
-            dlo, dhi = sum(step[:3]), sum(step[3:])
             k = r + last * period
             end = tuple(e + last * de for e, de in zip(start, step))
             Line(Vec2(k * x, k * y), end[:3], end[3:], m)  # raises unless the last row is a line
-        for k in range(r, k_max + 1, period):
+        # hi/lo is the same on every row of a class with hi*dlo == lo*dhi:
+        # its first row is reduced, and the rest copy it.
+        constant = hi * dlo == lo * dhi
+        i = 5 * r - 4
+        for _ in range(1 if constant else last + 1):
             g = gcd(hi, lo)
             p, q = hi // g, lo // g
             if p < q:
                 p, q = q, p
             n, d = abs(ln * q - p * ld), ld * q
             g = gcd(n, d)
-            rows[k - 1] = (k, p, q, n // g, d // g)
+            flat[i] = p
+            flat[i + 1] = q
+            flat[i + 2] = n // g
+            flat[i + 3] = d // g
+            i += stride
             lo, hi = lo + dlo, hi + dhi
-    return limit, rows
+        if constant and last:
+            i, count = 5 * r - 4, last + 1
+            flat[i::stride] = [p] * count
+            flat[i + 1 :: stride] = [q] * count
+            flat[i + 2 :: stride] = [n // g] * count
+            flat[i + 3 :: stride] = [d // g] * count
+    return limit, flat

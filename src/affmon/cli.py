@@ -15,9 +15,11 @@ List-shaped answers stay the checked ints they were computed as.  A listing
 (``factorize --all``, ``oracle``) is a ``_Flat``: one int tuple of each
 factorization's multiplicities and length in turn, as ``solve3._points``
 lists a three-generator monoid's ``Line``; its sorted ``lengths`` are an
-``_Ints``.  A scan is a ``_Rows``: the limit's text and the (k, p, q, n, d)
-rows of ``scan_multiples``.  ``_FORMS`` maps each answer key to its form:
-these are the only forms a ``Report`` holds such a list in.  Each renderer
+``_Ints``.  A scan is a ``_Rows``: the limit's text and one flat int list of
+each row's k, p, q, n and d in turn, as ``asymptotics._scan`` fills it by
+class columns and ``scan_multiples`` regroups it into tuples; it stays flat
+through rendering.  ``_FORMS`` maps each answer key to its form: these are
+the only forms a ``Report`` holds such a list in.  Each renderer
 writes one with a single ``%`` of a ``%d`` template repeated per element
 (``_fact_block``, ``_ints_text``, ``_scan_block``), and ``Report.result``
 builds the plain lists from the same ints only when a caller first reads it.
@@ -60,7 +62,6 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import (
@@ -287,16 +288,17 @@ def _listing(member: bool, flat: _Flat) -> dict:
 
 
 class _Rows:
-    """Scan rows as ``scan_multiples`` returns them, (k, p, q, n, d) each,
-    with the limit's text."""
+    """Scan rows as ``asymptotics._scan`` returns them, one flat int list
+    k, p, q, n, d, k, p, ... in order of k, with the limit's text.  The
+    renderers' ``%`` templates take ``ints`` as they are."""
 
-    def __init__(self, limit: str, rows: list) -> None:
-        self.limit, self.rows = limit, rows
+    def __init__(self, limit: str, ints: list) -> None:
+        self.limit, self.ints = limit, ints
 
     def plain(self) -> list:
-        lim = self.limit
+        lim, ints = self.limit, self.ints
         return [{"k": k, "rho_exact": _ratio_text(p, q), "rho_limit": lim, "gap": _ratio_text(n, d)}
-                for k, p, q, n, d in self.rows]
+                for k, p, q, n, d in zip(ints[0::5], ints[1::5], ints[2::5], ints[3::5], ints[4::5])]
 
 
 # The answers' lists, each in the one form a Report holds, the writer writes
@@ -350,12 +352,12 @@ def _solve(query: Query, m: Monoid, cs: Vec2 | None) -> dict:
     if cs is None:
         raise NotMemberError("vector is outside the monoid's cone")
     if command != "elasticity":
-        from .asymptotics import rho_limit, scan_multiples  # imported by limit and scan only
+        from .asymptotics import _scan, rho_limit  # imported by limit and scan only
     if command == "scan":
         if query.k_max is None or query.k_max < 1:
             raise ValueError("scan needs --k-max >= 1")
-        limit, rows = scan_multiples(m, cs, query.k_max)
-        return {"rows": _Rows(str(limit), rows)}
+        limit, ints = _scan(m, cs, query.k_max)
+        return {"rows": _Rows(str(limit), ints)}
     if command == "limit":
         lft, value = rho_limit(m, cs)
         result = {
@@ -538,12 +540,13 @@ def render_csv(report: Report) -> str:
 def _scan_block(scan: _Rows, head: str, mid: str, end: str, joiner: str) -> str:
     """Each row as head, its exact value, mid, its gap and end, the rows
     joined by ``joiner``: one ``%`` for the whole list, k filling head's
-    ``%d``.  A ratio is written by its ``_RATIO`` template.  Only head may
-    hold a ``%``; mid holds the limit's text, digits and "/" only."""
+    ``%d``.  A ratio is written by its ``_RATIO`` template, picked by the
+    q and d columns.  Only head may hold a ``%``; mid holds the limit's
+    text, digits and "/" only."""
     forms = [[head + r + mid + g + end for g in _RATIO] for r in _RATIO]
-    rows = scan.rows
-    text = joiner.join([forms[q == 1][d == 1] for _, _, q, _, d in rows])
-    return text % tuple(chain.from_iterable(rows))
+    ints = scan.ints
+    text = joiner.join([forms[q == 1][d == 1] for q, d in zip(ints[2::5], ints[4::5])])
+    return text % tuple(ints)
 
 
 def _fact_block(flat: _Flat, head: str, sep: str, mid: str, end: str, joiner: str) -> str:

@@ -17,34 +17,35 @@ settings.load_profile("affmon")
 
 # Corrupted ends of the factorization line on <(0,1), (1,2), (3,5)>, where
 # P = a*c = 3 and the step is (-1, 3, -1).  Each entry is (s, shift, ends at s,
-# ends at k = 1 + 2P): a reader that gets _line's ends plus shift at s must
-# refuse the ends at s, and a scan to k_max = 2P + 1 that reads them plus shift
-# at k = 1 + P, as the step of the class of 1, must refuse that class at its
-# last row, k = 1 + 2P, where the class's ends carry the shift twice.  Each
-# entry fails exactly one condition of solve3._is_line at s.  At s = (6, 13)
-# the line is (3, 0, 2) to (1, 6, 0), and at s = (7, 13) (1, 1, 2) to (0, 4, 1).
+# ends at P*s): a reader that gets _line's ends plus shift at s must refuse the
+# ends at s, and a scan past k = P that reads them plus shift at P*s, the line
+# every class steps by, must refuse that line before any class uses it.  Each
+# entry fails exactly one condition of the ``solve3.Line`` check at s.  At
+# s = (6, 13) the line is (3, 0, 2) to (1, 6, 0), at 3*s (9, 0, 6) to
+# (3, 18, 0); at s = (7, 13) it is (1, 1, 2) to (0, 4, 1), at 3*s (4, 0, 7) to
+# (0, 12, 3).
 CORRUPTED_ENDS = {
     # One step before j = 0: alpha0 - c/g < 0.
     "start-negative": (Vec2(6, 13), (1, -3, 1, 0, 0, 0),
-                       (4, -3, 3, 1, 6, 0), (23, -6, 16, 7, 42, 0)),
+                       (4, -3, 3, 1, 6, 0), (10, -3, 7, 3, 18, 0)),
     # One step past J: beta_J - a/g < 0.
     "end-negative": (Vec2(6, 13), (0, 0, 0, -1, 3, -1),
-                     (3, 0, 2, 0, 9, -1), (21, 0, 14, 5, 48, -2)),
+                     (3, 0, 2, 0, 9, -1), (9, 0, 6, 2, 21, -1)),
     # delta0 + 1: nonnegative and first, but off the target.
     "start-off-target": (Vec2(6, 13), (1, 0, 0, 0, 0, 0),
-                         (4, 0, 2, 1, 6, 0), (23, 0, 14, 7, 42, 0)),
+                         (4, 0, 2, 1, 6, 0), (10, 0, 6, 3, 18, 0)),
     # delta_J + 1: nonnegative and last (beta_J = 0), but off the target.
     "end-off-target": (Vec2(6, 13), (0, 0, 0, 1, 0, 0),
-                       (3, 0, 2, 2, 6, 0), (21, 0, 14, 9, 42, 0)),
+                       (3, 0, 2, 2, 6, 0), (9, 0, 6, 4, 18, 0)),
     # One step inward from alpha0 = 0: alpha0 = c/g exactly.
     "start-alpha-is-c-over-g": (Vec2(6, 13), (-1, 3, -1, 0, 0, 0),
-                                (2, 3, 1, 1, 6, 0), (19, 6, 12, 7, 42, 0)),
+                                (2, 3, 1, 1, 6, 0), (8, 3, 5, 3, 18, 0)),
     # One step inward from beta_J = 0: beta_J = a/g exactly, delta_J >= D/g.
     "end-beta-is-a-over-g": (Vec2(6, 13), (0, 0, 0, 1, -3, 1),
-                             (3, 0, 2, 2, 3, 1), (21, 0, 14, 9, 36, 2)),
+                             (3, 0, 2, 2, 3, 1), (9, 0, 6, 4, 15, 1)),
     # One step inward from delta_J = 0: delta_J = D/g exactly, beta_J >= a/g.
     "end-delta-is-d-over-g": (Vec2(7, 13), (0, 0, 0, 1, -3, 1),
-                              (1, 1, 2, 1, 1, 2), (9, 1, 16, 2, 22, 9)),
+                              (1, 1, 2, 1, 1, 2), (4, 0, 7, 1, 9, 4)),
 }
 
 

@@ -30,7 +30,7 @@ from affmon.intlin import IDENTITY
 from affmon.monoids import CanonicalMonoid3
 from affmon.oracle import elasticity_oracle
 from affmon.rationals import Vec2
-from affmon.solve3 import elasticity3, member3
+from affmon.solve3 import _line, elasticity3, member3
 
 from conftest import (
     CORRUPTED_ENDS,
@@ -207,7 +207,9 @@ class TestScanMultiples:
         with pytest.raises(ValueError):
             scan_multiples(STAR, Vec2(6, 13), 0)
 
-    @pytest.mark.parametrize("k_max", [2**63, 10**20, sys.maxsize // 4])
+    # At sys.maxsize // 10 the list of five ints a row has an index-sized
+    # length, so it fails by MemoryError, not OverflowError.
+    @pytest.mark.parametrize("k_max", [2**63, 10**20, sys.maxsize // 4, sys.maxsize // 10])
     def test_k_max_no_row_list_can_hold_is_too_large(self, k_max):
         with pytest.raises(InputTooLargeError):
             scan_multiples(STAR, Vec2(6, 13), k_max)
@@ -217,18 +219,49 @@ class TestScanMultiples:
             scan_multiples(GAPPY, Vec2(1, 5), 3)
 
     def test_every_row_matches_elasticity3_on_every_small_star_monoid(self):
-        # Past k = P each row comes from its class's step, so three periods
-        # and one row more use every step at least twice.
+        # Past k = P each row comes from the step, so three periods and one
+        # row more use it at least twice on every class.  Each class r has
+        # gap 0 on every row or on none, and the scan fills the ones with
+        # gap 0 from their first row; both kinds occur.
+        mixed = 0
         for a, b, c, d in canonical_triples(6):
             if b * c - a * d != 1:
                 continue
             m = CanonicalMonoid3(a, b, c, d, transform=IDENTITY)
+            period = a * c
             u, v, w = m.gens
             for i, j, n in product(range(3), repeat=3):
                 if i or j or n:
                     s = i * u + j * v + n * w
-                    k_max = 3 * a * c + 1
-                    assert scan_multiples(m, s, k_max)[1] == _elasticity_rows(m, s, k_max), (m, s)
+                    rows = scan_multiples(m, s, 3 * period + 1)[1]
+                    assert rows == _elasticity_rows(m, s, 3 * period + 1), (m, s)
+                    zero = [{row[3] == 0 for row in rows[r::period]} for r in range(period)]
+                    assert all(len(z) == 1 for z in zero), (m, s)
+                    mixed += {True} in zero and {False} in zero
+        assert mixed > 0
+
+    def test_the_line_of_a_multiple_is_additive_along_its_class(self):
+        # The line of (r + t*P)*s is the line of r*s plus t times the line of
+        # P*s: star and non-star (``_line`` has no star guard), every class
+        # r <= P of seven members per monoid, t up to 10**30.
+        classes = 0
+        for a, b, c, d in canonical_triples(6):
+            m = CanonicalMonoid3(a, b, c, d, transform=IDENTITY)
+            _, c_g, a_g, d_g, _ = m.line_consts
+            period = c_g * lcm(a_g, d_g)
+            u, v, w = m.gens
+            for i, j, n in product(range(2), repeat=3):
+                if not (i or j or n):
+                    continue
+                s = i * u + j * v + n * w
+                step = _line(m, period * s.x, period * s.y)
+                for r in range(1, period + 1):
+                    first = _line(m, r * s.x, r * s.y)
+                    for t in (1, 2, 10**30):
+                        k = r + t * period
+                        assert _line(m, k * s.x, k * s.y) == shifted(first, step, t), (m, s, k)
+                    classes += 1
+        assert classes == 7 * 17643  # seven members, and P summed over the triples
 
     @pytest.mark.parametrize(
         "m, s",
@@ -252,9 +285,8 @@ class TestScanMultiples:
         with pytest.raises(ValueError, match=not_line(ends, s.x, s.y)):
             scan_multiples(STAR, s, 1)
 
-    # The scan reads the class step of 1 from the line at k = 1 + P, and
-    # checks the class at its first row and at its last, k = 1 + 2P, where
-    # the corruption shows twice.
+    # Past k = P every class steps by the line of P*s, which the scan checks
+    # before any class uses it.
     @pytest.mark.parametrize("name", CORRUPTED_ENDS)
     def test_rejects_a_class_step_read_from_a_corrupted_line(self, monkeypatch, name):
         s, shift, _, ends = CORRUPTED_ENDS[name]
@@ -262,11 +294,10 @@ class TestScanMultiples:
 
         def corrupted(m, x, y):
             read = line(m, x, y)
-            return shifted(read, shift) if x == (1 + period) * s.x else read
+            return shifted(read, shift) if x == period * s.x else read
 
         monkeypatch.setattr(asymptotics, "_line", corrupted)
-        k = 1 + 2 * period
-        with pytest.raises(ValueError, match=not_line(ends, k * s.x, k * s.y)):
+        with pytest.raises(ValueError, match=not_line(ends, period * s.x, period * s.y)):
             scan_multiples(STAR, s, 2 * period + 1)
 
     def test_a_wrong_period_raises_or_gives_the_true_rows(self, monkeypatch):
@@ -306,14 +337,16 @@ class TestScanMultiples:
     @pytest.mark.parametrize(
         "m, s", [(STAR, Vec2(7, 13)), (TAU_NEG, Vec2(9, 14))], ids=["star", "tau-neg"]
     )
-    def test_reads_the_line_once_per_row_up_to_p_and_once_per_class_after(self, monkeypatch, m, s):
+    def test_reads_the_line_once_per_row_up_to_p_and_once_at_p_times_s(self, monkeypatch, m, s):
         period, line = m.a * m.c, asymptotics._line
         calls = []
-        monkeypatch.setattr(asymptotics, "_line", lambda *args: calls.append(1) or line(*args))
+        monkeypatch.setattr(asymptotics, "_line", lambda *args: calls.append(args[1]) or line(*args))
         for k_max in (1, period, period + 1, 2 * period, 10 * period):
             calls.clear()
             scan_multiples(m, s, k_max)
-            assert len(calls) == min(period, k_max) + max(0, min(period, k_max - period)), k_max
+            assert len(calls) == min(period, k_max) + (k_max > period), k_max
+            # P*s is read as the first row of the class of P and as the step.
+            assert calls.count(period * s.x) == (k_max >= period) + (k_max > period), k_max
 
     @given(data=st.data())
     def test_every_row_matches_elasticity3_and_the_oracle(self, data):

@@ -48,10 +48,11 @@ from affmon.errors import (
     StarRequiredError,
     ZeroGeneratorError,
 )
-from affmon.asymptotics import scan_multiples
+from affmon.asymptotics import rho_limit, scan_multiples
 from affmon.intlin import IDENTITY
 from affmon.monoids import CanonicalMonoid3, canonical_coords
 from affmon.rationals import Vec2
+from affmon.solve3 import elasticity3
 
 from conftest import CORRUPTED_ENDS, members3, not_line, shifted, star_monoids
 
@@ -334,6 +335,20 @@ class TestRunScan:
     def test_csv_header(self):
         assert SCAN_CSV_HEADER == "k,rho_exact,rho_limit,gap"
 
+    def test_csv_of_constant_and_stepped_classes_is_each_rows_elasticity(self):
+        # <(0,1),(3,2),(2,1)> at s = (27, 18) has P = 6: the even classes have
+        # gap 0 and are filled from their first row, the odd ones step.  The
+        # expected text is written from elasticity3 with str(Fraction), not by
+        # _scan_block, for k_max = 3P + 1.
+        report = run(q("scan", "0,1;3,2;2,1", "27,18", k_max=19, output="csv"))
+        m, s = report.canonical, report.input
+        assert (m.a, m.b, m.c, m.d, m.transform) == (3, 2, 2, 1, IDENTITY)
+        limit = rho_limit(m, s)[1]
+        rhos = [elasticity3(m, k * s) for k in range(1, 20)]
+        assert [rho == limit for rho in rhos[:6]] == [False, True] * 3
+        lines = [f"{k},{rho},{limit},{abs(limit - rho)}" for k, rho in enumerate(rhos, 1)]
+        assert render(report, "csv") == "\n".join([SCAN_CSV_HEADER, *lines])
+
     @given(data=st.data())
     def test_rows_are_scan_multiples_through_a_transform(self, data):
         # The star monoid is presented sheared, (x, y) -> (x + t*y, y), so
@@ -497,7 +512,9 @@ class TestMain:
             assert exc.value.code == 2
             assert "argument --k-max: must be a positive integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("k_max", [2**63, 10**20, sys.maxsize // 4])
+    # At sys.maxsize // 10 the list of five ints a row has an index-sized
+    # length, so it fails by MemoryError, not OverflowError.
+    @pytest.mark.parametrize("k_max", [2**63, 10**20, sys.maxsize // 4, sys.maxsize // 10])
     def test_k_max_no_row_list_can_hold_is_too_large(self, capsys, k_max):
         argv = ["scan", STAR_TEXT, "6,13", "--k-max", str(k_max)]
         assert main(argv) == 2
@@ -738,7 +755,7 @@ class TestJsonText:
             generators=ran.generators,
             canonical=ran.canonical,
             input=ran.input,
-            result={"rows": cli._Rows(text, ran._answer["rows"].rows)},
+            result={"rows": cli._Rows(text, ran._answer["rows"].ints)},
             solver_used=ran.solver_used,
             exit_code=ran.exit_code,
         )
