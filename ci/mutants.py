@@ -185,8 +185,9 @@ MUTANTS = [
         "pass",
         ["test_asymptotics.py"],
     ),
-    # The line of P*s, every class's step, used unchecked: a corrupted step
-    # is caught only at a class's last row, with that row's ends
+    # The line of P*s, read by the limit and every class's step, used
+    # unchecked: a corrupted line is caught only by the limit's value check
+    # or at a class's last row, not with its own ends
     # (test_asymptotics.py::TestScanMultiples::
     # test_rejects_a_class_step_read_from_a_corrupted_line).
     (
@@ -195,10 +196,61 @@ MUTANTS = [
         "None",
         ["test_asymptotics.py"],
     ),
+    # The limit's check against rho(P*s) dropped: a form one coefficient off
+    # is returned (test_asymptotics.py::TestRhoLimit::
+    # test_a_form_one_coefficient_off_is_refused).
+    (
+        "asymptotics.py",
+        "    if value.numerator * lo != value.denominator * hi:\n        raise ValueError(",
+        "    if False:\n        raise ValueError(",
+        ["test_asymptotics.py"],
+    ),
+    # D taken as 1 in the high-slope form, the star form: every non-star
+    # limit above slope a/b fails its check
+    # (test_asymptotics.py::TestGeneralLimit).
+    (
+        "asymptotics.py",
+        "D = g * d_g",
+        "D = 1",
+        ["test_asymptotics.py"],
+    ),
+    # D taken as 1 in tau, the star sign: the limit is inverted or 1 where
+    # c - a - 1 and c - a - D differ in sign
+    # (test_asymptotics.py::TestTau::test_sign_is_that_of_c_minus_a_minus_d).
+    (
+        "asymptotics.py",
+        "diff = m.c - m.a - g * d_g",
+        "diff = m.c - m.a - 1",
+        ["test_asymptotics.py"],
+    ),
+    # A high-slope coefficient off by one (the limit's check refuses it).
+    (
+        "asymptotics.py",
+        "c * (c - a), -D * (d - 1)",
+        "c * (c - a + 1), -D * (d - 1)",
+        ["test_asymptotics.py"],
+    ),
+    # A low-slope coefficient off by one (the same check).
+    (
+        "asymptotics.py",
+        "-a * (d - 1), a * c",
+        "-a * d, a * c",
+        ["test_asymptotics.py"],
+    ),
+    # The scan reads the line of s again for its first row instead of taking
+    # the limit's (test_asymptotics.py::TestScanMultiples::
+    # test_reads_the_line_once_per_row_up_to_p_and_once_at_p_times_s).
+    (
+        "asymptotics.py",
+        "checked = {1: first, period: step}",
+        "checked = {period: step}",
+        ["test_asymptotics.py"],
+    ),
     # A class's last row not checked: with a wrong period the step is not
-    # affine on every class, and the rows past P go out wrong
-    # (test_asymptotics.py::TestScanMultiples::
-    # test_a_wrong_period_raises_or_gives_the_true_rows).
+    # affine on every class, and the rows past P go out wrong.  The limit's
+    # check refuses most such scans, so the test gives the wrong period to
+    # the scan alone (test_asymptotics.py::TestScanMultiples::
+    # test_a_step_from_a_wrong_period_raises_at_a_last_row).
     (
         "asymptotics.py",
         "Line(Vec2(k * x, k * y), end[:3], end[3:], m)",
@@ -507,12 +559,13 @@ MUTANTS = [
         ["test_asymptotics.py"],
     ),
     # On the slope-a/b boundary the limit reports the high-slope LFT
-    # (test_cli.py::TestRunLimit::test_slope_boundary_prints_the_low_slope_lft).
+    # (test_asymptotics.py::TestRhoLimit::test_boundary_slope_limit, and
+    # test_cli.py::TestRunLimit::test_slope_boundary_prints_the_low_slope_lft).
     (
         "asymptotics.py",
-        "if low <= high:",
-        "if low < high:",
-        ["test_cli.py"],
+        "lft = _lft(m, x * m.b <= y * m.a)",
+        "lft = _lft(m, x * m.b < y * m.a)",
+        ["test_asymptotics.py"],
     ),
     # k = 1 refused by the periodic formulas, though a*c = 1 divides it
     # (test_asymptotics.py::TestAgainstEachOther::test_specials_at_k_one).

@@ -88,7 +88,8 @@ class CanonicalMonoid3(_Frozen):
 
     @property
     def star(self) -> bool:
-        """Whether b*c - a*d = 1, the hypothesis behind the limit formulas."""
+        """Whether b*c - a*d = 1.  Only the CLI's ``limit`` and ``scan`` and
+        ``asymptotics.rho_special_*`` require it."""
         return self.b * self.c - self.a * self.d == 1
 
 

@@ -29,15 +29,15 @@ unchecked.  The private ``_line`` computes the ends on ints, as one 6-tuple
 (delta0, alpha0, beta0, delta_J, alpha_J, beta_J), from the constants g,
 c/g, a/g, D/g and (a/g)^-1 mod c/g that the ``CanonicalMonoid3`` constructor
 sets once, as ``line_consts``; ``line`` builds its ``Line`` from it, and
-so does the scan kernel ``asymptotics._scan``, at P*s (every residue class's
-step) and at each class's first and last rows.  Every three-generator answer reads a
-``Line``: ``member3``'s witness is its start, ``elasticity3`` and
-``factorize --extremes`` take the lengths of ``Line.ends``, two
-``Factorization``s built by ``Factorization.checked``, and ``_points`` lists
-it for ``factorize --all`` as one flat int list, filled by columns, each
-point's three multiplicities and its length, from j = J down to 0; ``cli``
-writes its text from that list, and ``member3_general`` regroups it into
-``Factorization``s.
+so do ``asymptotics``' limit, at s and at P*s (every residue class's step),
+and its scan kernel ``_scan``, at each class's first and last rows.  Every
+three-generator answer reads a ``Line``: ``member3``'s witness is its
+start, ``elasticity3`` and ``factorize --extremes`` take the lengths of
+``Line.ends``, two ``Factorization``s built by ``Factorization.checked``,
+and ``_points`` lists it for ``factorize --all`` as one flat int list,
+filled by columns, each point's three multiplicities and its length, from
+j = J down to 0; ``cli`` writes its text from that list, and
+``member3_general`` regroups it into ``Factorization``s.
 """
 
 from __future__ import annotations

@@ -64,11 +64,48 @@ def _elasticity_rows(m, s, k_max):
     return rows
 
 
+def _wrong_period_scans():
+    """Scan each nonzero member with multiplicities <= 2 of every star
+    monoid with entries <= 6 up to k = 3*c*(a + 1) + 1, three periods of
+    P = c*(a + 1) and one row more; return how many scans raise
+    ``ValueError``, after asserting that each of the others gives the rows
+    of ``elasticity3``."""
+    raised = 0
+    for a, b, c, d in canonical_triples(6):
+        if b * c - a * d != 1:
+            continue
+        m = CanonicalMonoid3(a, b, c, d, transform=IDENTITY)
+        u, v, w = m.gens
+        for i, j, n in product(range(3), repeat=3):
+            if i or j or n:
+                s = i * u + j * v + n * w
+                k_max = 3 * c * (a + 1) + 1
+                try:
+                    rows = scan_multiples(m, s, k_max)[1]
+                except ValueError:
+                    raised += 1
+                    continue
+                assert rows == _elasticity_rows(m, s, k_max), (m, s)
+    return raised
+
+
 class TestTau:
     def test_signs(self):
         assert tau(STAR) == 1
         assert tau(SINGLE_LEN) == 0
         assert tau(TAU_NEG) == -1
+
+    def test_sign_is_that_of_c_minus_a_minus_d(self):
+        # c - a - 1 > 0 on both, but D = 4 and D = 3 make c - a - D negative
+        # and 0: lengths fall along the line of (1, 4) and are constant on it.
+        falling = CanonicalMonoid3(a=1, b=2, c=3, d=2, transform=IDENTITY)
+        constant = CanonicalMonoid3(a=1, b=1, c=4, d=1, transform=IDENTITY)
+        assert tau(falling) == -1
+        assert tau(constant) == 0
+        # P = 12 on the falling one: the limit is rho(12*(1, 4)).
+        limit = rho_limit(falling, Vec2(1, 4))[1]
+        assert limit == elasticity3(falling, Vec2(12, 48)) == Fraction(11, 9)
+        assert rho_limit(constant, Vec2(5, 9))[1] == Fraction(1)
 
 
 class TestLimitLFT:
@@ -159,8 +196,10 @@ class TestRhoLimit:
         assert value == Fraction(4, 3)
 
     def test_boundary_slope_limit(self):
-        _, value = rho_limit(STAR, Vec2(3, 6))
+        # On slope a/b both forms give 3/2; the low-slope one is returned.
+        lft, value = rho_limit(STAR, Vec2(3, 6))
         assert value == Fraction(3, 2)
+        assert lft == LimitLFT(p=-3, q=3, r=-4, t=3, tau=1)
 
     def test_constant_length_monoid(self):
         _, value = rho_limit(SINGLE_LEN, Vec2(3, 5))
@@ -171,8 +210,97 @@ class TestRhoLimit:
             rho_limit(STAR, Vec2(0, 0))
         with pytest.raises(NotMemberError):
             rho_limit(STAR, Vec2(6, 9))
-        with pytest.raises(StarRequiredError):
-            rho_limit(WORKED, Vec2(199, 120))
+
+    def test_a_non_star_monoid_gets_the_checked_limit(self):
+        # D = 67 and P = 7,370: the high-slope form at D = 67, equal to
+        # rho(P*s), which rho_limit checks, and to rho(7*P*s).
+        s = Vec2(199, 120)
+        lft, value = rho_limit(WORKED, s)
+        assert lft == LimitLFT(p=70, q=-10, r=-134, t=670, tau=-1)
+        assert value == Fraction(401, 95)
+        assert value == elasticity3(WORKED, 7370 * s) == elasticity3(WORKED, 7 * 7370 * s)
+
+    @pytest.mark.parametrize("coeff", ["p", "q", "r", "t"])
+    @pytest.mark.parametrize(
+        "m, s", [(STAR, Vec2(6, 13)), (WORKED, Vec2(199, 120))], ids=["low", "high"]
+    )
+    def test_a_form_one_coefficient_off_is_refused(self, monkeypatch, coeff, m, s):
+        lft = asymptotics._lft
+
+        def off(m, low):
+            f = lft(m, low)
+            kw = {"p": f.p, "q": f.q, "r": f.r, "t": f.t, "tau": f.tau}
+            kw[coeff] += 1
+            return LimitLFT(**kw)
+
+        monkeypatch.setattr(asymptotics, "_lft", off)
+        with pytest.raises(ValueError, match="not rho"):
+            rho_limit(m, s)
+        with pytest.raises(ValueError, match="not rho"):
+            scan_multiples(m, s, 1)
+
+
+# The 179 minimally generated canonical non-star triples with entries <= 6,
+# 24 of them with g = gcd(a, c) > 1.
+NON_STAR = [CanonicalMonoid3(*t, transform=IDENTITY) for t in canonical_triples(6)
+            if t[0] % t[2] and t[1] * t[2] - t[0] * t[3] != 1]
+
+
+def _period(m):
+    """P = (c/g)*lcm(a/g, D/g)."""
+    _, c_g, a_g, d_g, _ = m.line_consts
+    return c_g * lcm(a_g, d_g)
+
+
+def _members(m):
+    """The 26 nonzero members with multiplicities <= 2."""
+    u, v, w = m.gens
+    return [i * u + j * v + n * w for i, j, n in product(range(3), repeat=3) if i or j or n]
+
+
+class TestGeneralLimit:
+    """The limit without the star condition: rho(P*s), checked three ways."""
+
+    def test_the_limit_is_rho_at_p_and_seven_p_times_s(self):
+        members = with_g = 0
+        for m in NON_STAR:
+            period = _period(m)
+            for s in _members(m):
+                limit = rho_limit(m, s)[1]
+                assert limit == elasticity3(m, period * s) == elasticity3(m, 7 * period * s), (m, s)
+                assert 1 <= limit <= rho_bound(m), (m, s)
+                members += 1
+                with_g += m.line_consts[0] > 1
+        assert (len(NON_STAR), members, with_g) == (179, 4654, 624)
+
+    def test_the_limit_is_the_oracle_rho_where_p_times_s_is_small(self):
+        checked = with_g = 0
+        for m in NON_STAR:
+            period = _period(m)
+            for s in _members(m):
+                if period * (s.x + s.y) <= 60:
+                    assert rho_limit(m, s)[1] == elasticity_oracle(m.gens, period * s), (m, s)
+                    checked += 1
+                    with_g += m.line_consts[0] > 1
+        assert (checked, with_g) == (392, 157)
+
+    def test_every_row_matches_elasticity3_past_three_periods(self):
+        # As on the star monoids: every class steps at least twice, and has
+        # gap 0 on every row or on none.  P <= 60 keeps the rows few.
+        scanned = mixed = 0
+        for m in NON_STAR:
+            period = _period(m)
+            if period > 60:
+                continue
+            for s in _members(m):
+                rows = scan_multiples(m, s, 3 * period + 1)[1]
+                assert rows == _elasticity_rows(m, s, 3 * period + 1), (m, s)
+                zero = [{row[3] == 0 for row in rows[r::period]} for r in range(period)]
+                assert all(len(z) == 1 for z in zero), (m, s)
+                mixed += {True} in zero and {False} in zero
+            scanned += 1
+        assert scanned == 98
+        assert mixed > 0
 
 
 class TestConvergence:
@@ -302,26 +430,25 @@ class TestScanMultiples:
 
     def test_a_wrong_period_raises_or_gives_the_true_rows(self, monkeypatch):
         # With P one too large in its lcm factor, the ends are not affine on
-        # every class: a class either fails at its last row or, passing at its
-        # first and last, is right on every row between.
+        # every class: the limit's value fails its check at P*s, or a class
+        # fails at its last row, or, passing at its first and last, is right
+        # on every row between.
         monkeypatch.setattr(asymptotics, "lcm", lambda *args: lcm(*args) + 1)
-        raised = 0
-        for a, b, c, d in canonical_triples(6):
-            if b * c - a * d != 1:
-                continue
-            m = CanonicalMonoid3(a, b, c, d, transform=IDENTITY)
-            u, v, w = m.gens
-            for i, j, n in product(range(3), repeat=3):
-                if i or j or n:
-                    s = i * u + j * v + n * w
-                    k_max = 3 * c * (a + 1) + 1
-                    try:
-                        rows = scan_multiples(m, s, k_max)[1]
-                    except ValueError:
-                        raised += 1
-                        continue
-                    assert rows == _elasticity_rows(m, s, k_max), (m, s)
-        assert raised > 0
+        assert _wrong_period_scans() > 0
+
+    def test_a_step_from_a_wrong_period_raises_at_a_last_row(self, monkeypatch):
+        # Only the scan gets the wrong P and the line of P*s as its step; the
+        # limit keeps its checked value, so a class that the step gets wrong
+        # can be refused only by its last row's check.
+        limit = asymptotics._limit
+
+        def wrong(m, s):
+            lft, value, _, first, _ = limit(m, s)
+            period = m.c * (m.a + 1)
+            return lft, value, period, first, _line(m, period * s.x, period * s.y)
+
+        monkeypatch.setattr(asymptotics, "_limit", wrong)
+        assert _wrong_period_scans() > 0
 
     @pytest.mark.parametrize(
         "m, mults",
@@ -344,9 +471,11 @@ class TestScanMultiples:
         for k_max in (1, period, period + 1, 2 * period, 10 * period):
             calls.clear()
             scan_multiples(m, s, k_max)
-            assert len(calls) == min(period, k_max) + (k_max > period), k_max
-            # P*s is read as the first row of the class of P and as the step.
-            assert calls.count(period * s.x) == (k_max >= period) + (k_max > period), k_max
+            # The limit reads s, the first row, and P*s, the step and the
+            # first row of the class of P, so P*s is read even below k = P.
+            assert len(calls) == min(period, k_max) + (k_max < period), k_max
+            assert calls.count(s.x) == 1, k_max
+            assert calls.count(period * s.x) == 1, k_max
 
     @given(data=st.data())
     def test_every_row_matches_elasticity3_and_the_oracle(self, data):

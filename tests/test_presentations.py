@@ -3,21 +3,23 @@
 A matrix M in GL2(Z), of determinant +1 or -1, that keeps every generator in
 N0^2 presents the same monoid, and M*s the same element.  So each field of a
 report that is not about the presentation must be equal for (gens, s) and
-(M*gens, M*s).  The suite needs no oracle, so it runs at any size.  ``limit``
-and ``scan`` are not here: they read the star condition on the canonical form,
-which a reflection can change, so today they refuse some presentations of a
-monoid whose mirror image they answer.
+(M*gens, M*s).  The suite needs no oracle, so it runs at any size.  The CLI's
+``limit`` and ``scan`` are here at library level only: ``rho_limit`` and
+``scan_multiples`` answer every three-generator monoid, but the CLI still reads
+the star condition on the canonical form, which a reflection can change, so it
+refuses some presentations of a monoid whose mirror image it answers.
 """
 
 import json
 import random
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
+from affmon.asymptotics import rho_limit, scan_multiples
 from affmon.cli import Query, render_json, run
-from affmon.monoids import canonicalize, validate_minimal_generation
+from affmon.monoids import canonical_coords, canonicalize, validate_minimal_generation
 from affmon.rationals import Vec2
 
 # The fields of a report that depend on the presentation: the canonical form,
@@ -146,3 +148,32 @@ def test_all_listings_of_small_members(det):
     rng = random.Random(det)
     for gens in MONOIDS:
         _same_answers(gens, _member(rng, gens, 9), det, rng, [("factorize", "all")])
+
+
+# Rows enough to pass P, and so use the class step, on four of MONOIDS.
+K_MAX = 24
+
+
+@pytest.mark.parametrize("det", [1, -1])
+@pytest.mark.parametrize("mult_max", SIZES, ids=["1-digit", "100-digit", "1000-digit"])
+def test_limit_and_scan(det, mult_max):
+    # A reflection maps the canonical (a, c, D) to (D, c, a), so it keeps P
+    # and can change the star condition; a determinant +1 map changes neither.
+    rng = random.Random(det * len(str(mult_max)))
+    one_sided = past_p = 0
+    for gens in MONOIDS:
+        s, m = _member(rng, gens, mult_max), _image(rng, gens, det)
+        answers, stars, periods = [], [], []
+        for g, v in [(gens, s), ([_apply(m, h) for h in gens], _apply(m, s))]:
+            cm = canonicalize(g)
+            cs = canonical_coords(cm, v)
+            _, c_g, a_g, d_g, _ = cm.line_consts
+            answers.append((rho_limit(cm, cs)[1], scan_multiples(cm, cs, K_MAX)))
+            stars.append(cm.star)
+            periods.append(c_g * lcm(a_g, d_g))
+        assert answers[0] == answers[1], (gens, s, m)
+        assert periods[0] == periods[1]
+        one_sided += stars[0] != stars[1]
+        past_p += periods[0] < K_MAX
+    assert (one_sided > 0) == (det == -1)
+    assert past_p == 4
